@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model
 from .corpus import AdaptationPlan, EventSplits, compose_plan
 from .errors import IncompleteExperimentError
 from .model import ModelConfig, ParameterStore, generate_greedy, score_sequence
@@ -33,14 +34,19 @@ def predict_label(
     config: ModelConfig,
 ) -> tuple[str, bool]:
     """Greedy decode; if the output is not exactly a label word, fall back
-    to scoring both label sequences (ties resolve to "no")."""
-    generated = generate_greedy(params, src_ids, src_mask, config)
+    to scoring both label sequences (ties resolve to "no"). The source is
+    encoded once, for the decode and both scorings."""
+    # looked up on the module, so that a wrapper installed there (a
+    # profiler or a call counter) sees this call
+    enc = model.encode_source(params, src_ids, src_mask, config)
+    generated = generate_greedy(params, src_ids, src_mask, config, enc_states=enc)
     label = parse_label(decode(generated, vocab))
     if label is not None:
         return label, False
     scores = {
         lab: score_sequence(
-            params, src_ids, src_mask, np.array([vocab.lookup(lab), EOS]), config
+            params, src_ids, src_mask, np.array([vocab.lookup(lab), EOS]), config,
+            enc_states=enc,
         )
         for lab in LABELS
     }

@@ -1,4 +1,4 @@
-"""Encoder-decoder transformer over word ids, one example at a time.
+"""Encoder-decoder transformer over word ids, run on padded batches.
 
 Pre-norm residual blocks with a final layer norm, sinusoidal absolute
 positions, multi-head scaled dot-product attention. The input embedding
@@ -6,14 +6,22 @@ is shared between encoder and decoder; the output projection is its own
 matrix. Decoding starts from the pad token (shift-right) and runs greedy
 argmax with lowest-id tie-break.
 
-Parameters live in a :class:`ParameterStore`, split into an encoder
-partition (input embedding included) and a decoder partition (output
-projection included) so the two can be inspected or swapped separately.
+The forward functions take a batch of sources [B, S] with a mask that is
+0.0 at padding; padded keys get a -1e9 score bias [B, 1, 1, S] and so
+are never attended to. A single example given as 1-D arrays runs the
+same code as a batch of one, and its results come back without the
+batch axis.
+
+Parameters live in a :class:`ParameterStore` in a fixed name order;
+:meth:`ParameterStore.partition` tells encoder-side names (the input
+embedding included) from decoder-side ones (the output projection
+included).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -193,22 +201,33 @@ def _sinusoid_table(n: int, d: int) -> np.ndarray:
     return table.astype(np.float32)
 
 
-def _embed(params, ids, config: ModelConfig, train: bool, rng) -> T.Tensor:
+def _dropout_rngs(rng, batch: int, train: bool, config: ModelConfig):
+    """One dropout generator per example, or None when nothing drops."""
+    if not (train and config.dropout > 0):
+        return None
+    if rng is None:
+        raise ValueError("training forward pass needs an rng for dropout")
+    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
+
+
+def _dropout(x: T.Tensor, config: ModelConfig, rngs, lengths) -> T.Tensor:
+    return x if rngs is None else T.dropout(x, config.dropout, rngs, lengths)
+
+
+def _embed(params, ids: np.ndarray, config: ModelConfig, rngs, lengths) -> T.Tensor:
     x = T.scale(T.embedding(params["embed.weight"], ids), math.sqrt(config.d_model))
-    x = T.add(x, T.Tensor(_sinusoid_table(len(ids), config.d_model)))
-    if train and config.dropout > 0:
-        x = T.dropout(x, config.dropout, rng)
-    return x
+    x = T.add(x, T.Tensor(_sinusoid_table(ids.shape[1], config.d_model)))
+    return _dropout(x, config, rngs, lengths)
 
 
 def _split_heads(x: T.Tensor, n_heads: int) -> T.Tensor:
-    t, d = x.shape
-    return T.transpose(T.reshape(x, (t, n_heads, d // n_heads)), (1, 0, 2))
+    b, t, d = x.shape
+    return T.transpose(T.reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
 
 
 def _merge_heads(x: T.Tensor) -> T.Tensor:
-    h, t, dh = x.shape
-    return T.reshape(T.transpose(x, (1, 0, 2)), (t, h * dh))
+    b, h, t, dh = x.shape
+    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
 
 
 def _linear(params, name: str, x: T.Tensor) -> T.Tensor:
@@ -219,9 +238,8 @@ def _attention(params, prefix, q_in, kv_in, score_bias, config) -> T.Tensor:
     q = _split_heads(T.matmul(q_in, params[f"{prefix}.wq.weight"]), config.n_heads)
     k = _split_heads(T.matmul(kv_in, params[f"{prefix}.wk.weight"]), config.n_heads)
     v = _split_heads(T.matmul(kv_in, params[f"{prefix}.wv.weight"]), config.n_heads)
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(config.head_dim))
-    if score_bias is not None:
-        scores = T.add(scores, T.Tensor(score_bias))
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(config.head_dim))
+    scores = T.add(scores, T.Tensor(score_bias))
     ctx = T.matmul(T.softmax(scores, axis=-1), v)
     return T.matmul(_merge_heads(ctx), params[f"{prefix}.wo.weight"])
 
@@ -234,27 +252,33 @@ def _ff(params, prefix: str, x: T.Tensor) -> T.Tensor:
     return _linear(params, f"{prefix}.w2", T.relu(_linear(params, f"{prefix}.w1", x)))
 
 
-def _residual(x: T.Tensor, sub: T.Tensor, config: ModelConfig, train: bool, rng) -> T.Tensor:
-    if train and config.dropout > 0:
-        sub = T.dropout(sub, config.dropout, rng)
-    return T.add(x, sub)
+def _residual(x: T.Tensor, sub: T.Tensor, config: ModelConfig, rngs, lengths) -> T.Tensor:
+    return T.add(x, _dropout(sub, config, rngs, lengths))
 
 
 def _key_bias(src_mask: np.ndarray) -> np.ndarray:
-    # [1, 1, S]: real positions add 0, padded keys get the penalty
-    return ((1.0 - src_mask) * MASK_PENALTY).astype(np.float32)[None, None, :]
+    # [B, 1, 1, S]: real positions add 0, padded keys get the penalty
+    return ((1.0 - src_mask) * MASK_PENALTY).astype(np.float32)[:, None, None, :]
+
+
+def _reshaped(x: T.Tensor, shape: tuple[int, ...]) -> T.Tensor:
+    return x if x.shape == shape else T.reshape(x, shape)
 
 
 def _check_source(src_ids, src_mask, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Validated ids and mask as [B, S] arrays."""
     ids = np.asarray(src_ids, dtype=np.int64)
     mask = np.asarray(src_mask, dtype=np.float32)
-    if ids.ndim != 1 or mask.shape != ids.shape:
-        raise ValueError(f"source ids/mask must be aligned 1-D, got {ids.shape} / {mask.shape}")
-    if len(ids) > config.max_src_len:
-        raise ValueError(f"source length {len(ids)} exceeds limit {config.max_src_len}")
-    if mask.sum() == 0:
+    if ids.ndim not in (1, 2) or mask.shape != ids.shape:
+        raise ValueError(
+            "source ids/mask must be aligned 1-D or [batch, length], "
+            f"got {ids.shape} / {mask.shape}"
+        )
+    if ids.shape[-1] > config.max_src_len:
+        raise ValueError(f"source length {ids.shape[-1]} exceeds limit {config.max_src_len}")
+    if mask.size == 0 or (mask.sum(axis=-1) == 0).any():
         raise ValueError("no attendable source positions: mask is all zero")
-    return ids, mask
+    return np.atleast_2d(ids), np.atleast_2d(mask)
 
 
 def encode_source(
@@ -263,26 +287,33 @@ def encode_source(
     src_mask,
     config: ModelConfig,
     train: bool = False,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
-    """Run the encoder stack; returns states [S, d_model].
+    """Run the encoder stack over ids [B, S]; returns states [B, S, d_model].
+    One example may be given as ids [S], and then gets states [S, d_model].
 
     `src_mask` is 1.0 at real positions, 0.0 at padding. Padded positions
     are never attended to, so extending a source with extra padding leaves
-    the states at real positions unchanged.
+    the states at real positions unchanged. For training with dropout,
+    `rng` is one generator per example (or one generator for one example).
+    Each example draws its masks over its own length up to its last real
+    position, so the draws do not depend on how examples are batched.
     """
     ids, mask = _check_source(src_ids, src_mask, config)
-    if train and config.dropout > 0 and rng is None:
-        raise ValueError("training forward pass needs an rng for dropout")
+    rngs = _dropout_rngs(rng, len(ids), train, config)
+    # each example's length up to its last real position
+    lengths = None if rngs is None else mask.shape[1] - np.argmax(mask[:, ::-1] > 0, axis=1)
     bias = _key_bias(mask)
-    x = _embed(params, ids, config, train, rng)
+    x = _embed(params, ids, config, rngs, lengths)
     for i in range(config.n_enc_layers):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.self_attn.ln", x)
         x = _residual(x, _attention(params, f"{p}.self_attn", normed, normed, bias, config),
-                      config, train, rng)
-        x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)), config, train, rng)
-    return _ln(params, "enc.final_ln", x)
+                      config, rngs, lengths)
+        x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)),
+                      config, rngs, lengths)
+    states = _ln(params, "enc.final_ln", x)
+    return _reshaped(states, states.shape[1:]) if np.ndim(src_ids) == 1 else states
 
 
 def decode_logits(
@@ -292,41 +323,56 @@ def decode_logits(
     dec_input,
     config: ModelConfig,
     train: bool = False,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
-    """Teacher-forced decoder pass; returns logits [T, vocab_size].
+    """Teacher-forced decoder pass over dec_input [B, T]; returns logits
+    [B, T, vocab_size]. One example (dec_input [T], src_mask [S],
+    enc_states [S, d_model]) gets logits [T, vocab_size].
 
     `dec_input` is the shifted target (pad first). Position t may look at
-    decoder positions <= t and at unmasked source positions only.
+    decoder positions <= t and at unmasked source positions only. `rng`
+    is as for :func:`encode_source`, and continues its streams.
     """
     ids = np.asarray(dec_input, dtype=np.int64)
     mask = np.asarray(src_mask, dtype=np.float32)
-    if ids.ndim != 1 or len(ids) == 0:
-        raise ValueError(f"decoder input must be non-empty 1-D, got shape {ids.shape}")
-    if len(ids) > config.max_tgt_len + 1:
-        raise ValueError(f"decoder length {len(ids)} exceeds limit {config.max_tgt_len + 1}")
-    if mask.sum() == 0:
+    if ids.ndim not in (1, 2) or ids.shape[-1] == 0:
+        raise ValueError(
+            f"decoder input must be non-empty 1-D or [batch, length], got shape {ids.shape}"
+        )
+    if ids.shape[-1] > config.max_tgt_len + 1:
+        raise ValueError(f"decoder length {ids.shape[-1]} exceeds limit {config.max_tgt_len + 1}")
+    if mask.shape != enc_states.shape[:-1]:
+        raise ValueError(
+            f"src_mask shape {mask.shape} does not match encoder states {enc_states.shape}"
+        )
+    if mask.shape[:-1] != ids.shape[:-1]:
+        raise ValueError(f"decoder input {ids.shape} and src_mask {mask.shape} differ in batch")
+    if mask.size == 0 or (mask.sum(axis=-1) == 0).any():
         raise ValueError("no attendable source positions: mask is all zero")
-    if train and config.dropout > 0 and rng is None:
-        raise ValueError("training forward pass needs an rng for dropout")
 
-    t = len(ids)
-    causal = np.triu(np.full((t, t), MASK_PENALTY, dtype=np.float32), k=1)[None, :, :]
+    ids, mask = np.atleast_2d(ids), np.atleast_2d(mask)
+    batch, t = ids.shape
+    rngs = _dropout_rngs(rng, batch, train, config)
+    lengths = [t] * batch
+    enc = _reshaped(enc_states, (batch, *enc_states.shape[-2:]))
+    causal = np.triu(np.full((t, t), MASK_PENALTY, dtype=np.float32), k=1)
     cross_bias = _key_bias(mask)
-    x = _embed(params, ids, config, train, rng)
+    x = _embed(params, ids, config, rngs, lengths)
     for i in range(config.n_dec_layers):
         p = f"dec.{i}"
         normed = _ln(params, f"{p}.self_attn.ln", x)
         x = _residual(x, _attention(params, f"{p}.self_attn", normed, normed, causal, config),
-                      config, train, rng)
+                      config, rngs, lengths)
         x = _residual(
             x,
             _attention(params, f"{p}.cross_attn", _ln(params, f"{p}.cross_attn.ln", x),
-                       enc_states, cross_bias, config),
-            config, train, rng,
+                       enc, cross_bias, config),
+            config, rngs, lengths,
         )
-        x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)), config, train, rng)
-    return _linear(params, "out_proj", _ln(params, "dec.final_ln", x))
+        x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)),
+                      config, rngs, lengths)
+    logits = _linear(params, "out_proj", _ln(params, "dec.final_ln", x))
+    return _reshaped(logits, logits.shape[1:]) if np.ndim(dec_input) == 1 else logits
 
 
 def shift_right(target_ids) -> np.ndarray:
@@ -343,17 +389,21 @@ def generate_greedy(
     src_mask,
     config: ModelConfig,
     max_steps: int | None = None,
+    enc_states: T.Tensor | None = None,
 ) -> list[int]:
     """Greedy decode: argmax at each step (ties break to the lowest id),
-    stopping at the end token or after max_steps tokens."""
+    stopping at the end token or after max_steps tokens. `enc_states`,
+    if given, are this source's encoder states, which are then not
+    computed again."""
     limit = config.max_tgt_len if max_steps is None else max_steps
     if limit < 1:
         raise ValueError(f"max_steps must be positive, got {limit}")
-    enc = encode_source(params, src_ids, src_mask, config)
+    if enc_states is None:
+        enc_states = encode_source(params, src_ids, src_mask, config)
     out: list[int] = []
     dec_input = [PAD]
     for _ in range(limit):
-        logits = decode_logits(params, enc, src_mask, dec_input, config)
+        logits = decode_logits(params, enc_states, src_mask, dec_input, config)
         next_id = int(np.argmax(logits.data[-1]))
         out.append(next_id)
         if next_id == EOS:
@@ -362,14 +412,17 @@ def generate_greedy(
     return out
 
 
-def score_sequence(params: ParameterStore, src_ids, src_mask, target_ids, config: ModelConfig) -> float:
+def score_sequence(params: ParameterStore, src_ids, src_mask, target_ids, config: ModelConfig,
+                   enc_states: T.Tensor | None = None) -> float:
     """Sum of log-probabilities of `target_ids` (which must end with the
-    end token) under teacher forcing."""
+    end token) under teacher forcing. `enc_states` are as for
+    :func:`generate_greedy`."""
     tgt = np.asarray(target_ids, dtype=np.int64)
     if len(tgt) == 0 or tgt[-1] != EOS:
         raise ValueError("target must be non-empty and end with the end token")
-    enc = encode_source(params, src_ids, src_mask, config)
-    logits = decode_logits(params, enc, src_mask, shift_right(tgt), config).data
+    if enc_states is None:
+        enc_states = encode_source(params, src_ids, src_mask, config)
+    logits = decode_logits(params, enc_states, src_mask, shift_right(tgt), config).data
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return float(logp[np.arange(len(tgt)), tgt].sum())
@@ -382,10 +435,14 @@ def example_loss(
     target_ids,
     config: ModelConfig,
     train: bool = False,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
-    """Mean cross-entropy over the supervised target positions of one example."""
+    """Mean over examples of each example's mean cross-entropy over its
+    target positions. Sources are as for :func:`encode_source`; targets
+    are [B, T] (or [T] for one example), all of one length, so this is
+    the mean over every target position of the batch."""
     tgt = np.asarray(target_ids, dtype=np.int64)
+    dec_input = np.stack([shift_right(row) for row in np.atleast_2d(tgt)]).reshape(tgt.shape)
     enc = encode_source(params, src_ids, src_mask, config, train=train, rng=rng)
-    logits = decode_logits(params, enc, src_mask, shift_right(tgt), config, train=train, rng=rng)
-    return T.cross_entropy(logits, tgt)
+    logits = decode_logits(params, enc, src_mask, dec_input, config, train=train, rng=rng)
+    return T.cross_entropy(_reshaped(logits, (tgt.size, config.vocab_size)), tgt.reshape(-1))

@@ -86,11 +86,12 @@ def as_tensor(x) -> Tensor:
 
 class Tape:
     """Records ops in execution order; backward replays them in exact
-    reverse order. One forward/backward pass at a time per tape."""
+    reverse order and consumes the tape. One forward/backward pass per tape."""
 
     def __init__(self):
         self.ops: list[tuple[Tensor, object]] = []
         self.created: set[int] = set()
+        self.consumed = False
 
     def __enter__(self) -> "Tape":
         _ACTIVE.append(self)
@@ -136,6 +137,10 @@ class _GradStore:
             self.by_id[tid] = g
             self.tensors[tid] = t
 
+    def pop(self, t: Tensor) -> np.ndarray | None:
+        self.tensors.pop(id(t), None)
+        return self.by_id.pop(id(t), None)
+
 
 class Gradients:
     """Result of a backward pass: gradients addressable by tensor or name."""
@@ -168,15 +173,27 @@ class Gradients:
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
     """Walk the tape in reverse from a scalar loss, accumulating gradients
-    for every requires_grad tensor (fan-out contributions sum)."""
+    for every requires_grad tensor (fan-out contributions sum).
+
+    The walk consumes the tape: each op is popped, run, and dropped along
+    with the gradient of its output, so the activations it held are freed
+    as the walk goes. Only the gradients of leaf tensors (those no op on
+    this tape produced, such as parameters) are returned.
+    """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
+    if tape.consumed:
+        raise ValueError("tape was already consumed by an earlier backward pass")
     if id(loss) not in tape.created:
         raise ValueError("loss was not produced under this tape")
+    tape.consumed = True
+    tape.created.clear()
     store = _GradStore()
     store.add(loss, np.ones((), dtype=loss.data.dtype))
-    for out, bw in reversed(tape.ops):
-        g = store.by_id.get(id(out))
+    ops = tape.ops
+    while ops:
+        out, bw = ops.pop()
+        g = store.pop(out)
         if g is not None:
             bw(g, store)
     return Gradients(store)
@@ -190,8 +207,11 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g, acc):
-        acc.add(a, _unbroadcast(g, a.data.shape))
-        acc.add(b, _unbroadcast(g, b.data.shape))
+        # constant operands (positions, attention biases) need no reduction
+        if a.requires_grad:
+            acc.add(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            acc.add(b, _unbroadcast(g, b.data.shape))
 
     return _apply(a.data + b.data, (a, b), bw)
 
@@ -244,7 +264,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g, acc):
         acc.add(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
-        acc.add(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
+        if b.data.ndim == 2 < a.data.ndim:
+            # a stack of inputs times one weight matrix: one product over
+            # the stacked rows instead of one per input and a sum
+            k, n = b.data.shape
+            acc.add(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+        else:
+            acc.add(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
 
     return _apply(data, (a, b), bw)
 
@@ -393,15 +419,32 @@ def cross_entropy(logits: Tensor, target_ids, ignore_id: int = -100) -> Tensor:
     return _apply(np.asarray(loss, dtype=logits.data.dtype), (logits,), bw)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; draws a fresh mask from `rng` on every call."""
+def dropout(x: Tensor, p: float, rng, lengths=None) -> Tensor:
+    """Inverted dropout; draws a fresh mask from `rng` on every call.
+
+    With `lengths`, `rng` is a sequence of generators, one per row of `x`
+    (axis 0). Row b draws its mask only over its first lengths[b]
+    positions along axis 1, in the shape that part has on its own, and
+    the rest of the row is dropped. A row's draws therefore do not depend
+    on the other rows of the batch or on how far the row is padded.
+    """
     if not 0 <= p < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     x = as_tensor(x)
     if p == 0:
         return x
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    keep = keep.astype(x.data.dtype)
+    if lengths is None:
+        keep = rng.random(x.data.shape) >= p
+    else:
+        if len(rng) != x.data.shape[0] or len(lengths) != x.data.shape[0]:
+            raise ValueError(
+                f"need one generator and length per row of {x.data.shape}, "
+                f"got {len(rng)} and {len(lengths)}"
+            )
+        keep = np.zeros(x.data.shape, dtype=bool)
+        for row, (gen, n) in enumerate(zip(rng, lengths)):
+            keep[row, :n] = gen.random((n, *x.data.shape[2:])) >= p
+    keep = (keep / (1.0 - p)).astype(x.data.dtype)
 
     def bw(g, acc):
         acc.add(x, g * keep)

@@ -2,13 +2,21 @@
 
 The run is a pure function of (initial parameters, examples, seed): epoch
 order comes from the seeded shuffle stream, per-example dropout draws come
-from generators derived from (seed, epoch, slot), and gradients accumulate
-per example in a fixed order. Re-running therefore reproduces the loss
+from generators derived from (seed, epoch, slot), and each step's work is
+split into chunks in a fixed way. Re-running therefore reproduces the loss
 history bitwise, and a run resumed from step k continues it exactly.
 
-Gradients for an optimizer step are summed one example at a time and
-divided once by the example count, so the accumulation-steps knob does not
-change the arithmetic; it is validated and recorded for provenance only.
+Each optimizer step runs its examples as a few batched passes (chunks)
+rather than one pass per example. The step's slots are sorted by (source
+length, slot) and packed greedily while examples x longest source stays
+within a token budget, so each chunk pads little. A chunk's loss is the
+mean of its examples' losses; chunk losses and gradients are weighted by
+the chunk's example count, summed, and divided once by the step's count.
+Every example draws its dropout masks from its own (seed, epoch, slot)
+generator over its own length, so the masks do not depend on chunking.
+
+The accumulation-steps setting does not change the arithmetic: it is
+validated and recorded for provenance only.
 """
 
 from __future__ import annotations
@@ -22,9 +30,14 @@ import numpy as np
 from .errors import ConfigError
 from .model import ModelConfig, ParameterStore, example_loss
 from .rng import mix_seed, shuffle
-from .tensor import Tape, backward
+from .tensor import Tape, backward, scale
+from .tokenizer import PAD
 
 ALLOWED_ACCUM_STEPS = (1, 2, 4)
+# Most padded source tokens (examples x longest source) in one batched
+# pass. On the mini model, larger budgets run no faster and only raise
+# peak memory, which the budget bounds (see CHANGES.md for the sweep).
+_TOKEN_BUDGET = 256
 
 
 @dataclass(frozen=True)
@@ -133,6 +146,71 @@ def steps_per_epoch(n_examples: int, effective_batch: int) -> int:
     return math.ceil(n_examples / effective_batch)
 
 
+def chunk_slots(examples, slots) -> list[list[int]]:
+    """Split a step's slots into the chunks it runs as batched passes.
+
+    Slots are sorted by (source length, slot) and packed greedily while
+    chunk size x longest source stays within _TOKEN_BUDGET; an example
+    longer than the budget runs alone. Examples with targets of different
+    lengths never share a chunk.
+    """
+    chunks: list[list[int]] = []
+    for slot in sorted(slots, key=lambda s: (len(examples[s][0]), s)):
+        src_len, tgt_len = len(examples[slot][0]), len(examples[slot][2])
+        last = chunks[-1] if chunks else None
+        if (last and (len(last) + 1) * src_len <= _TOKEN_BUDGET
+                and len(examples[last[0]][2]) == tgt_len):
+            last.append(slot)
+        else:
+            chunks.append([slot])
+    return chunks
+
+
+def _pad_chunk(examples, chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source ids and mask [B, S], padded to the longest source, and targets [B, T]."""
+    width = max(len(examples[slot][0]) for slot in chunk)
+    ids = np.full((len(chunk), width), PAD, dtype=np.int64)
+    mask = np.zeros((len(chunk), width), dtype=np.float32)
+    for row, slot in enumerate(chunk):
+        src_ids, src_mask, _ = examples[slot]
+        if len(src_mask) != len(src_ids):
+            raise ValueError(
+                f"example {slot}: source ids/mask lengths differ: {len(src_ids)} / {len(src_mask)}"
+            )
+        ids[row, : len(src_ids)] = src_ids
+        mask[row, : len(src_ids)] = src_mask
+    return ids, mask, np.stack([examples[slot][2] for slot in chunk])
+
+
+def step_gradients(
+    params: ParameterStore,
+    examples,
+    slots,
+    model_config: ModelConfig,
+    seed: int,
+    epoch: int,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean loss and mean parameter gradients over one step's examples,
+    with dropout drawn from each slot's (seed, epoch, slot) generator."""
+    grad_sums = {name: np.zeros_like(t.data) for name, t in params.items()}
+    loss_sum = 0.0
+    for chunk in chunk_slots(examples, slots):
+        src_ids, src_mask, tgt_ids = _pad_chunk(examples, chunk)
+        rngs = [np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
+                for slot in chunk]
+        with Tape() as tape:
+            loss = example_loss(
+                params, src_ids, src_mask, tgt_ids, model_config, train=True, rng=rngs
+            )
+            weighted = scale(loss, len(chunk))
+        grads = backward(tape, weighted)
+        for name, tensor in params.items():
+            grad_sums[name] += grads.of(tensor)
+        loss_sum += len(chunk) * float(loss.data)
+    count = len(slots)
+    return loss_sum / count, {name: g / count for name, g in grad_sums.items()}
+
+
 def train(
     params: ParameterStore,
     examples,
@@ -184,25 +262,10 @@ def train(
             order_epoch = epoch
         slots = order[b * train_config.effective_batch : (b + 1) * train_config.effective_batch]
 
-        grad_sums = {name: np.zeros_like(t.data) for name, t in params.items()}
-        loss_sum = 0.0
-        for slot in slots:
-            src_ids, src_mask, tgt_ids = examples[slot]
-            drop_rng = np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
-            with Tape() as tape:
-                loss = example_loss(
-                    params, src_ids, src_mask, tgt_ids, model_config, train=True, rng=drop_rng
-                )
-            grads = backward(tape, loss)
-            for name, tensor in params.items():
-                grad_sums[name] += grads.of(tensor)
-            loss_sum += float(loss.data)
-
-        count = len(slots)
-        mean_grads = {name: g / count for name, g in grad_sums.items()}
+        loss, mean_grads = step_gradients(params, examples, slots, model_config, seed, epoch)
         lr = lr_at(s, total, train_config.warmup_ratio, train_config.peak_lr)
         optimizer.apply(params, mean_grads, lr, train_config)
-        result.history.append(StepRecord(step=s, lr=lr, loss=loss_sum / count))
+        result.history.append(StepRecord(step=s, lr=lr, loss=loss))
         result.final_step = s + 1
 
         if b == spe - 1 and on_epoch_end is not None:

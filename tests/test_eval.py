@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from crisisadapt import model
 from crisisadapt.corpus import EventSplits, PlanError
 from crisisadapt.errors import IncompleteExperimentError
 from crisisadapt.evaluation import (
@@ -204,6 +205,30 @@ def test_predict_label_fallback_prefers_higher_score():
     label, fell_back = predict_label(params, ids, mask, VOCAB, cfg)
     assert fell_back
     assert label == "yes"
+
+
+def test_predict_label_fallback_encodes_source_once(monkeypatch):
+    params, cfg = rigged({"water": 10.0, "yes": 2.0, "no": 1.0})
+    ids, mask = encode_query()
+    enc = model.encode_source(params, ids, mask, cfg)
+    # reused states give the same bits as states computed afresh
+    for lab in ("yes", "no"):
+        tgt = [VOCAB.lookup(lab), EOS]
+        assert model.score_sequence(params, ids, mask, tgt, cfg, enc_states=enc) == \
+            model.score_sequence(params, ids, mask, tgt, cfg)
+    assert model.generate_greedy(params, ids, mask, cfg, enc_states=enc) == \
+        model.generate_greedy(params, ids, mask, cfg)
+
+    calls = []
+    encode_source = model.encode_source
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return encode_source(*args, **kwargs)
+
+    monkeypatch.setattr(model, "encode_source", counted)
+    assert predict_label(params, ids, mask, VOCAB, cfg) == ("yes", True)
+    assert len(calls) == 1
 
 
 def test_evaluate_report_shape():

@@ -188,6 +188,10 @@ def test_decoder_input_validation():
         decode_logits(params, enc, MASK, [], cfg)
     with pytest.raises(ValueError, match="exceeds limit"):
         decode_logits(params, enc, MASK, [PAD] * (cfg.max_tgt_len + 2), cfg)
+    with pytest.raises(ValueError, match=r"src_mask shape \(1,\) .* \(10, 16\)"):
+        decode_logits(params, enc, MASK[:1], [PAD], cfg)
+    with pytest.raises(ValueError, match="differ in batch"):
+        decode_logits(params, T.reshape(enc, (1, 10, 16)), MASK[None], [PAD], cfg)
 
 
 def test_logits_shape_and_finiteness():

@@ -323,6 +323,16 @@ def test_backward_requires_scalar_and_tape_membership():
         T.backward(tape, z)
 
 
+def test_second_backward_on_consumed_tape_raises():
+    x = T.Tensor(np.ones(3), requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.sum_all(T.mul(x, x))
+    assert np.array_equal(T.backward(tape, loss).of(x), 2 * np.ones(3))
+    assert tape.ops == []
+    with pytest.raises(ValueError, match="already consumed"):
+        T.backward(tape, loss)
+
+
 def test_no_tracking_outside_tape():
     x = T.Tensor(np.ones(3), requires_grad=True)
     y = T.mul(x, x)  # no active tape: nothing recorded

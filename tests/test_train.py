@@ -5,14 +5,17 @@ import pytest
 
 import crisisadapt.tensor as T
 from crisisadapt.errors import ConfigError
-from crisisadapt.model import ModelConfig, ParameterStore, init_params
+from crisisadapt.model import ModelConfig, ParameterStore, example_loss, init_params
+from crisisadapt.rng import mix_seed
 from crisisadapt.tokenizer import EOS
 from crisisadapt.train import (
     AdamState,
     StepRecord,
     TrainConfig,
+    chunk_slots,
     lr_at,
     read_history,
+    step_gradients,
     steps_per_epoch,
     train,
     write_history,
@@ -222,6 +225,15 @@ def test_resume_requires_matching_optimizer():
         train(params, [], MICRO, tcfg)
 
 
+def test_misaligned_example_mask_rejected():
+    examples = micro_examples(4)
+    src, mask, tgt = examples[2]
+    examples[2] = (src, mask[:1], tgt)  # would broadcast silently if padded as is
+    tcfg = TrainConfig(peak_lr=1e-3, effective_batch=4, epochs=2)
+    with pytest.raises(ValueError, match="example 2: source ids/mask lengths differ"):
+        train(init_params(MICRO, 0), examples, MICRO, tcfg)
+
+
 def test_warmup_covering_run_fails_fast():
     tcfg = TrainConfig(peak_lr=1e-3, effective_batch=16, epochs=1, warmup_ratio=0.99)
     params = init_params(MICRO, 0)
@@ -244,6 +256,44 @@ def test_on_epoch_end_early_stop():
     assert seen == [0, 1]
     assert result.stopped_early
     assert result.final_step == 2 * result.steps_per_epoch
+
+
+def test_chunked_step_matches_per_example_mean_fp64():
+    cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=16,
+                      n_enc_layers=1, n_dec_layers=1, dropout=0.3,
+                      max_src_len=64, max_tgt_len=4)
+    params = init_params(cfg, 3).astype(np.float64)
+    rng = np.random.Generator(np.random.PCG64(9))
+    examples = []
+    for n in (40, 17, 55, 23, 60, 31, 48, 12, 64, 36):
+        src = rng.integers(3, cfg.vocab_size, size=n).astype(np.int64)
+        tgt = np.array([int(rng.integers(3, cfg.vocab_size)), EOS], dtype=np.int64)
+        examples.append((src, np.ones(n, dtype=np.float32), tgt))
+    # one example carries its own trailing padding, one a longer target
+    src, mask, tgt = examples[1]
+    examples[1] = (np.concatenate([src, [0] * 5]), np.concatenate([mask, np.zeros(5, np.float32)]),
+                   tgt)
+    examples[3] = (examples[3][0], examples[3][1], np.array([5, 6, EOS], dtype=np.int64))
+    slots = [7, 2, 9, 0, 4, 1, 8, 3, 6, 5]
+    assert len(chunk_slots(examples, slots)) >= 3
+    seed, epoch = 11, 2
+
+    loss, grads = step_gradients(params, examples, slots, cfg, seed, epoch)
+
+    ref_loss = 0.0
+    ref_grads = {name: np.zeros_like(t.data) for name, t in params.items()}
+    for slot in slots:
+        src, mask, tgt = examples[slot]
+        drop = np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
+        with T.Tape() as tape:
+            one = example_loss(params, src, mask, tgt, cfg, train=True, rng=drop)
+        g = T.backward(tape, one)
+        for name, t in params.items():
+            ref_grads[name] += g.of(t) / len(slots)
+        ref_loss += float(one.data) / len(slots)
+    assert abs(loss - ref_loss) <= 1e-10
+    for name, want in ref_grads.items():
+        np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
 def test_training_reduces_loss():
