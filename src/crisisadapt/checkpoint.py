@@ -115,6 +115,50 @@ def save_checkpoint(
         fh.write(payload)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# manifest key -> check its value must pass
+_OPTIONAL_FIELDS = ("adam_t", "extra")
+_MANIFEST_FIELDS = {
+    "tensors": lambda v: isinstance(v, list),
+    "config": lambda v: isinstance(v, dict),
+    "vocab_hash": lambda v: isinstance(v, str),
+    "step": _is_int,
+    "seed": _is_int,
+    "adam_t": lambda v: v is None or _is_int(v),
+    "extra": lambda v: isinstance(v, dict),
+}
+_TENSOR_FIELDS = {
+    "name": lambda v: isinstance(v, str),
+    "dtype": lambda v: isinstance(v, str),
+    "shape": lambda v: isinstance(v, list) and all(_is_int(n) and n >= 0 for n in v),
+    "offset": lambda v: _is_int(v) and v >= 0,
+    "byte_length": lambda v: _is_int(v) and v >= 0,
+}
+
+
+def _check_manifest(manifest: dict) -> None:
+    """Raise IntegrityError unless every field the loader reads is present
+    with the type it needs."""
+    for key, ok in _MANIFEST_FIELDS.items():
+        if key not in manifest and key not in _OPTIONAL_FIELDS:
+            raise IntegrityError(f"checkpoint manifest lacks {key!r}")
+        if key in manifest and not ok(manifest[key]):
+            raise IntegrityError(
+                f"checkpoint manifest field {key!r} is malformed: {manifest[key]!r}"
+            )
+    for i, entry in enumerate(manifest["tensors"]):
+        if not isinstance(entry, dict):
+            raise IntegrityError(f"checkpoint manifest tensor entry {i} is not an object")
+        for key, ok in _TENSOR_FIELDS.items():
+            if not ok(entry.get(key)):
+                raise IntegrityError(
+                    f"checkpoint manifest tensor entry {i}: field {key!r} missing or malformed"
+                )
+
+
 def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointData:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -139,6 +183,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
         raise IntegrityError(f"checkpoint manifest unreadable: {exc}") from exc
     pos += mlen
     payload = blob[pos:]
+    if not isinstance(manifest, dict):
+        raise IntegrityError(
+            f"checkpoint manifest is a JSON {type(manifest).__name__}, not an object"
+        )
 
     digest = hashlib.sha256(payload).hexdigest()
     if digest != manifest.get("payload_sha256"):
@@ -146,6 +194,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
             f"payload digest mismatch: file says {manifest.get('payload_sha256')}, "
             f"content is {digest}"
         )
+    _check_manifest(manifest)
 
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
@@ -174,7 +223,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
             f"current vocabulary is {expected_vocab_hash}"
         )
 
-    config = ModelConfig(**manifest["config"])
+    try:
+        config = ModelConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise CompatibilityError(f"checkpoint model config is not usable: {exc}") from None
     adam_t = manifest.get("adam_t")
     adam_m = adam_v = None
     if adam_t is not None:
@@ -185,6 +237,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
                 adam_m[name[len("adam.m.") :]] = arrays.pop(name)
             elif name.startswith("adam.v."):
                 adam_v[name[len("adam.v.") :]] = arrays.pop(name)
+        if set(adam_m) != set(arrays) or set(adam_v) != set(arrays):
+            raise IntegrityError(
+                "checkpoint optimizer moments do not cover exactly its parameters"
+            )
 
     return CheckpointData(
         arrays=arrays,

@@ -12,6 +12,12 @@ are never attended to. A single example given as 1-D arrays runs the
 same code as a batch of one, and its results come back without the
 batch axis.
 
+Each attention block is three bias-free projections, one
+:func:`tensor.attention` op (head split, scaled scores, bias, softmax,
+weighted values and head merge, with a hand-written backward) and the
+output projection. Every projection, feed-forward and output layer is a
+:func:`tensor.linear` op.
+
 Parameters live in a :class:`ParameterStore` in a fixed name order;
 :meth:`ParameterStore.partition` tells encoder-side names (the input
 embedding included) from decoder-side ones (the output projection
@@ -220,28 +226,16 @@ def _embed(params, ids: np.ndarray, config: ModelConfig, rngs, lengths) -> T.Ten
     return _dropout(x, config, rngs, lengths)
 
 
-def _split_heads(x: T.Tensor, n_heads: int) -> T.Tensor:
-    b, t, d = x.shape
-    return T.transpose(T.reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: T.Tensor) -> T.Tensor:
-    b, h, t, dh = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
-
-
 def _linear(params, name: str, x: T.Tensor) -> T.Tensor:
-    return T.add(T.matmul(x, params[f"{name}.weight"]), params[f"{name}.bias"])
+    return T.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
 
 
 def _attention(params, prefix, q_in, kv_in, score_bias, config) -> T.Tensor:
-    q = _split_heads(T.matmul(q_in, params[f"{prefix}.wq.weight"]), config.n_heads)
-    k = _split_heads(T.matmul(kv_in, params[f"{prefix}.wk.weight"]), config.n_heads)
-    v = _split_heads(T.matmul(kv_in, params[f"{prefix}.wv.weight"]), config.n_heads)
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(config.head_dim))
-    scores = T.add(scores, T.Tensor(score_bias))
-    ctx = T.matmul(T.softmax(scores, axis=-1), v)
-    return T.matmul(_merge_heads(ctx), params[f"{prefix}.wo.weight"])
+    q = T.linear(q_in, params[f"{prefix}.wq.weight"])
+    k = T.linear(kv_in, params[f"{prefix}.wk.weight"])
+    v = T.linear(kv_in, params[f"{prefix}.wv.weight"])
+    ctx = T.attention(q, k, v, score_bias, config.n_heads)
+    return T.linear(ctx, params[f"{prefix}.wo.weight"])
 
 
 def _ln(params, prefix: str, x: T.Tensor) -> T.Tensor:

@@ -8,9 +8,16 @@ the training dtype; fp64 is used for finite-difference gradient checks.
 Attention masking works with a finite -1e9 additive penalty: after the
 max-subtracted softmax the masked probabilities underflow to exactly 0.0,
 so masked positions contribute nothing, without NaN/Inf in any tensor.
+
+Multi-head attention and linear layers (a weight product over the
+stacked rows, plus an optional bias) are each one op with a hand-written
+backward, so a transformer block records a few tape entries instead of
+one per elementary step.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,6 +31,8 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "linear",
+    "attention",
     "relu",
     "softmax",
     "layer_norm",
@@ -264,15 +273,99 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g, acc):
         acc.add(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
-        if b.data.ndim == 2 < a.data.ndim:
-            # a stack of inputs times one weight matrix: one product over
-            # the stacked rows instead of one per input and a sum
-            k, n = b.data.shape
-            acc.add(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
-        else:
-            acc.add(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
+        acc.add(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
 
     return _apply(data, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) for x [..., k], w [k, n] and an optional bias b [n], as
+    one product over the stacked rows of x; the backward forms every
+    gradient from those rows too."""
+    x, w = as_tensor(x), as_tensor(w)
+    b = None if b is None else as_tensor(b)
+    if (w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1]
+            or (b is not None and b.data.shape != w.data.shape[1:])):
+        raise ValueError(
+            f"linear needs x [..., k], w [k, n] and b [n], got {x.data.shape} / "
+            f"{w.data.shape} / {None if b is None else b.data.shape}"
+        )
+    k, n = w.data.shape
+    rows = x.data.reshape(-1, k)
+    data = rows @ w.data
+    if b is not None:
+        data += b.data
+
+    def bw(g, acc):
+        g = g.reshape(-1, n)
+        if x.requires_grad:
+            acc.add(x, (g @ w.data.T).reshape(x.data.shape))
+        acc.add(w, rows.T @ g)
+        if b is not None:
+            acc.add(b, g.sum(axis=0))
+
+    inputs = (x, w) if b is None else (x, w, b)
+    return _apply(data.reshape(*x.data.shape[:-1], n), inputs, bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one op.
+
+    q is [B, Tq, d]; k and v are [B, Tk, d]; `bias` is a constant array
+    added to the scores that broadcasts to [B, n_heads, Tq, Tk] (a -1e9
+    key-padding [B, 1, 1, Tk] or causal [Tq, Tk] penalty). Each head
+    attends over its d / n_heads features with scores scaled by
+    1 / sqrt(d / n_heads); the heads' outputs are concatenated to
+    [B, Tq, d].
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    bias = np.asarray(bias)
+    if (q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape
+            or q.data.shape[::2] != k.data.shape[::2]):
+        raise ValueError(
+            "attention needs q [B, Tq, d] and k, v [B, Tk, d], "
+            f"got {q.data.shape} / {k.data.shape} / {v.data.shape}"
+        )
+    batch, tq, d = q.data.shape
+    tk = k.data.shape[1]
+    if n_heads < 1 or d % n_heads:
+        raise ValueError(f"width {d} does not split into {n_heads} heads")
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
+    scores_shape = (batch, n_heads, tq, tk)
+    try:
+        fits = np.broadcast_shapes(bias.shape, scores_shape) == scores_shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(f"bias {bias.shape} does not broadcast to scores {scores_shape}")
+
+    def heads(a: np.ndarray, t: int) -> np.ndarray:  # [B, t, d] -> [B, H, t, dh]
+        return a.reshape(batch, t, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merged(a: np.ndarray, t: int) -> np.ndarray:  # [B, H, t, dh] -> [B, t, d]
+        return a.transpose(0, 2, 1, 3).reshape(batch, t, d)
+
+    qh, kh, vh = heads(q.data, tq), heads(k.data, tk), heads(v.data, tk)
+    p = np.matmul(qh, kh.swapaxes(-1, -2))
+    p *= c
+    p += bias
+    # max-subtracted softmax in place; masked keys underflow to exactly 0.0
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def bw(g, acc):
+        g = heads(g, tq)
+        acc.add(v, merged(np.matmul(p.swapaxes(-1, -2), g), tk))
+        ds = np.matmul(g, vh.swapaxes(-1, -2))
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= c
+        acc.add(q, merged(np.matmul(ds, kh), tq))
+        acc.add(k, merged(np.matmul(ds.swapaxes(-1, -2), qh), tk))
+
+    return _apply(merged(np.matmul(p, vh), tq), (q, k, v), bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -282,7 +375,7 @@ def relu(a: Tensor) -> Tensor:
     def bw(g, acc):
         acc.add(a, g * keep)
 
-    return _apply(np.where(keep, a.data, 0), (a,), bw)
+    return _apply(np.maximum(a.data, 0), (a,), bw)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -310,21 +403,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError(
             f"gain/bias must have shape ({dim},), got {gain.data.shape} / {bias.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= dim
+    xhat = x.data - mu
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    var /= dim
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
 
     def bw(g, acc):
-        reduce_axes = tuple(range(g.ndim - 1))
-        acc.add(gain, (g * xhat).sum(axis=reduce_axes))
-        acc.add(bias, g.sum(axis=reduce_axes))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        acc.add(x, inv * (dxhat - m1 - xhat * m2))
+        rows = g.reshape(-1, dim)
+        acc.add(gain, (rows * xhat.reshape(-1, dim)).sum(axis=0))
+        acc.add(bias, rows.sum(axis=0))
+        dx = g * gain.data
+        m1 = dx.sum(axis=-1, keepdims=True)
+        m1 /= dim
+        m2 = (dx * xhat).sum(axis=-1, keepdims=True)
+        m2 /= dim
+        dx -= m1
+        dx -= xhat * m2
+        dx *= inv
+        acc.add(x, dx)
 
-    return _apply(xhat * gain.data + bias.data, (x, gain, bias), bw)
+    out = xhat * gain.data
+    out += bias.data
+    return _apply(out, (x, gain, bias), bw)
 
 
 def embedding(table: Tensor, ids) -> Tensor:

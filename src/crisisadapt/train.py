@@ -196,8 +196,10 @@ def step_gradients(
     loss_sum = 0.0
     for chunk in chunk_slots(examples, slots):
         src_ids, src_mask, tgt_ids = _pad_chunk(examples, chunk)
-        rngs = [np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
-                for slot in chunk]
+        rngs = None if model_config.dropout == 0 else [
+            np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
+            for slot in chunk
+        ]
         with Tape() as tape:
             loss = example_loss(
                 params, src_ids, src_mask, tgt_ids, model_config, train=True, rng=rngs

@@ -1,5 +1,6 @@
 """Checkpoint container: byte-exact round trips and tamper detection."""
 
+import json
 import struct
 
 import numpy as np
@@ -147,3 +148,91 @@ def test_manifest_corruption_detected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(IntegrityError, match="unreadable"):
         load_checkpoint(path)
+
+
+def rewrite_manifest(path, edit):
+    """Replace the manifest with edit(manifest), keeping the payload (and
+    so its digest) as it was."""
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+    start = len(MAGIC) + 8
+    manifest = edit(json.loads(blob[start : start + mlen]))
+    body = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(blob[:start - 4] + struct.pack("<I", len(body)) + body
+                     + blob[start + mlen :])
+
+
+def without(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+    return edit
+
+
+def with_config(**changes):
+    def edit(manifest):
+        manifest["config"].update(changes)
+        return manifest
+    return edit
+
+
+def test_manifest_without_tensors_is_integrity_error(tmp_path):
+    path, _, _ = fresh(tmp_path)
+    rewrite_manifest(path, without("tensors"))
+    with pytest.raises(IntegrityError, match="lacks 'tensors'"):
+        load_checkpoint(path)
+
+
+def test_manifest_that_is_a_list_is_integrity_error(tmp_path):
+    path, _, _ = fresh(tmp_path)
+    rewrite_manifest(path, lambda manifest: [manifest])
+    with pytest.raises(IntegrityError, match="JSON list"):
+        load_checkpoint(path)
+
+
+def test_unknown_config_key_is_compatibility_error(tmp_path):
+    path, _, _ = fresh(tmp_path)
+    rewrite_manifest(path, with_config(n_experts=4))
+    with pytest.raises(CompatibilityError, match="n_experts"):
+        load_checkpoint(path)
+
+
+def test_invalid_config_is_compatibility_error(tmp_path):
+    path, _, _ = fresh(tmp_path)
+    rewrite_manifest(path, with_config(n_heads=3))
+    with pytest.raises(CompatibilityError, match="not divisible by n_heads 3"):
+        load_checkpoint(path)
+
+
+def test_malformed_tensor_entry_is_integrity_error(tmp_path):
+    path, _, _ = fresh(tmp_path)
+
+    def edit(manifest):
+        manifest["tensors"][2]["shape"] = "8x8"
+        return manifest
+
+    rewrite_manifest(path, edit)
+    with pytest.raises(IntegrityError, match="entry 2: field 'shape'"):
+        load_checkpoint(path)
+
+
+def test_missing_optimizer_moment_is_integrity_error(tmp_path):
+    path, _, _ = fresh(tmp_path, optimizer=True)
+
+    def edit(manifest):
+        manifest["tensors"] = [t for t in manifest["tensors"]
+                               if t["name"] != "adam.v.embed.weight"]
+        return manifest
+
+    rewrite_manifest(path, edit)
+    with pytest.raises(IntegrityError, match="optimizer moments"):
+        load_checkpoint(path)
+
+
+def test_untouched_manifest_rewrite_still_loads(tmp_path):
+    path, params, _ = fresh(tmp_path)
+    rewrite_manifest(path, lambda manifest: manifest)
+    data = load_checkpoint(path)
+    assert data.config == CFG
+    for name in params.names():
+        assert np.array_equal(data.arrays[name], params[name].data)

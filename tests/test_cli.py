@@ -253,6 +253,27 @@ def test_missing_checkpoint_exits_3(ws, tmp_path):
                      "--out", str(tmp_path / "x")]) == 3
 
 
+def test_checkpoint_with_unusable_config_exits_3(ws, tmp_path, capsys):
+    blob = (ws["run"] / "checkpoint.castckpt").read_bytes()
+    head = len(b"CASTCKPT") + 4
+    mlen = int.from_bytes(blob[head : head + 4], "little")
+    manifest = json.loads(blob[head + 4 : head + 4 + mlen])
+    manifest["config"]["n_heads"] = 3
+    body = json.dumps(manifest).encode("utf-8")
+    bad = tmp_path / "bad.castckpt"
+    bad.write_bytes(blob[:head] + len(body).to_bytes(4, "little") + body
+                    + blob[head + 4 + mlen :])
+    assert cli.main(["evaluate",
+                     "--checkpoint", str(bad),
+                     "--vocab", str(ws["vocab"]),
+                     "--test-file", str(ws["data"] / "test.tsv"),
+                     "--registry", str(ws["data"] / "registry.json"),
+                     "--scenario", "postq",
+                     "--target-event", "alpha_flood",
+                     "--out", str(tmp_path / "x")]) == 3
+    assert "n_heads 3" in capsys.readouterr().err
+
+
 def test_incomplete_experiment_exits_4(ws, tmp_path, monkeypatch, capsys):
     def explode(args):
         raise IncompleteExperimentError("matrix has unfilled cells: a->b")

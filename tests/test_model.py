@@ -1,5 +1,7 @@
 """Transformer model: shapes, determinism, masking, decoding, gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,14 @@ MICRO_SRC = np.array([3, 5, 7, 2, 6], dtype=np.int64)
 MICRO_MASK = np.ones(5, dtype=np.float32)
 MICRO_TGT = np.array([4, EOS], dtype=np.int64)
 MICRO_SEED, MICRO_SCALE = 116, 24.0
+# Two heads (same parameter shapes) on a padded batch of two: the second
+# source is padded after three tokens.
+MICRO_2H = replace(MICRO, n_heads=2)
+MICRO_BATCH = (
+    np.array([[3, 5, 7, 2, 6], [6, 2, 4, PAD, PAD]], dtype=np.int64),
+    np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float32),
+    np.array([[4, EOS], [5, EOS]], dtype=np.int64),
+)
 
 
 def micro_params(dtype):
@@ -307,12 +317,12 @@ def micro_params(dtype):
     return params
 
 
-def micro_loss_fn(params, name):
+def micro_loss_fn(params, name, config=MICRO, inputs=(MICRO_SRC, MICRO_MASK, MICRO_TGT)):
     def f(t):
         saved = params._params[name]
         params._params[name] = t
         try:
-            return example_loss(params, MICRO_SRC, MICRO_MASK, MICRO_TGT, MICRO)
+            return example_loss(params, *inputs, config)
         finally:
             params._params[name] = saved
     return f
@@ -336,11 +346,16 @@ def numeric_gradient(params, name, eps):
 
 def test_full_model_gradient_fp64():
     params = micro_params(np.float64)
-    worst = 0.0
-    for name in params.names():
-        err = T.finite_diff_check(micro_loss_fn(params, name), params[name], eps=1e-5)
-        worst = max(worst, err)
-    assert worst < 1e-6, worst
+    cases = {
+        "one head, one example": (MICRO, (MICRO_SRC, MICRO_MASK, MICRO_TGT)),
+        "two heads, padded batch": (MICRO_2H, MICRO_BATCH),
+    }
+    for case, (config, inputs) in cases.items():
+        worst = 0.0
+        for name in params.names():
+            f = micro_loss_fn(params, name, config, inputs)
+            worst = max(worst, T.finite_diff_check(f, params[name], eps=1e-5))
+        assert worst < 1e-6, (case, worst)
 
 
 def test_full_model_gradient_fp32():

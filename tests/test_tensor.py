@@ -135,6 +135,123 @@ def test_fd_layer_norm_x_gain_bias():
         assert err < NEAR_ZERO_TOL, ("bias", err)
 
 
+def test_fd_linear_3d_input_x_weight_bias():
+    rng = fd_rng(11)
+    x = rng.normal(size=(2, 3, 4))
+    w = rng.normal(size=(4, 5))
+    b = rng.normal(size=(5,))
+    r = T.Tensor(rng.normal(size=(2, 3, 5)))
+    x_t, w_t, b_t = T.Tensor(x), T.Tensor(w), T.Tensor(b)
+    assert check(lambda t: T.sum_all(T.mul(T.linear(t, w_t, b_t), r)), x) < FD_TOL
+    assert check(lambda t: T.sum_all(T.mul(T.linear(x_t, t, b_t), r)), w) < FD_TOL
+    assert check(lambda t: T.sum_all(T.mul(T.linear(x_t, w_t, t), r)), b) < FD_TOL
+    # without a bias: the bias-free projections of attention
+    assert check(lambda t: T.sum_all(T.mul(T.linear(t, w_t), r)), x) < FD_TOL
+    assert check(lambda t: T.sum_all(T.mul(T.linear(x_t, t), r)), w) < FD_TOL
+
+
+# Attention over B=2, H=2 heads of width 3, with 3 queries and 5 keys. The
+# key-padding bias masks the last two keys of the second example; the
+# causal-style bias lets query i see keys 0..i.
+ATT_B, ATT_H, ATT_TQ, ATT_TK, ATT_D = 2, 2, 3, 5, 6
+
+
+def attention_biases():
+    mask = np.ones((ATT_B, ATT_TK))
+    mask[1, 3:] = 0.0
+    key_padding = ((1.0 - mask) * -1e9).astype(np.float32)[:, None, None, :]
+    causal = np.triu(np.full((ATT_TQ, ATT_TK), -1e9, dtype=np.float32), k=1)
+    return {"key_padding": key_padding, "causal": causal}
+
+
+def attention_inputs(rng):
+    q = rng.normal(size=(ATT_B, ATT_TQ, ATT_D))
+    k = rng.normal(size=(ATT_B, ATT_TK, ATT_D))
+    v = rng.normal(size=(ATT_B, ATT_TK, ATT_D))
+    return q, k, v
+
+
+def unfused_attention(q, k, v, bias, n_heads):
+    """The same attention composed from reshape/transpose/matmul/scale/add/softmax."""
+    b, tq, d = q.shape
+    tk = k.shape[1]
+    dh = d // n_heads
+
+    def heads(x, t):
+        return T.transpose(T.reshape(x, (b, t, n_heads, dh)), (0, 2, 1, 3))
+
+    scores = T.scale(T.matmul(heads(q, tq), T.transpose(heads(k, tk), (0, 1, 3, 2))),
+                     1.0 / math.sqrt(dh))
+    probs = T.softmax(T.add(scores, T.Tensor(bias)), axis=-1)
+    ctx = T.matmul(probs, heads(v, tk))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
+
+
+@pytest.mark.parametrize("bias_kind", ["key_padding", "causal"])
+def test_fd_attention_q_k_v(bias_kind):
+    rng = fd_rng(12)
+    bias = attention_biases()[bias_kind]
+    q, k, v = attention_inputs(rng)
+    r = T.Tensor(rng.normal(size=(ATT_B, ATT_TQ, ATT_D)))
+    q_t, k_t, v_t = T.Tensor(q), T.Tensor(k), T.Tensor(v)
+
+    def loss(q_, k_, v_):
+        return T.sum_all(T.mul(T.attention(q_, k_, v_, bias, ATT_H), r))
+
+    assert check(lambda t: loss(t, k_t, v_t), q) < FD_TOL
+    assert check(lambda t: loss(q_t, t, v_t), k) < FD_TOL
+    assert check(lambda t: loss(q_t, k_t, t), v) < FD_TOL
+
+
+@pytest.mark.parametrize("bias_kind", ["key_padding", "causal"])
+def test_attention_matches_unfused_reference_fp64(bias_kind):
+    rng = fd_rng(13)
+    bias = attention_biases()[bias_kind]
+    r = T.Tensor(rng.normal(size=(ATT_B, ATT_TQ, ATT_D)))
+    results = []
+    for op in (T.attention, unfused_attention):
+        q, k, v = (T.Tensor(a, requires_grad=True) for a in attention_inputs(fd_rng(14)))
+        with T.Tape() as tape:
+            out = op(q, k, v, bias, ATT_H)
+            loss = T.sum_all(T.mul(out, r))
+        grads = T.backward(tape, loss)
+        results.append([out.data] + [grads.of(t) for t in (q, k, v)])
+    for fused, reference in zip(*results):
+        np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
+
+
+def test_attention_masked_probabilities_are_exactly_zero():
+    bias = attention_biases()["key_padding"]
+    q, k, v = attention_inputs(fd_rng(15))
+    out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), bias, ATT_H)
+    v_changed = v.copy()
+    v_changed[1, 3:] = 1e6  # values behind masked keys
+    again = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v_changed), bias, ATT_H)
+    assert np.array_equal(out.data, again.data)
+
+
+def test_attention_and_linear_shape_errors_name_shapes():
+    q, k, v = (T.Tensor(a) for a in attention_inputs(fd_rng(16)))
+    bias = attention_biases()["key_padding"]
+    with pytest.raises(ValueError, match=r"\(2, 3, 6\) / \(2, 5, 6\) / \(2, 4, 6\)"):
+        T.attention(q, k, T.Tensor(np.ones((2, 4, 6))), bias, ATT_H)
+    with pytest.raises(ValueError, match=r"\(2, 3, 6\) / \(2, 5, 4\)"):
+        T.attention(q, T.Tensor(np.ones((2, 5, 4))), T.Tensor(np.ones((2, 5, 4))), bias, ATT_H)
+    with pytest.raises(ValueError, match=r"\(1, 3, 6\) / \(2, 5, 6\)"):
+        T.attention(T.Tensor(np.ones((1, 3, 6))), k, v, bias, ATT_H)
+    with pytest.raises(ValueError, match=r"bias \(3, 3\) .* scores \(2, 2, 3, 5\)"):
+        T.attention(q, k, v, np.zeros((3, 3)), ATT_H)
+    with pytest.raises(ValueError, match="6 does not split into 4 heads"):
+        T.attention(q, k, v, bias, 4)
+    x, w, b = T.Tensor(np.ones((2, 3, 4))), T.Tensor(np.ones((4, 5))), T.Tensor(np.ones(5))
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\) / \(5, 4\) / \(5,\)"):
+        T.linear(x, T.Tensor(np.ones((5, 4))), b)
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\) / \(4, 5\) / \(4,\)"):
+        T.linear(x, w, T.Tensor(np.ones(4)))
+    with pytest.raises(ValueError, match=r"\(2, 3, 5\) / \(4, 5\) / None"):
+        T.linear(T.Tensor(np.ones((2, 3, 5))), w)
+
+
 def test_fd_embedding_with_repeated_ids():
     rng = fd_rng(8)
     table = rng.normal(size=(7, 4))
