@@ -6,7 +6,8 @@ raw little-endian IEEE-754 tensor payloads. The manifest lists every
 tensor (name, dtype, shape, offset, byte_length), carries the model
 config, the vocabulary content hash, the optimizer step, the seed, and a
 SHA-256 digest of the payload section. Serialization is canonical, so
-save(load(file)) reproduces the file byte for byte.
+save(load(file)) reproduces the file byte for byte. A save writes a
+temporary file and renames it over the target, so it never leaves a torn one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CheckpointError, CompatibilityError, IntegrityError
+from .files import write_atomic
 from .model import ModelConfig, ParameterStore
 from .train import AdamState
 
@@ -77,6 +79,7 @@ def save_checkpoint(
             entries.append((f"adam.v.{name}", optimizer.v[name]))
 
     chunks: list[bytes] = []
+    digest = hashlib.sha256()
     manifest_tensors = []
     offset = 0
     for name, arr in entries:
@@ -92,8 +95,8 @@ def save_checkpoint(
             }
         )
         chunks.append(raw)
+        digest.update(raw)
         offset += len(raw)
-    payload = b"".join(chunks)
 
     manifest = {
         "tensors": manifest_tensors,
@@ -102,17 +105,12 @@ def save_checkpoint(
         "step": int(step),
         "seed": int(seed),
         "adam_t": None if optimizer is None else int(optimizer.t),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
         "extra": extra or {},
     }
     body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(body)))
-        fh.write(body)
-        fh.write(payload)
+    header = MAGIC + struct.pack("<II", FORMAT_VERSION, len(body))
+    write_atomic(path, header, body, *chunks)
 
 
 def _is_int(x) -> bool:

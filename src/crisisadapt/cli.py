@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -38,13 +38,7 @@ from .corpus import (
     write_dataset,
     write_registry,
 )
-from .errors import (
-    CheckpointError,
-    CompatibilityError,
-    ConfigError,
-    DataError,
-    IncompleteExperimentError,
-)
+from .errors import CheckpointError, ConfigError, DataError, IncompleteExperimentError
 from .evaluation import (
     evaluate,
     pearson_row_correlation,
@@ -52,19 +46,15 @@ from .evaluation import (
     write_matrix_csv,
     write_matrix_provenance,
 )
-from .experiment import (
-    augmented_texts,
-    encode_eval_inputs,
-    encode_training_examples,
-    run_loo,
-    run_matrix,
-)
-from .model import init_params, named_config
+from .experiment import augmented_texts, encode_eval_inputs, run_loo, run_matrix, run_plan
+from .files import write_atomic
+from .model import ModelConfig, init_params, named_config
 from .prompt import SCENARIOS
-from .rng import mix_seed
 from .synth import DEFAULT_EVENTS, generate_corpus
-from .tokenizer import DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, build_vocab, load_vocab, save_vocab
-from .train import TrainConfig, train, write_history
+from .tokenizer import (
+    DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, Vocabulary, build_vocab, load_vocab, save_vocab
+)
+from .train import TrainConfig, write_history
 
 ENV_DATA_DIR = "CRISISADAPT_DATA_DIR"
 LABEL_SCHEMES = {"relevance": RELEVANCE_MAP, "topic": TOPIC_MAP}
@@ -133,12 +123,13 @@ def _model_config(cfg: dict, vocab_size: int):
         raise ConfigError(str(exc)) from None
 
 
-def _load_data(args):
-    registry = load_registry(_resolve(args.registry))
-    mapping = LABEL_SCHEMES[args.label_scheme]
-    train_records = unify_labels(load_dataset(_resolve(args.train_file), registry), mapping)
-    test_records = unify_labels(load_dataset(_resolve(args.test_file), registry), mapping)
-    return train_records, test_records, registry
+def _load_records(path: str, registry, label_scheme: str):
+    return unify_labels(load_dataset(_resolve(path), registry), LABEL_SCHEMES[label_scheme])
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _write_manifest(out: Path, command: str, payload: dict) -> None:
@@ -146,17 +137,8 @@ def _write_manifest(out: Path, command: str, payload: dict) -> None:
     run_id = hashlib.sha256(
         json.dumps(core, sort_keys=True, default=str).encode("utf-8")
     ).hexdigest()[:12]
-    manifest = {
-        "run_id": run_id,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        **core,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
+    created = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    _write_json(out / "manifest.json", {"run_id": run_id, "created_utc": created, **core})
 
 
 def _input_digests(args, names) -> dict[str, str]:
@@ -167,6 +149,51 @@ def _input_digests(args, names) -> dict[str, str]:
             p = _resolve(raw)
             digests[str(p)] = _sha256_file(p)
     return digests
+
+
+@dataclass
+class _Setup:
+    """What `train`, `matrix` and `loo` share: data, vocabulary, configs,
+    the output directory and the manifest fields common to all three."""
+
+    registry: dict
+    splits: dict
+    vocab: Vocabulary
+    tcfg: TrainConfig
+    mcfg: ModelConfig
+    out: Path
+    manifest: dict
+
+
+def _setup(args) -> _Setup:
+    """Load config, registry, records and vocabulary. Without --vocab, build
+    one from the augmented training text and save it in the output dir."""
+    cfg = _load_config_file(args.config)
+    registry = load_registry(_resolve(args.registry))
+    train_records = _load_records(args.train_file, registry, args.label_scheme)
+    test_records = _load_records(args.test_file, registry, args.label_scheme)
+    out = _out_dir(args.out)
+    if args.vocab:
+        vocab = load_vocab(_resolve(args.vocab))
+    else:
+        texts = augmented_texts(train_records, args.scenario, registry)
+        vocab = build_vocab(texts, min_freq=args.min_freq, max_size=args.max_size)
+        save_vocab(vocab, out / "vocab.txt")
+    tcfg = _train_config(cfg, args.seed)
+    mcfg = _model_config(cfg, vocab.size)
+    manifest = {
+        "scenario": args.scenario,
+        "seed": tcfg.seed,
+        "config": {"model": asdict(mcfg), "train": asdict(tcfg)},
+        "inputs": _input_digests(args, ("train_file", "test_file", "registry", "vocab")),
+        "vocab_hash": vocab.content_hash,
+    }
+    return _Setup(registry, splits_by_event(train_records, test_records), vocab, tcfg, mcfg,
+                  out, manifest)
+
+
+def _events(args, splits) -> list[str]:
+    return sorted(args.events.split(",")) if args.events else sorted(splits)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +218,7 @@ def cmd_synth(args) -> None:
 
 def cmd_build_vocab(args) -> None:
     registry = load_registry(_resolve(args.registry))
-    records = unify_labels(
-        load_dataset(_resolve(args.train_file), registry), LABEL_SCHEMES[args.label_scheme]
-    )
+    records = _load_records(args.train_file, registry, args.label_scheme)
     texts = augmented_texts(records, args.scenario, registry)
     vocab = build_vocab(texts, min_freq=args.min_freq, max_size=args.max_size)
     save_vocab(vocab, args.out)
@@ -201,86 +226,45 @@ def cmd_build_vocab(args) -> None:
 
 
 def cmd_train(args) -> None:
-    cfg = _load_config_file(args.config)
-    train_records, test_records, registry = _load_data(args)
-    vocab = load_vocab(_resolve(args.vocab))
-    tcfg = _train_config(cfg, args.seed)
-    mcfg = _model_config(cfg, vocab.size)
-    splits = splits_by_event(train_records, test_records)
+    run = _setup(args)
     sources = (
         {s for s in args.source_events.split(",") if s}
         if args.source_events
         else {args.target_event}
     )
-    plan = compose_plan(sources, args.target_event, args.scenario, splits, tcfg.seed)
-
-    out = _out_dir(args.out)
-    params = init_params(mcfg, mix_seed(plan.seed, "init"))
-    start_step = 0
-    optimizer = None
-    if args.resume:
-        loaded = ckpt.load_checkpoint(
-            _resolve(args.resume), expected_vocab_hash=vocab.content_hash
-        )
-        if loaded.config != mcfg:
-            raise CompatibilityError(
-                f"checkpoint model config {loaded.config} differs from requested {mcfg}"
-            )
-        params.load_arrays(loaded.arrays)
-        optimizer = loaded.restore_optimizer(params)
-        if optimizer is None:
-            raise CompatibilityError("checkpoint has no optimizer state; cannot resume")
-        start_step = loaded.step
-
-    examples = encode_training_examples(
-        plan.source_dataset, plan.scenario, registry, vocab, mcfg
+    plan = compose_plan(sources, args.target_event, args.scenario, run.splits, run.tcfg.seed)
+    resume = (
+        ckpt.load_checkpoint(_resolve(args.resume), expected_vocab_hash=run.vocab.content_hash)
+        if args.resume else None
     )
-    result = train(
-        params,
-        examples,
-        mcfg,
-        replace(tcfg, seed=plan.seed),
-        start_step=start_step,
-        optimizer=optimizer,
-    )
-    encoded, gold = encode_eval_inputs(
-        plan.target_test_set, plan.scenario, registry[plan.target_event], vocab, mcfg
-    )
-    report = evaluate(params, encoded, gold, vocab, mcfg)
+    outcome = run_plan(plan, run.registry, run.vocab, run.mcfg, run.tcfg, resume=resume)
+    result, report = outcome.train_result, outcome.report
 
-    write_history(out / "history.csv", result.history)
+    write_history(run.out / "history.csv", result.history)
     ckpt.save_checkpoint(
-        out / "checkpoint.castckpt",
-        params,
-        mcfg,
-        vocab.content_hash,
+        run.out / "checkpoint.castckpt",
+        outcome.params,
+        run.mcfg,
+        run.vocab.content_hash,
         step=result.final_step,
         seed=plan.seed,
         optimizer=result.optimizer,
         extra={
-            "train": asdict(tcfg),
+            "train": asdict(run.tcfg),
             "task_id": plan.task_id,
             "total_steps": result.total_steps,
         },
     )
-    (out / "report.json").write_text(
-        json.dumps({"task_id": plan.task_id, **report.to_dict()}, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(run.out / "report.json", {"task_id": plan.task_id, **report.to_dict()})
     _write_manifest(
-        out,
+        run.out,
         "train",
         {
+            **run.manifest,
             "task_id": plan.task_id,
-            "scenario": plan.scenario,
             "source_events": sorted(plan.source_events),
             "target_event": plan.target_event,
-            "seed": tcfg.seed,
-            "config": {"model": asdict(mcfg), "train": asdict(tcfg)},
-            "inputs": _input_digests(args, ("train_file", "test_file", "registry", "vocab")),
-            "vocab_hash": vocab.content_hash,
-            "steps": {"start": start_step, "final": result.final_step,
+            "steps": {"start": resume.step if resume else 0, "final": result.final_step,
                       "total": result.total_steps},
             "artifacts": {
                 "checkpoint": "checkpoint.castckpt",
@@ -309,9 +293,7 @@ def cmd_evaluate(args) -> None:
     params.load_arrays(loaded.arrays)
 
     registry = load_registry(_resolve(args.registry))
-    records = unify_labels(
-        load_dataset(_resolve(args.test_file), registry), LABEL_SCHEMES[args.label_scheme]
-    )
+    records = _load_records(args.test_file, registry, args.label_scheme)
     records = [r for r in records if r.event_id == args.target_event]
     if not records:
         raise DataError(f"no test records for event {args.target_event!r}")
@@ -321,15 +303,9 @@ def cmd_evaluate(args) -> None:
     report = evaluate(params, encoded, gold, vocab, mcfg)
 
     out = _out_dir(args.out)
-    (out / "report.json").write_text(
-        json.dumps(
-            {"target_event": args.target_event, "scenario": args.scenario,
-             **report.to_dict()},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    _write_json(
+        out / "report.json",
+        {"target_event": args.target_event, "scenario": args.scenario, **report.to_dict()},
     )
     _write_manifest(
         out,
@@ -350,62 +326,41 @@ def cmd_evaluate(args) -> None:
     )
 
 
-def _experiment_vocab(args, out: Path, train_records, registry):
-    if args.vocab:
-        return load_vocab(_resolve(args.vocab))
-    texts = augmented_texts(train_records, args.scenario, registry)
-    vocab = build_vocab(texts, min_freq=args.min_freq, max_size=args.max_size)
-    save_vocab(vocab, out / "vocab.txt")
-    return vocab
-
-
 def cmd_matrix(args) -> None:
-    cfg = _load_config_file(args.config)
-    train_records, test_records, registry = _load_data(args)
-    splits = splits_by_event(train_records, test_records)
-    events = sorted(args.events.split(",")) if args.events else sorted(splits)
-    out = _out_dir(args.out)
-    vocab = _experiment_vocab(args, out, train_records, registry)
-    tcfg = _train_config(cfg, args.seed)
-    mcfg = _model_config(cfg, vocab.size)
-
+    run = _setup(args)
     matrix = run_matrix(
-        splits,
-        registry,
-        events,
+        run.splits,
+        run.registry,
+        _events(args, run.splits),
         args.scenario,
-        vocab,
-        mcfg,
-        tcfg,
+        run.vocab,
+        run.mcfg,
+        run.tcfg,
         diagonal_mode=args.diagonal,
         k=args.k,
-        seed=tcfg.seed,
+        seed=run.tcfg.seed,
         jobs=args.jobs,
     )
-    write_matrix_csv(out / "matrix.csv", matrix)
-    write_matrix_provenance(out / "provenance.json", matrix)
+    write_matrix_csv(run.out / "matrix.csv", matrix)
+    write_matrix_provenance(run.out / "provenance.json", matrix)
     # Pearson needs at least 3 paired columns per row pair
     points = len(matrix.events) - (2 if args.exclude_self else 0)
     artifacts = {"matrix": "matrix.csv", "provenance": "provenance.json"}
     if points >= 3:
         corr = pearson_row_correlation(matrix, exclude_self=args.exclude_self)
-        write_correlation_csv(out / "correlation.csv", matrix.events, corr)
+        write_correlation_csv(run.out / "correlation.csv", matrix.events, corr)
         artifacts["correlation"] = "correlation.csv"
     else:
         print(f"skipping row correlations: only {points} paired points per row pair")
     _write_manifest(
-        out,
+        run.out,
         "matrix",
         {
-            "scenario": args.scenario,
+            **run.manifest,
             "events": list(matrix.events),
             "diagonal_mode": matrix.diagonal_mode,
             "k": args.k,
-            "seed": tcfg.seed,
             "exclude_self": args.exclude_self,
-            "config": {"model": asdict(mcfg), "train": asdict(tcfg)},
-            "inputs": _input_digests(args, ("train_file", "test_file", "registry", "vocab")),
-            "vocab_hash": vocab.content_hash,
             "artifacts": artifacts,
         },
     )
@@ -418,18 +373,11 @@ def cmd_matrix(args) -> None:
 
 
 def cmd_loo(args) -> None:
-    cfg = _load_config_file(args.config)
-    train_records, test_records, registry = _load_data(args)
-    splits = splits_by_event(train_records, test_records)
-    events = sorted(args.events.split(",")) if args.events else sorted(splits)
-    out = _out_dir(args.out)
-    vocab = _experiment_vocab(args, out, train_records, registry)
-    tcfg = _train_config(cfg, args.seed)
-    mcfg = _model_config(cfg, vocab.size)
-
+    run = _setup(args)
+    events = _events(args, run.splits)
     plans, results, table = run_loo(
-        splits, registry, events, args.scenario, vocab, mcfg, tcfg,
-        seed=tcfg.seed, jobs=args.jobs,
+        run.splits, run.registry, events, args.scenario, run.vocab, run.mcfg, run.tcfg,
+        seed=run.tcfg.seed, jobs=args.jobs,
     )
     doc = {
         "scenario": args.scenario,
@@ -444,21 +392,9 @@ def cmd_loo(args) -> None:
         ],
         **table,
     }
-    (out / "loo.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(run.out / "loo.json", doc)
     _write_manifest(
-        out,
-        "loo",
-        {
-            "scenario": args.scenario,
-            "events": events,
-            "seed": tcfg.seed,
-            "config": {"model": asdict(mcfg), "train": asdict(tcfg)},
-            "inputs": _input_digests(args, ("train_file", "test_file", "registry", "vocab")),
-            "vocab_hash": vocab.content_hash,
-            "artifacts": {"table": "loo.json"},
-        },
+        run.out, "loo", {**run.manifest, "events": events, "artifacts": {"table": "loo.json"}}
     )
     for target, row in table["per_target"].items():
         print(
@@ -501,6 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the run seed")
     run.add_argument("--out", required=True, help="output directory")
 
+    grid = argparse.ArgumentParser(add_help=False)  # matrix and loo
+    grid.add_argument("--vocab", help="vocabulary file (default: build from training data)")
+    grid.add_argument("--min-freq", type=int, default=1, help="for a freshly built vocabulary")
+    grid.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
+    grid.add_argument("--events", help="comma-separated subset (default: all in the data)")
+    grid.add_argument("--jobs", type=int, default=1, help="worker processes")
+
     p = sub.add_parser("synth", help="write a synthetic multi-event corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--n-train", type=int, default=48, help="train records per event")
@@ -539,25 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("matrix", parents=[data, run], help="fill a transfer matrix")
-    p.add_argument("--vocab", help="vocabulary file (default: build from training data)")
-    p.add_argument("--min-freq", type=int, default=1, help="for a freshly built vocabulary")
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
-    p.add_argument("--events", help="comma-separated subset (default: all in the data)")
+    p = sub.add_parser("matrix", parents=[data, run, grid], help="fill a transfer matrix")
     p.add_argument("--diagonal", choices=("standard_split", "five_fold_mean"),
                    default="standard_split")
     p.add_argument("--k", type=int, default=5, help="folds for five_fold_mean")
     p.add_argument("--exclude-self", action="store_true",
                    help="drop self-transfer columns from row correlations")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("loo", parents=[data, run], help="leave-one-out over events")
-    p.add_argument("--vocab", help="vocabulary file (default: build from training data)")
-    p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
-    p.add_argument("--events", help="comma-separated subset (default: all in the data)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p = sub.add_parser("loo", parents=[data, run, grid], help="leave-one-out over events")
     p.set_defaults(func=cmd_loo)
 
     return parser

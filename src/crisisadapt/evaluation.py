@@ -319,24 +319,6 @@ def plan_leave_one_out(
     ]
 
 
-def plan_many_to_one(
-    source_events,
-    target_event: str,
-    scenario: str,
-    splits: dict[str, EventSplits],
-    seed: int,
-) -> AdaptationPlan:
-    """Pool several source events against one held-out target. Rejects a
-    target that appears among the sources."""
-    return compose_plan(
-        frozenset(source_events),
-        target_event,
-        scenario,
-        splits,
-        mix_seed(seed, "m2o", target_event),
-    )
-
-
 def loo_table(results: dict[str, EvalReport]) -> dict:
     """Per-target accuracy/F1 rows plus an unweighted mean row."""
     if not results:

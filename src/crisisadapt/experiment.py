@@ -23,7 +23,8 @@ from .corpus import (
     fold_split,
     make_folds,
 )
-from .errors import LabelError, UnknownEventError, VocabError
+from .checkpoint import CheckpointData
+from .errors import CompatibilityError, ConfigError, LabelError, UnknownEventError, VocabError
 from .evaluation import (
     AdaptationMatrix,
     EvalReport,
@@ -124,23 +125,46 @@ def run_plan(
     vocab: Vocabulary,
     model_config: ModelConfig,
     train_config: TrainConfig,
+    resume: CheckpointData | None = None,
 ) -> PlanOutcome:
     """Train on the plan's source dataset, evaluate on its target test set.
 
     The plan seed drives initialization, epoch shuffles, and dropout, so a
-    plan re-run is bit-for-bit reproducible.
+    plan re-run is bit-for-bit reproducible. With `resume`, a checkpoint
+    of the same plan, training continues from its weights, Adam state and
+    step count instead of a fresh initialization.
     """
     tcfg = replace(train_config, seed=plan.seed)
     params = init_params(model_config, mix_seed(plan.seed, "init"))
+    resumed = {} if resume is None else _resume(plan, model_config, resume, params)
     examples = encode_training_examples(
         plan.source_dataset, plan.scenario, registry, vocab, model_config
     )
-    result = train(params, examples, model_config, tcfg)
+    result = train(params, examples, model_config, tcfg, **resumed)
     encoded, gold = encode_eval_inputs(
         plan.target_test_set, plan.scenario, registry[plan.target_event], vocab, model_config
     )
     report = evaluate(params, encoded, gold, vocab, model_config)
     return PlanOutcome(plan=plan, params=params, train_result=result, report=report)
+
+
+def _resume(plan, model_config, resume: CheckpointData, params: ParameterStore) -> dict:
+    """Load `resume` into `params` and return the `train` keywords that
+    continue it. Refuses a checkpoint of another model, task or seed."""
+    if resume.config != model_config:
+        raise CompatibilityError(
+            f"checkpoint model config {resume.config} differs from requested {model_config}"
+        )
+    task_id = resume.extra.get("task_id")
+    if task_id != plan.task_id:
+        raise ConfigError(f"checkpoint is of task {task_id!r}, not {plan.task_id!r}")
+    if resume.seed != plan.seed:
+        raise ConfigError(f"checkpoint seed {resume.seed} differs from run seed {plan.seed}")
+    params.load_arrays(resume.arrays)
+    optimizer = resume.restore_optimizer(params)
+    if optimizer is None:
+        raise CompatibilityError("checkpoint has no optimizer state; cannot resume")
+    return {"start_step": resume.step, "optimizer": optimizer}
 
 
 def _cell_plan(
@@ -161,6 +185,14 @@ def _cell_plan(
         {t}, t, scenario, {t: EventSplits(train=tr, test=te)},
         mix_seed(seed, "cell", t, fold),
     )
+
+
+def _map(fn, items: list, jobs: int) -> list:
+    """`fn` over `items` in order, in `jobs` worker processes when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _run_cell(task, *, splits, registry, scenario, vocab, model_config, train_config, k, seed):
@@ -211,11 +243,7 @@ def run_matrix(
         k=k,
         seed=seed,
     )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(runner, tasks))
-    else:
-        results = [runner(task) for task in tasks]
+    results = _map(runner, tasks, jobs)
 
     fold_reports: dict[str, list[EvalReport]] = {}
     for (s, t, fold), report in results:
@@ -262,11 +290,7 @@ def run_loo(
         model_config=model_config,
         train_config=train_config,
     )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(runner, plans))
-    else:
-        reports = [runner(plan) for plan in plans]
+    reports = _map(runner, plans, jobs)
     results = {plan.target_event: report for plan, report in zip(plans, reports)}
     return plans, results, loo_table(results)
 

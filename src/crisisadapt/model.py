@@ -17,11 +17,6 @@ Each attention block is three bias-free projections, one
 weighted values and head merge, with a hand-written backward) and the
 output projection. Every projection, feed-forward and output layer is a
 :func:`tensor.linear` op.
-
-Parameters live in a :class:`ParameterStore` in a fixed name order;
-:meth:`ParameterStore.partition` tells encoder-side names (the input
-embedding included) from decoder-side ones (the output projection
-included).
 """
 
 from __future__ import annotations
@@ -81,7 +76,7 @@ def named_config(name: str, vocab_size: int, **overrides) -> ModelConfig:
 
 
 class ParameterStore:
-    """Named parameter tensors in a fixed order, partitioned encoder/decoder."""
+    """Named parameter tensors in a fixed order."""
 
     def __init__(self, params: dict[str, T.Tensor]):
         self._params = dict(params)
@@ -103,15 +98,6 @@ class ParameterStore:
 
     def tensors(self) -> list[T.Tensor]:
         return list(self._params.values())
-
-    @staticmethod
-    def partition(name: str) -> str:
-        return "decoder" if name.startswith(("dec.", "out_proj.")) else "encoder"
-
-    def partition_names(self, which: str) -> list[str]:
-        if which not in ("encoder", "decoder"):
-            raise ValueError(f"unknown partition {which!r}")
-        return [n for n in self._params if self.partition(n) == which]
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {n: t.data for n, t in self._params.items()}

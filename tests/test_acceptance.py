@@ -27,6 +27,7 @@ from crisisadapt.corpus import (
     CrisisRecord,
     EventDescriptor,
     EventSplits,
+    compose_plan,
     unify_labels,
 )
 from crisisadapt.errors import PlanError
@@ -37,7 +38,6 @@ from crisisadapt.evaluation import (
     loo_table,
     pearson_row_correlation,
     plan_leave_one_out,
-    plan_many_to_one,
     weighted_f1,
 )
 from crisisadapt.experiment import (
@@ -442,7 +442,7 @@ def test_acceptance_10_plan_enumeration():
         assert table["mean"]["targets"] == 6
 
         with pytest.raises(PlanError, match="target"):
-            plan_many_to_one(["ev_a", "ev_b"], "ev_a", "postq", splits, seed=7)
+            compose_plan(frozenset({"ev_a", "ev_b"}), "ev_a", "postq", splits, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Checkpoint container: byte-exact round trips and tamper detection."""
 
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from crisisadapt import files
 from crisisadapt.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -92,6 +94,42 @@ def test_fp64_arrays_round_trip(tmp_path):
     for name in params.names():
         assert data.arrays[name].dtype == np.float64
         assert np.array_equal(data.arrays[name], params[name].data)
+
+
+class TornFile:
+    """An open file whose second write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path, params, opt = fresh(tmp_path, optimizer=True)
+    before = path.read_bytes()
+    monkeypatch.setattr(files, "open", lambda p, mode: TornFile(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, init_params(CFG, 4), CFG, vocab_hash="abcd1234", step=8, seed=42)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    data = load_checkpoint(path)
+    assert data.step == 7
+    assert data.restore_optimizer(params).t == opt.t
+    for name, t in params.items():
+        assert np.array_equal(data.arrays[name], t.data), name
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
 
 
 def test_vocab_hash_gate(tmp_path):

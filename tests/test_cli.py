@@ -122,6 +122,29 @@ def test_train_resume_continues_step_count(ws, tmp_path):
     assert load_checkpoint(out / "checkpoint.castckpt").step == 4
 
 
+def test_train_resume_refuses_other_task(ws, tmp_path, capsys):
+    out = tmp_path / "other_task"
+    assert cli.main(base_args(ws, "train", vocab=ws["vocab"], source_events="beta_flood",
+                              target_event="alpha_flood", out=out,
+                              resume=ws["run"] / "checkpoint.castckpt")) == 2
+    err = capsys.readouterr().err
+    assert "alpha_flood->alpha_flood/postq" in err
+    assert "beta_flood->alpha_flood/postq" in err
+    assert not (out / "checkpoint.castckpt").exists()
+
+
+def test_train_resume_refuses_other_seed(ws, tmp_path, capsys):
+    run_seed = load_checkpoint(ws["run"] / "checkpoint.castckpt").seed
+    out = tmp_path / "other_seed"
+    assert cli.main(base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood",
+                              seed=run_seed + 5, out=out,
+                              resume=ws["run"] / "checkpoint.castckpt")) == 2
+    err = capsys.readouterr().err
+    assert f"seed {run_seed} " in err
+    assert f"seed {run_seed + 5}" in err
+    assert not (out / "checkpoint.castckpt").exists()
+
+
 def test_train_cross_domain_sources(ws, tmp_path):
     out = tmp_path / "cross"
     assert cli.main(base_args(ws, "train", vocab=ws["vocab"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crisisadapt import model
-from crisisadapt.corpus import EventSplits, PlanError
+from crisisadapt.corpus import EventSplits
 from crisisadapt.errors import IncompleteExperimentError
 from crisisadapt.evaluation import (
     AdaptationMatrix,
@@ -18,7 +18,6 @@ from crisisadapt.evaluation import (
     loo_table,
     pearson_row_correlation,
     plan_leave_one_out,
-    plan_many_to_one,
     predict_label,
     weighted_f1,
     write_correlation_csv,
@@ -370,15 +369,6 @@ def test_plan_leave_one_out_deterministic():
     for pa, pb in zip(a, b):
         assert pa.task_id == pb.task_id
         assert [r.id for r in pa.source_dataset] == [r.id for r in pb.source_dataset]
-
-
-def test_plan_many_to_one():
-    splits = event_splits(["ev_a", "ev_b", "ev_c"])
-    plan = plan_many_to_one(["ev_a", "ev_b"], "ev_c", "postq", splits, seed=1)
-    assert plan.target_event == "ev_c"
-    assert plan.source_events == frozenset({"ev_a", "ev_b"})
-    with pytest.raises(PlanError):
-        plan_many_to_one(["ev_a", "ev_c"], "ev_c", "postq", splits, seed=1)
 
 
 def test_loo_table_mean_row():

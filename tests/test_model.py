@@ -70,7 +70,7 @@ def test_named_config_presets():
 
 
 # ---------------------------------------------------------------------------
-# Parameter store: init, naming, partition, counting
+# Parameter store: init, naming, counting
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -117,20 +117,6 @@ def test_parameter_count_closed_form():
     for cfg in (small_config(), named_config("tiny", vocab_size=120),
                 small_config(n_enc_layers=3, n_dec_layers=2, d_ff=48)):
         assert init_params(cfg, 0).size() == closed_form_count(cfg)
-
-
-def test_partition_split():
-    params = init_params(small_config(), 1)
-    enc = set(params.partition_names("encoder"))
-    dec = set(params.partition_names("decoder"))
-    assert enc | dec == set(params.names())
-    assert not (enc & dec)
-    assert "embed.weight" in enc
-    assert "enc.final_ln.gain" in enc
-    assert all(n.startswith(("dec.", "out_proj.")) for n in dec)
-    assert "out_proj.bias" in dec
-    with pytest.raises(ValueError, match="unknown partition"):
-        params.partition_names("middle")
 
 
 def test_load_arrays_shape_check():

@@ -2,13 +2,24 @@
 name it wraps must still resolve, or a benchmark run stops at set-up."""
 
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from crisisadapt import experiment
+from crisisadapt.checkpoint import load_checkpoint, save_checkpoint
+from crisisadapt.corpus import RELEVANCE_MAP, EventSplits, compose_plan, unify_labels
+from crisisadapt.model import ModelConfig
+from crisisadapt.synth import DEFAULT_EVENTS, generate_corpus
+from crisisadapt.tokenizer import build_vocab
+from crisisadapt.train import TrainConfig
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layers  # noqa: E402
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -41,3 +52,39 @@ def test_recorder_targets_resolve():
     assert patcher.targets
     missing = [target_id(t) for t in patcher.targets if not callable(getattr(*t, None))]
     assert not missing, missing
+
+
+def test_recorder_sees_fresh_and_resumed_run_plan(tmp_path):
+    """The recorder wraps `experiment.train` as (params, examples,
+    model_config, train_config, **kwargs), so run_plan must pass the
+    resume state as keywords; a positional one fails only in a benchmark
+    run."""
+    splits, registry = generate_corpus(DEFAULT_EVENTS[:1], n_train=8, n_test=2, seed=0)
+    event = DEFAULT_EVENTS[0].event_id
+    splits = {event: EventSplits(train=unify_labels(splits[event].train, RELEVANCE_MAP),
+                                 test=unify_labels(splits[event].test, RELEVANCE_MAP))}
+    vocab = build_vocab(experiment.augmented_texts(splits[event].train, "postq", registry),
+                        min_freq=1)
+    mcfg = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, n_enc_layers=1,
+                       n_dec_layers=1, dropout=0.0, max_src_len=48, max_tgt_len=4)
+    tcfg = TrainConfig(peak_lr=1e-3, effective_batch=4, epochs=1, seed=0)
+    plan = compose_plan({event}, event, "postq", splits, 0)
+    path = tmp_path / "run.castckpt"
+
+    recorder = workloads.Recorder(clock=time.perf_counter)
+    patcher = spans.Patcher()
+    recorder.install(patcher)
+    try:
+        first = experiment.run_plan(plan, registry, vocab, mcfg, tcfg)
+        result = first.train_result
+        save_checkpoint(path, first.params, mcfg, vocab.content_hash, step=result.final_step,
+                        seed=plan.seed, optimizer=result.optimizer,
+                        extra={"task_id": plan.task_id})
+        resumed = experiment.run_plan(plan, registry, vocab, mcfg, replace(tcfg, epochs=2),
+                                      resume=load_checkpoint(path))
+    finally:
+        patcher.restore()
+
+    assert [len(t.losses) for t in recorder.trainings] == [2, 2]
+    assert [r.step for r in resumed.train_result.history] == [2, 3]
+    assert resumed.train_result.optimizer.t == 4
