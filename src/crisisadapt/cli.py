@@ -192,6 +192,11 @@ def _setup(args) -> _Setup:
                   out, manifest)
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+
+
 def _events(args, splits) -> list[str]:
     return sorted(args.events.split(",")) if args.events else sorted(splits)
 
@@ -327,6 +332,7 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_matrix(args) -> None:
+    _check_jobs(args)
     run = _setup(args)
     matrix = run_matrix(
         run.splits,
@@ -373,6 +379,7 @@ def cmd_matrix(args) -> None:
 
 
 def cmd_loo(args) -> None:
+    _check_jobs(args)
     run = _setup(args)
     events = _events(args, run.splits)
     plans, results, table = run_loo(

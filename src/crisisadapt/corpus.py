@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     UnknownEventError,
 )
+from .files import write_atomic
 from .rng import mix_seed, shuffle
 
 HEADER = ("id", "text", "label", "event_id")
@@ -128,9 +129,7 @@ def write_registry(registry: dict[str, EventDescriptor], path: str | Path) -> No
         if ev.event_type is not None:
             meta["event_type"] = ev.event_type
         payload[event_id] = meta
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def escape_field(text: str) -> str:
@@ -217,7 +216,7 @@ def write_dataset(records: list[CrisisRecord], path: str | Path) -> None:
         lines.append(
             "\t".join((rec.id, escape_field(rec.text), rec.raw_label, rec.event_id))
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

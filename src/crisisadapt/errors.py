@@ -1,10 +1,14 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the field type check
+that the config dataclasses raise through it.
 
 The CLI maps these onto exit codes: usage/config problems exit 2, data
 problems exit 3, incomplete experiments exit 4.
 """
 
 from __future__ import annotations
+
+import numbers
+from dataclasses import fields
 
 
 class CrisisAdaptError(Exception):
@@ -53,3 +57,18 @@ class CompatibilityError(CheckpointError):
 
 class IncompleteExperimentError(CrisisAdaptError):
     """An experiment finished with failing cells (exit code 4)."""
+
+
+# annotation -> (accepted type, what the error message asks for)
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+
+
+def check_field_types(config, error: type[Exception]) -> None:
+    """Raise `error` naming the first field of the dataclass `config` whose
+    value does not fit its annotation: an int field takes an integer, a
+    float field any real number, and neither takes a bool."""
+    for f in fields(config):
+        kind = _FIELD_KINDS.get(getattr(f.type, "__name__", f.type))
+        value = getattr(config, f.name)
+        if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+            raise error(f"{f.name} must be {kind[1]}, got {value!r}")

@@ -18,6 +18,7 @@ import numpy as np
 from . import model
 from .corpus import AdaptationPlan, EventSplits, compose_plan
 from .errors import IncompleteExperimentError
+from .files import write_atomic
 from .model import ModelConfig, ParameterStore, generate_greedy, score_sequence
 from .prompt import LABELS, parse_label
 from .rng import mix_seed
@@ -264,21 +265,21 @@ def pearson_row_correlation(matrix, exclude_self: bool = False) -> np.ndarray:
 def write_matrix_csv(path, matrix: AdaptationMatrix) -> None:
     """Rows are source events, columns target events, 4 decimal places.
     Unfilled cells are left empty."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("source\\target," + ",".join(matrix.events) + "\n")
-        for s in matrix.events:
-            row = [s]
-            for t in matrix.events:
-                v = matrix.cells.get((s, t))
-                row.append("" if v is None else f"{v:.4f}")
-            fh.write(",".join(row) + "\n")
+    lines = ["source\\target," + ",".join(matrix.events)]
+    for s in matrix.events:
+        row = [s]
+        for t in matrix.events:
+            v = matrix.cells.get((s, t))
+            row.append("" if v is None else f"{v:.4f}")
+        lines.append(",".join(row))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_correlation_csv(path, events: tuple[str, ...], corr: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("row\\row," + ",".join(events) + "\n")
-        for i, s in enumerate(events):
-            fh.write(s + "," + ",".join(f"{corr[i, j]:.4f}" for j in range(len(events))) + "\n")
+    lines = ["row\\row," + ",".join(events)]
+    for i, s in enumerate(events):
+        lines.append(s + "," + ",".join(f"{corr[i, j]:.4f}" for j in range(len(events))))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_matrix_provenance(path, matrix: AdaptationMatrix) -> None:
@@ -288,9 +289,7 @@ def write_matrix_provenance(path, matrix: AdaptationMatrix) -> None:
         "complete": matrix.complete,
         "cells": matrix.provenance,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

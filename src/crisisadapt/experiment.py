@@ -45,16 +45,26 @@ def _augmented(record: CrisisRecord, scenario: str, registry: dict[str, EventDes
     return construct(record, scenario, registry[record.event_id])
 
 
-def _target_ids(record: CrisisRecord, vocab: Vocabulary) -> np.ndarray:
+def _unified_label(record: CrisisRecord) -> str:
     if record.unified_label is None:
         raise LabelError(
             f"record {record.id!r} has no unified label; run label unification first"
         )
-    word = target_text(record.unified_label)
+    return record.unified_label
+
+
+def _target_ids(record: CrisisRecord, vocab: Vocabulary) -> np.ndarray:
+    word = target_text(_unified_label(record))
     tid = vocab.lookup(word)
     if tid == UNK:
         raise VocabError(f"label word {word!r} missing from vocabulary")
     return np.array([tid, EOS], dtype=np.int64)
+
+
+def _source_arrays(aug, vocab: Vocabulary, model_config: ModelConfig):
+    """An augmented input's (ids, mask) arrays, unpadded."""
+    ids, mask = encode_augmented(aug, vocab, model_config.max_src_len)
+    return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float32)
 
 
 def augmented_texts(
@@ -73,19 +83,11 @@ def encode_training_examples(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(src_ids, src_mask, target_ids) triples; each record is augmented
     with the description of its own event."""
-    out = []
-    for rec in records:
-        ids, mask = encode_augmented(
-            _augmented(rec, scenario, registry), vocab, model_config.max_src_len, pad=False
-        )
-        out.append(
-            (
-                np.array(ids, dtype=np.int64),
-                np.array(mask, dtype=np.float32),
-                _target_ids(rec, vocab),
-            )
-        )
-    return out
+    return [
+        (*_source_arrays(_augmented(rec, scenario, registry), vocab, model_config),
+         _target_ids(rec, vocab))
+        for rec in records
+    ]
 
 
 def encode_eval_inputs(
@@ -97,17 +99,10 @@ def encode_eval_inputs(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[str]]:
     """Encoded test inputs (augmented with the target event's description)
     plus the gold label list."""
-    encoded = []
-    gold = []
+    encoded, gold = [], []
     for rec in records:
-        if rec.unified_label is None:
-            raise LabelError(
-                f"record {rec.id!r} has no unified label; run label unification first"
-            )
-        aug = construct(rec, scenario, descriptor)
-        ids, mask = encode_augmented(aug, vocab, model_config.max_src_len, pad=False)
-        encoded.append((np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float32)))
-        gold.append(rec.unified_label)
+        gold.append(_unified_label(rec))
+        encoded.append(_source_arrays(construct(rec, scenario, descriptor), vocab, model_config))
     return encoded, gold
 
 

@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
+from .errors import check_field_types
 from .tokenizer import EOS, PAD
 
 MASK_PENALTY = -1e9  # drives masked attention probs to exactly 0 after softmax
@@ -47,6 +48,7 @@ class ModelConfig:
     max_tgt_len: int = 10
 
     def __post_init__(self):
+        check_field_types(self, ValueError)
         if self.vocab_size < 3:
             raise ValueError(f"vocab_size must cover the specials, got {self.vocab_size}")
         if self.d_model % self.n_heads != 0:
@@ -84,20 +86,11 @@ class ParameterStore:
     def __getitem__(self, name: str) -> T.Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self):
         return self._params.items()
-
-    def tensors(self) -> list[T.Tensor]:
-        return list(self._params.values())
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {n: t.data for n, t in self._params.items()}

@@ -87,7 +87,6 @@ class Tape:
 
     def __init__(self):
         self.ops: list[tuple[Tensor, object]] = []
-        self.created: set[int] = set()
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -103,9 +102,7 @@ def _apply(data: np.ndarray, inputs: tuple[Tensor, ...], bw) -> Tensor:
     track = bool(_ACTIVE) and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
     if track:
-        tape = _ACTIVE[-1]
-        tape.ops.append((out, bw))
-        tape.created.add(id(out))
+        _ACTIVE[-1].ops.append((out, bw))
     return out
 
 
@@ -119,10 +116,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-class _GradStore:
+class Gradients:
+    """Gradients keyed by tensor identity, accumulated by a backward pass."""
+
     def __init__(self):
         self.by_id: dict[int, np.ndarray] = {}
-        self.tensors: dict[int, Tensor] = {}
 
     def add(self, t: Tensor, g: np.ndarray) -> None:
         if not t.requires_grad:
@@ -132,40 +130,13 @@ class _GradStore:
             self.by_id[tid] = self.by_id[tid] + g
         else:
             self.by_id[tid] = g
-            self.tensors[tid] = t
 
     def pop(self, t: Tensor) -> np.ndarray | None:
-        self.tensors.pop(id(t), None)
         return self.by_id.pop(id(t), None)
 
-
-class Gradients:
-    """Result of a backward pass: gradients addressable by tensor or name."""
-
-    def __init__(self, store: _GradStore):
-        self._by_id = store.by_id
-        self._tensors = store.tensors
-        self._by_name = {
-            t.name: store.by_id[tid]
-            for tid, t in store.tensors.items()
-            if t.name is not None
-        }
-
     def of(self, t: Tensor) -> np.ndarray:
-        g = self._by_id.get(id(t))
+        g = self.by_id.get(id(t))
         return g if g is not None else np.zeros_like(t.data)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._by_name[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def names(self):
-        return self._by_name.keys()
-
-    def items(self):
-        return self._by_name.items()
 
 
 def backward(tape: Tape, loss: Tensor) -> Gradients:
@@ -181,19 +152,18 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
     if tape.consumed:
         raise ValueError("tape was already consumed by an earlier backward pass")
-    if id(loss) not in tape.created:
+    if not any(out is loss for out, _ in reversed(tape.ops)):
         raise ValueError("loss was not produced under this tape")
     tape.consumed = True
-    tape.created.clear()
-    store = _GradStore()
-    store.add(loss, np.ones((), dtype=loss.data.dtype))
+    grads = Gradients()
+    grads.add(loss, np.ones((), dtype=loss.data.dtype))
     ops = tape.ops
     while ops:
         out, bw = ops.pop()
-        g = store.pop(out)
+        g = grads.pop(out)
         if g is not None:
-            bw(g, store)
-    return Gradients(store)
+            bw(g, grads)
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import VocabError
+from .files import write_atomic
 from .prompt import AugmentedInput
 
 PAD, EOS, UNK = 0, 1, 2
@@ -152,30 +153,23 @@ def build_vocab(
     )
 
 
-def _finalize(
-    ids: list[int], max_len: int, pad: bool
-) -> tuple[list[int], list[int]]:
+def _finalize(ids: list[int]) -> tuple[list[int], list[int]]:
+    """Append EOS; every position of the result is real, so the mask is all ones."""
     ids = ids + [EOS]
-    mask = [1] * len(ids)
-    if pad and len(ids) < max_len:
-        ids = ids + [PAD] * (max_len - len(ids))
-        mask = mask + [0] * (max_len - len(mask))
-    return ids, mask
+    return ids, [1] * len(ids)
 
 
-def encode(
-    text: str, vocab: Vocabulary, max_len: int, pad: bool = True
-) -> tuple[list[int], list[int]]:
+def encode(text: str, vocab: Vocabulary, max_len: int) -> tuple[list[int], list[int]]:
     """Encode plain text: tokens -> ids (UNK for OOV), tail-truncated to
-    max_len - 1, EOS appended, optionally padded. Returns (ids, mask)."""
+    max_len - 1, EOS appended. Returns (ids, mask), unpadded; batching
+    pads later."""
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
-    ids = [vocab.lookup(tok) for tok in tokenize(text)][: max_len - 1]
-    return _finalize(ids, max_len, pad)
+    return _finalize([vocab.lookup(tok) for tok in tokenize(text)][: max_len - 1])
 
 
 def encode_augmented(
-    aug: AugmentedInput, vocab: Vocabulary, max_len: int, pad: bool = True
+    aug: AugmentedInput, vocab: Vocabulary, max_len: int
 ) -> tuple[list[int], list[int]]:
     """Encode an augmented input, truncating only the message content.
 
@@ -197,7 +191,7 @@ def encode_augmented(
             f"template alone needs {len(prefix_ids) + len(suffix_ids) + 1} tokens, "
             f"over max_len={max_len}"
         )
-    return _finalize(prefix_ids + content_ids[:budget] + suffix_ids, max_len, pad)
+    return _finalize(prefix_ids + content_ids[:budget] + suffix_ids)
 
 
 def decode(ids, vocab: Vocabulary) -> str:
@@ -228,7 +222,7 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
         f"# content_hash={vocab.content_hash}",
     ]
     lines.extend(vocab.id_to_token)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_vocab(path: str | Path) -> Vocabulary:

@@ -14,9 +14,6 @@ mean of its examples' losses; chunk losses and gradients are weighted by
 the chunk's example count, summed, and divided once by the step's count.
 Every example draws its dropout masks from its own (seed, epoch, slot)
 generator over its own length, so the masks do not depend on chunking.
-
-The accumulation-steps setting does not change the arithmetic: it is
-validated and recorded for provenance only.
 """
 
 from __future__ import annotations
@@ -27,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
+from .files import write_atomic
 from .model import ModelConfig, ParameterStore, example_loss
 from .rng import mix_seed, shuffle
 from .tensor import Tape, backward, scale
 from .tokenizer import PAD
 
-ALLOWED_ACCUM_STEPS = (1, 2, 4)
 # Most padded source tokens (examples x longest source) in one batched
 # pass. On the mini model, larger budgets run no faster and only raise
 # peak memory, which the budget bounds (see CHANGES.md for the sweep).
@@ -45,7 +42,6 @@ class TrainConfig:
     peak_lr: float = 5e-5
     warmup_ratio: float = 0.1
     effective_batch: int = 16
-    accum_steps: int = 1
     epochs: int = 12
     seed: int = 0
     beta1: float = 0.9
@@ -54,21 +50,13 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self, ConfigError)
         if self.peak_lr <= 0:
             raise ConfigError(f"peak_lr must be positive, got {self.peak_lr}")
         if not 0 <= self.warmup_ratio < 1:
             raise ConfigError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
-        if self.accum_steps not in ALLOWED_ACCUM_STEPS:
-            raise ConfigError(
-                f"accum_steps must be one of {ALLOWED_ACCUM_STEPS}, got {self.accum_steps}"
-            )
         if self.effective_batch < 1:
             raise ConfigError(f"effective_batch must be positive, got {self.effective_batch}")
-        if self.effective_batch % self.accum_steps != 0:
-            raise ConfigError(
-                f"effective_batch {self.effective_batch} not divisible by "
-                f"accum_steps {self.accum_steps}"
-            )
         if self.epochs < 1:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
         if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
@@ -279,11 +267,8 @@ def train(
 
 
 def write_history(path, records: list[StepRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "lr", "loss"])
-        for r in records:
-            writer.writerow([r.step, repr(r.lr), repr(r.loss)])
+    lines = ["step,lr,loss", *(f"{r.step},{r.lr!r},{r.loss!r}" for r in records)]
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_history(path) -> list[StepRecord]:

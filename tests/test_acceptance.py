@@ -57,7 +57,7 @@ from crisisadapt.prompt import construct
 from crisisadapt.rng import SplitMix64
 from crisisadapt.synth import DEFAULT_EVENTS, generate_corpus
 from crisisadapt.tokenizer import build_vocab, decode, encode_augmented, tokenize
-from crisisadapt.train import TrainConfig, lr_at, train
+from crisisadapt.train import TrainConfig, chunk_slots, lr_at, train
 
 
 @contextmanager
@@ -174,7 +174,7 @@ def test_acceptance_03_memorization_within_budget():
         records, registry, vocab = memorization_fixture()
         mcfg = named_config("tiny", vocab_size=vocab.size, dropout=0.0)
         tcfg = TrainConfig(peak_lr=5e-5, warmup_ratio=0.1, effective_batch=16,
-                           accum_steps=1, epochs=200, seed=11)
+                           epochs=200, seed=11)
         params = init_params(mcfg, 11)
         examples = encode_training_examples(records, "standard", registry,
                                             vocab, mcfg)
@@ -289,7 +289,7 @@ def test_acceptance_07_determinism_and_persistence(tmp_path):
     with criterion(7, "bitwise determinism, save/load/resume, byte round-trip"):
         examples = run_examples()
         tcfg = TrainConfig(peak_lr=1e-3, warmup_ratio=0.1, effective_batch=4,
-                           accum_steps=1, epochs=10, seed=21)
+                           epochs=10, seed=21)
 
         def fresh():
             return init_params(RUN_CFG, 5)
@@ -332,22 +332,26 @@ def test_acceptance_07_determinism_and_persistence(tmp_path):
                                   resumed_params[name].data)
 
 
-def test_acceptance_08_accumulation_equivalence():
-    with criterion(8, "accum_steps 4 vs 1, one optimizer step"):
+def test_acceptance_08_accumulation_equivalence(monkeypatch):
+    with criterion(8, "one step as 1 batched pass vs 8 accumulated passes"):
         examples = run_examples()
+        tcfg = TrainConfig(peak_lr=1e-3, warmup_ratio=0.0, effective_batch=8,
+                           epochs=1, seed=21)
         worst = 0.0
         stores = []
-        for accum in (1, 4):
-            tcfg = TrainConfig(peak_lr=1e-3, warmup_ratio=0.0,
-                               effective_batch=8, accum_steps=accum,
-                               epochs=1, seed=21)
+        # the default token budget packs the step into one pass; a budget
+        # of 1 runs each example alone and sums the eight gradients
+        for budget, passes in ((None, 1), (1, 8)):
+            if budget is not None:
+                monkeypatch.setattr("crisisadapt.train._TOKEN_BUDGET", budget)
+            assert len(chunk_slots(examples, range(len(examples)))) == passes
             params = init_params(RUN_CFG, 9)
             result = train(params, examples, RUN_CFG, tcfg)
             assert result.final_step == 1
             stores.append(params)
-        one, four = stores
+        one, eight = stores
         for name in one.names():
-            a, b = one[name].data, four[name].data
+            a, b = one[name].data, eight[name].data
             rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)),
                                              1e-12)
             worst = max(worst, float(rel.max()))
@@ -380,7 +384,7 @@ def test_acceptance_09_synthetic_adaptation_matrix():
                             min_freq=1)
         mcfg = named_config("tiny", vocab_size=vocab.size, dropout=0.0)
         tcfg = TrainConfig(peak_lr=1e-3, warmup_ratio=0.1, effective_batch=16,
-                           accum_steps=1, epochs=100, seed=0)
+                           epochs=100, seed=0)
         matrix = run_matrix(splits, registry, sorted(splits), "postq", vocab,
                             mcfg, tcfg, diagonal_mode="standard_split",
                             seed=0, jobs=1)
@@ -471,7 +475,7 @@ def test_acceptance_11_truncation_keeps_question_template():
         suffix_ids = [vocab.lookup(t) for t in suffix_tokens]
         for aug in augmented:
             assert len(tokenize(aug.text)) + 1 > max_len  # genuinely over-length
-            ids, mask = encode_augmented(aug, vocab, max_len, pad=False)
+            ids, mask = encode_augmented(aug, vocab, max_len)
             assert len(ids) == max_len and ids[-1] == EOS
             assert ids[-1 - len(suffix_ids):-1] == suffix_ids
             assert decode(ids, vocab).endswith(question)

@@ -233,6 +233,33 @@ def test_bad_train_config_exits_2(ws, tmp_path, capsys):
     assert "peak_lr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"train": {"epochs": 2.5}}, "epochs"),
+    ({"train": {"effective_batch": 2.5}}, "effective_batch"),
+    ({"seed": "x"}, "seed"),
+    ({"model": {"d_model": 16.0}}, "d_model"),
+    ({"train": {"peak_lr": True}}, "peak_lr"),
+    ({"train": {"micro_batch": 4}}, "micro_batch"),  # not a train field
+], ids=["epochs", "effective_batch", "seed", "d_model", "peak_lr", "unknown"])
+def test_mistyped_config_value_exits_2(ws, tmp_path, capsys, doc, field):
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    args = base_args(ws, "train", vocab=ws["vocab"],
+                     target_event="alpha_flood", out=tmp_path / "x")
+    args[args.index(str(ws["config"]))] = str(bad)
+    assert cli.main(args) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["matrix", "loo"])
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_exits_2(ws, tmp_path, capsys, sub, jobs):
+    out = tmp_path / "x"
+    assert cli.main(base_args(ws, sub, vocab=ws["vocab"], jobs=jobs, out=out)) == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_exits_2(ws, tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -276,25 +303,36 @@ def test_missing_checkpoint_exits_3(ws, tmp_path):
                      "--out", str(tmp_path / "x")]) == 3
 
 
-def test_checkpoint_with_unusable_config_exits_3(ws, tmp_path, capsys):
+def evaluate_with_config_entry(ws, tmp_path, key, value) -> int:
+    """Exit code of `evaluate` on the trained checkpoint with one entry of
+    its manifest's model config replaced."""
     blob = (ws["run"] / "checkpoint.castckpt").read_bytes()
     head = len(b"CASTCKPT") + 4
     mlen = int.from_bytes(blob[head : head + 4], "little")
     manifest = json.loads(blob[head + 4 : head + 4 + mlen])
-    manifest["config"]["n_heads"] = 3
+    manifest["config"][key] = value
     body = json.dumps(manifest).encode("utf-8")
     bad = tmp_path / "bad.castckpt"
     bad.write_bytes(blob[:head] + len(body).to_bytes(4, "little") + body
                     + blob[head + 4 + mlen :])
-    assert cli.main(["evaluate",
+    return cli.main(["evaluate",
                      "--checkpoint", str(bad),
                      "--vocab", str(ws["vocab"]),
                      "--test-file", str(ws["data"] / "test.tsv"),
                      "--registry", str(ws["data"] / "registry.json"),
                      "--scenario", "postq",
                      "--target-event", "alpha_flood",
-                     "--out", str(tmp_path / "x")]) == 3
+                     "--out", str(tmp_path / "x")])
+
+
+def test_checkpoint_with_unusable_config_exits_3(ws, tmp_path, capsys):
+    assert evaluate_with_config_entry(ws, tmp_path, "n_heads", 3) == 3
     assert "n_heads 3" in capsys.readouterr().err
+
+
+def test_checkpoint_with_mistyped_config_exits_3(ws, tmp_path, capsys):
+    assert evaluate_with_config_entry(ws, tmp_path, "d_model", 16.0) == 3
+    assert "d_model must be an integer, got 16.0" in capsys.readouterr().err
 
 
 def test_incomplete_experiment_exits_4(ws, tmp_path, monkeypatch, capsys):

@@ -53,7 +53,14 @@ def test_config_validation():
         small_config(dropout=1.0)
     with pytest.raises(ValueError, match="dropout"):
         small_config(dropout=-0.1)
+    with pytest.raises(ValueError, match="d_model must be an integer, got 16.0"):
+        small_config(d_model=16.0)
+    with pytest.raises(ValueError, match="n_heads must be an integer, got True"):
+        small_config(n_heads=True)
+    with pytest.raises(ValueError, match="dropout must be a number, got None"):
+        small_config(dropout=None)
     assert small_config(dropout=0.0).head_dim == 8
+    assert small_config(vocab_size=np.int64(12), dropout=0).vocab_size == 12
 
 
 def test_named_config_presets():

@@ -54,6 +54,13 @@ def test_recorder_targets_resolve():
     assert not missing, missing
 
 
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_setup_runs(name, tmp_path):
+    """Each workload's set-up builds its configs and inputs through the
+    program's API; a removed field or keyword fails here first."""
+    workloads.WORKLOADS[name](1, tmp_path).setup()
+
+
 def test_recorder_sees_fresh_and_resumed_run_plan(tmp_path):
     """The recorder wraps `experiment.train` as (params, examples,
     model_config, train_config, **kwargs), so run_plan must pass the

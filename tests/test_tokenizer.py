@@ -149,16 +149,8 @@ def vocab() -> Vocabulary:
     return build_vocab(corpus, min_freq=1)
 
 
-def test_encode_appends_eos_and_pads(vocab):
-    ids, mask = encode("alpha beta", vocab, max_len=6)
-    assert len(ids) == len(mask) == 6
-    assert ids[2] == EOS
-    assert ids[3:] == [PAD, PAD, PAD]
-    assert mask == [1, 1, 1, 0, 0, 0]
-
-
 def test_encode_without_padding(vocab):
-    ids, mask = encode("alpha beta", vocab, max_len=6, pad=False)
+    ids, mask = encode("alpha beta", vocab, max_len=6)
     assert len(ids) == 3
     assert ids[-1] == EOS
     assert mask == [1, 1, 1]
@@ -172,7 +164,7 @@ def test_encode_truncates_tail_and_keeps_eos(vocab):
 
 
 def test_encode_unknown_words_map_to_unk(vocab):
-    ids, _ = encode("alpha mystery", vocab, max_len=5, pad=False)
+    ids, _ = encode("alpha mystery", vocab, max_len=5)
     assert ids[1] == UNK
 
 
@@ -216,7 +208,7 @@ def test_encode_augmented_truncates_content_only():
     long_text = " ".join(["water"] * 50)
     vocab, aug = aug_vocab_and_input(long_text)
     max_len = 24
-    ids, mask = encode_augmented(aug, vocab, max_len, pad=False)
+    ids, mask = encode_augmented(aug, vocab, max_len)
     assert len(ids) == max_len
     assert ids[-1] == EOS
     suffix_tokens = tokenize(aug.text[aug.content_span[1]:])
@@ -230,11 +222,3 @@ def test_encode_augmented_rejects_template_overflow():
     with pytest.raises(ValueError, match="template alone"):
         encode_augmented(aug, vocab, 8)
 
-
-def test_encode_augmented_pads_like_plain(vocab):
-    event = EventDescriptor("nq_flood", "Queensland", "Floods")
-    aug = construct(make_record(0, "nq_flood", "alpha beta"), "postq", event)
-    big = build_vocab([aug.text], min_freq=1)
-    ids, mask = encode_augmented(aug, big, 40)
-    assert len(ids) == len(mask) == 40
-    assert mask[-1] == 0
