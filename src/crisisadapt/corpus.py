@@ -6,15 +6,15 @@ inside the text field are escaped as ``\\t``, ``\\n`` and ``\\\\`` so that
 serialization round-trips byte-for-byte. Event metadata lives in a JSON
 registry mapping event ids to their location / crisis names.
 
-Two corpus styles are supported: standard-split corpora ship three TSVs
-(train/dev/test), while cross-validation corpora ship one TSV per event
+Two corpus styles are supported: standard-split corpora ship two TSVs
+(train/test), while cross-validation corpora ship one TSV per event
 and derive splits from a deterministic :class:`FoldPlan`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import (
@@ -74,7 +74,6 @@ class EventSplits:
 
     train: list[CrisisRecord]
     test: list[CrisisRecord]
-    dev: list[CrisisRecord] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,6 @@ class AdaptationPlan:
     source_dataset: list[CrisisRecord]
     target_test_set: list[CrisisRecord]
     seed: int
-
-    @property
-    def in_domain(self) -> bool:
-        return self.source_events == frozenset({self.target_event})
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +352,13 @@ def compose_plan(
 def splits_by_event(
     train: list[CrisisRecord],
     test: list[CrisisRecord],
-    dev: list[CrisisRecord] | None = None,
 ) -> dict[str, EventSplits]:
-    """Group standard train/dev/test record lists into per-event splits."""
-    dev = dev or []
+    """Group standard train/test record lists into per-event splits."""
     events = {r.event_id for r in train} | {r.event_id for r in test}
     return {
         ev: EventSplits(
             train=[r for r in train if r.event_id == ev],
             test=[r for r in test if r.event_id == ev],
-            dev=[r for r in dev if r.event_id == ev],
         )
         for ev in sorted(events)
     }

@@ -7,6 +7,7 @@ problems exit 3, incomplete experiments exit 4.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import fields
 
@@ -66,9 +67,11 @@ _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real,
 def check_field_types(config, error: type[Exception]) -> None:
     """Raise `error` naming the first field of the dataclass `config` whose
     value does not fit its annotation: an int field takes an integer, a
-    float field any real number, and neither takes a bool."""
+    float field any finite real number, and neither takes a bool."""
     for f in fields(config):
         kind = _FIELD_KINDS.get(getattr(f.type, "__name__", f.type))
         value = getattr(config, f.name)
         if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
             raise error(f"{f.name} must be {kind[1]}, got {value!r}")
+        if kind and not isinstance(value, numbers.Integral) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")

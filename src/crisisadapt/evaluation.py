@@ -34,9 +34,9 @@ def predict_label(
     vocab: Vocabulary,
     config: ModelConfig,
 ) -> tuple[str, bool]:
-    """Greedy decode; if the output is not exactly a label word, fall back
-    to scoring both label sequences (ties resolve to "no"). The source is
-    encoded once, for the decode and both scorings."""
+    """Greedy decode of one source [1, S]; if the output is not exactly a
+    label word, fall back to scoring both label sequences (ties resolve to
+    "no"). The source is encoded once, for the decode and both scorings."""
     # looked up on the module, so that a wrapper installed there (a
     # profiler or a call counter) sees this call
     enc = model.encode_source(params, src_ids, src_mask, config)
@@ -140,7 +140,7 @@ def evaluate(
     vocab: Vocabulary,
     config: ModelConfig,
 ) -> EvalReport:
-    """Predict every encoded input and score against gold labels."""
+    """Predict every encoded (ids, mask) pair and score against gold labels."""
     if len(encoded) != len(gold):
         raise ValueError(f"{len(encoded)} inputs but {len(gold)} gold labels")
     if not encoded:
@@ -148,7 +148,7 @@ def evaluate(
     preds: list[str] = []
     fallback_count = 0
     for src_ids, src_mask in encoded:
-        label, used_fallback = predict_label(params, src_ids, src_mask, vocab, config)
+        label, used_fallback = predict_label(params, src_ids[None], src_mask[None], vocab, config)
         preds.append(label)
         fallback_count += used_fallback
     confusion: dict[tuple[str, str], int] = {}

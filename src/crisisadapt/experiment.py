@@ -173,7 +173,7 @@ def _cell_plan(
     if fold is None:
         return compose_plan({s}, t, scenario, splits, mix_seed(seed, "cell", s, t))
     ev = splits[t]
-    pooled = list(ev.train) + list(ev.dev) + list(ev.test)
+    pooled = list(ev.train) + list(ev.test)
     assignments = make_folds(pooled, k, mix_seed(seed, "folds", t))
     tr, te = fold_split(pooled, assignments, fold)
     return compose_plan(

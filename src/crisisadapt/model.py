@@ -6,11 +6,11 @@ is shared between encoder and decoder; the output projection is its own
 matrix. Decoding starts from the pad token (shift-right) and runs greedy
 argmax with lowest-id tie-break.
 
-The forward functions take a batch of sources [B, S] with a mask that is
-0.0 at padding; padded keys get a -1e9 score bias [B, 1, 1, S] and so
-are never attended to. A single example given as 1-D arrays runs the
-same code as a batch of one, and its results come back without the
-batch axis.
+Every entry point takes batches only: sources [B, S] with a mask that
+is 0.0 at padding, and targets [B, T]; a 1-D input raises a ValueError.
+Padded keys get a -1e9 score bias [B, 1, 1, S] and so are never
+attended to. Greedy decoding and sequence scoring take one source as a
+batch of one, [1, S].
 
 Each attention block is three bias-free projections, one
 :func:`tensor.attention` op (head split, scaled scores, bias, softmax,
@@ -55,14 +55,11 @@ class ModelConfig:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if min(self.d_model, self.d_ff, self.n_enc_layers, self.n_dec_layers) < 1:
-            raise ValueError("model dimensions must be positive")
+        if min(self.d_model, self.d_ff, self.n_enc_layers, self.n_dec_layers,
+               self.max_src_len, self.max_tgt_len) < 1:
+            raise ValueError("model dimensions and length limits must be positive")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
 
 
 def named_config(name: str, vocab_size: int, **overrides) -> ModelConfig:
@@ -110,17 +107,6 @@ class ParameterStore:
                     f"shape mismatch for {name}: {arr.shape} vs {t.data.shape}"
                 )
             self._params[name] = T.Tensor(arr, requires_grad=True, name=name)
-
-    def astype(self, dtype) -> "ParameterStore":
-        return ParameterStore(
-            {
-                n: T.Tensor(t.data.astype(dtype), requires_grad=True, name=n)
-                for n, t in self._params.items()
-            }
-        )
-
-    def size(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
 
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -186,13 +172,13 @@ def _sinusoid_table(n: int, d: int) -> np.ndarray:
     return table.astype(np.float32)
 
 
-def _dropout_rngs(rng, batch: int, train: bool, config: ModelConfig):
+def _dropout_rngs(rng, train: bool, config: ModelConfig):
     """One dropout generator per example, or None when nothing drops."""
     if not (train and config.dropout > 0):
         return None
     if rng is None:
         raise ValueError("training forward pass needs an rng for dropout")
-    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    return rng
 
 
 def _dropout(x: T.Tensor, config: ModelConfig, rngs, lengths) -> T.Tensor:
@@ -234,24 +220,20 @@ def _key_bias(src_mask: np.ndarray) -> np.ndarray:
     return ((1.0 - src_mask) * MASK_PENALTY).astype(np.float32)[:, None, None, :]
 
 
-def _reshaped(x: T.Tensor, shape: tuple[int, ...]) -> T.Tensor:
-    return x if x.shape == shape else T.reshape(x, shape)
-
-
 def _check_source(src_ids, src_mask, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Validated ids and mask as [B, S] arrays."""
     ids = np.asarray(src_ids, dtype=np.int64)
     mask = np.asarray(src_mask, dtype=np.float32)
-    if ids.ndim not in (1, 2) or mask.shape != ids.shape:
+    if ids.ndim != 2 or mask.shape != ids.shape:
         raise ValueError(
-            "source ids/mask must be aligned 1-D or [batch, length], "
+            "source ids/mask must be aligned [batch, length] arrays, "
             f"got {ids.shape} / {mask.shape}"
         )
-    if ids.shape[-1] > config.max_src_len:
-        raise ValueError(f"source length {ids.shape[-1]} exceeds limit {config.max_src_len}")
-    if mask.size == 0 or (mask.sum(axis=-1) == 0).any():
+    if ids.shape[1] > config.max_src_len:
+        raise ValueError(f"source length {ids.shape[1]} exceeds limit {config.max_src_len}")
+    if mask.size == 0 or (mask.sum(axis=1) == 0).any():
         raise ValueError("no attendable source positions: mask is all zero")
-    return np.atleast_2d(ids), np.atleast_2d(mask)
+    return ids, mask
 
 
 def encode_source(
@@ -260,20 +242,19 @@ def encode_source(
     src_mask,
     config: ModelConfig,
     train: bool = False,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    rng: Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
     """Run the encoder stack over ids [B, S]; returns states [B, S, d_model].
-    One example may be given as ids [S], and then gets states [S, d_model].
 
     `src_mask` is 1.0 at real positions, 0.0 at padding. Padded positions
     are never attended to, so extending a source with extra padding leaves
     the states at real positions unchanged. For training with dropout,
-    `rng` is one generator per example (or one generator for one example).
-    Each example draws its masks over its own length up to its last real
-    position, so the draws do not depend on how examples are batched.
+    `rng` is one generator per example. Each example draws its masks over
+    its own length up to its last real position, so the draws do not
+    depend on how examples are batched.
     """
     ids, mask = _check_source(src_ids, src_mask, config)
-    rngs = _dropout_rngs(rng, len(ids), train, config)
+    rngs = _dropout_rngs(rng, train, config)
     # each example's length up to its last real position
     lengths = None if rngs is None else mask.shape[1] - np.argmax(mask[:, ::-1] > 0, axis=1)
     bias = _key_bias(mask)
@@ -285,8 +266,7 @@ def encode_source(
                       config, rngs, lengths)
         x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)),
                       config, rngs, lengths)
-    states = _ln(params, "enc.final_ln", x)
-    return _reshaped(states, states.shape[1:]) if np.ndim(src_ids) == 1 else states
+    return _ln(params, "enc.final_ln", x)
 
 
 def decode_logits(
@@ -296,11 +276,11 @@ def decode_logits(
     dec_input,
     config: ModelConfig,
     train: bool = False,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    rng: Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
-    """Teacher-forced decoder pass over dec_input [B, T]; returns logits
-    [B, T, vocab_size]. One example (dec_input [T], src_mask [S],
-    enc_states [S, d_model]) gets logits [T, vocab_size].
+    """Teacher-forced decoder pass over dec_input [B, T], with encoder
+    states [B, S, d_model] and src_mask [B, S]; returns logits
+    [B, T, vocab_size].
 
     `dec_input` is the shifted target (pad first). Position t may look at
     decoder positions <= t and at unmasked source positions only. `rng`
@@ -308,26 +288,24 @@ def decode_logits(
     """
     ids = np.asarray(dec_input, dtype=np.int64)
     mask = np.asarray(src_mask, dtype=np.float32)
-    if ids.ndim not in (1, 2) or ids.shape[-1] == 0:
+    if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError(
-            f"decoder input must be non-empty 1-D or [batch, length], got shape {ids.shape}"
+            f"decoder input must be a non-empty [batch, length] array, got shape {ids.shape}"
         )
-    if ids.shape[-1] > config.max_tgt_len + 1:
-        raise ValueError(f"decoder length {ids.shape[-1]} exceeds limit {config.max_tgt_len + 1}")
-    if mask.shape != enc_states.shape[:-1]:
+    if ids.shape[1] > config.max_tgt_len + 1:
+        raise ValueError(f"decoder length {ids.shape[1]} exceeds limit {config.max_tgt_len + 1}")
+    if mask.ndim != 2 or mask.shape != enc_states.shape[:-1]:
         raise ValueError(
             f"src_mask shape {mask.shape} does not match encoder states {enc_states.shape}"
         )
-    if mask.shape[:-1] != ids.shape[:-1]:
+    if len(mask) != len(ids):
         raise ValueError(f"decoder input {ids.shape} and src_mask {mask.shape} differ in batch")
-    if mask.size == 0 or (mask.sum(axis=-1) == 0).any():
+    if mask.size == 0 or (mask.sum(axis=1) == 0).any():
         raise ValueError("no attendable source positions: mask is all zero")
 
-    ids, mask = np.atleast_2d(ids), np.atleast_2d(mask)
     batch, t = ids.shape
-    rngs = _dropout_rngs(rng, batch, train, config)
+    rngs = _dropout_rngs(rng, train, config)
     lengths = [t] * batch
-    enc = _reshaped(enc_states, (batch, *enc_states.shape[-2:]))
     causal = np.triu(np.full((t, t), MASK_PENALTY, dtype=np.float32), k=1)
     cross_bias = _key_bias(mask)
     x = _embed(params, ids, config, rngs, lengths)
@@ -339,21 +317,21 @@ def decode_logits(
         x = _residual(
             x,
             _attention(params, f"{p}.cross_attn", _ln(params, f"{p}.cross_attn.ln", x),
-                       enc, cross_bias, config),
+                       enc_states, cross_bias, config),
             config, rngs, lengths,
         )
         x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)),
                       config, rngs, lengths)
-    logits = _linear(params, "out_proj", _ln(params, "dec.final_ln", x))
-    return _reshaped(logits, logits.shape[1:]) if np.ndim(dec_input) == 1 else logits
+    return _linear(params, "out_proj", _ln(params, "dec.final_ln", x))
 
 
 def shift_right(target_ids) -> np.ndarray:
-    """Decoder input for teacher forcing: pad token, then all but the last target."""
+    """Decoder input for teacher forcing from targets [B, T]: each row is
+    the pad token, then all but the last of its targets."""
     ids = np.asarray(target_ids, dtype=np.int64)
-    if ids.ndim != 1 or len(ids) == 0:
-        raise ValueError("target must be a non-empty 1-D id sequence")
-    return np.concatenate(([PAD], ids[:-1]))
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ValueError(f"targets must be non-empty [batch, length], got shape {ids.shape}")
+    return np.concatenate((np.full((len(ids), 1), PAD, dtype=np.int64), ids[:, :-1]), axis=1)
 
 
 def generate_greedy(
@@ -361,23 +339,19 @@ def generate_greedy(
     src_ids,
     src_mask,
     config: ModelConfig,
-    max_steps: int | None = None,
     enc_states: T.Tensor | None = None,
 ) -> list[int]:
-    """Greedy decode: argmax at each step (ties break to the lowest id),
-    stopping at the end token or after max_steps tokens. `enc_states`,
-    if given, are this source's encoder states, which are then not
-    computed again."""
-    limit = config.max_tgt_len if max_steps is None else max_steps
-    if limit < 1:
-        raise ValueError(f"max_steps must be positive, got {limit}")
+    """Greedy decode of one source, ids/mask [1, S]: argmax at each step
+    (ties break to the lowest id), stopping at the end token or after
+    `config.max_tgt_len` tokens. `enc_states`, if given, are this source's
+    encoder states [1, S, d_model], which are then not computed again."""
     if enc_states is None:
         enc_states = encode_source(params, src_ids, src_mask, config)
     out: list[int] = []
     dec_input = [PAD]
-    for _ in range(limit):
-        logits = decode_logits(params, enc_states, src_mask, dec_input, config)
-        next_id = int(np.argmax(logits.data[-1]))
+    for _ in range(config.max_tgt_len):
+        logits = decode_logits(params, enc_states, src_mask, [dec_input], config)
+        next_id = int(np.argmax(logits.data[0, -1]))
         out.append(next_id)
         if next_id == EOS:
             break
@@ -387,15 +361,15 @@ def generate_greedy(
 
 def score_sequence(params: ParameterStore, src_ids, src_mask, target_ids, config: ModelConfig,
                    enc_states: T.Tensor | None = None) -> float:
-    """Sum of log-probabilities of `target_ids` (which must end with the
-    end token) under teacher forcing. `enc_states` are as for
-    :func:`generate_greedy`."""
+    """Sum of log-probabilities of `target_ids` [T] (which must end with
+    the end token) under teacher forcing, for one source as in
+    :func:`generate_greedy`. `enc_states` are as there."""
     tgt = np.asarray(target_ids, dtype=np.int64)
     if len(tgt) == 0 or tgt[-1] != EOS:
         raise ValueError("target must be non-empty and end with the end token")
     if enc_states is None:
         enc_states = encode_source(params, src_ids, src_mask, config)
-    logits = decode_logits(params, enc_states, src_mask, shift_right(tgt), config).data
+    logits = decode_logits(params, enc_states, src_mask, shift_right(tgt[None]), config).data[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return float(logp[np.arange(len(tgt)), tgt].sum())
@@ -408,14 +382,13 @@ def example_loss(
     target_ids,
     config: ModelConfig,
     train: bool = False,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    rng: Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
     """Mean over examples of each example's mean cross-entropy over its
     target positions. Sources are as for :func:`encode_source`; targets
-    are [B, T] (or [T] for one example), all of one length, so this is
-    the mean over every target position of the batch."""
+    are [B, T], all of one length, so this is the mean over every target
+    position of the batch."""
     tgt = np.asarray(target_ids, dtype=np.int64)
-    dec_input = np.stack([shift_right(row) for row in np.atleast_2d(tgt)]).reshape(tgt.shape)
     enc = encode_source(params, src_ids, src_mask, config, train=train, rng=rng)
-    logits = decode_logits(params, enc, src_mask, dec_input, config, train=train, rng=rng)
-    return T.cross_entropy(_reshaped(logits, (tgt.size, config.vocab_size)), tgt.reshape(-1))
+    logits = decode_logits(params, enc, src_mask, shift_right(tgt), config, train=train, rng=rng)
+    return T.cross_entropy(T.reshape(logits, (tgt.size, config.vocab_size)), tgt.reshape(-1))

@@ -481,11 +481,11 @@ def cross_entropy(logits: Tensor, target_ids, ignore_id: int = -100) -> Tensor:
     return _apply(np.asarray(loss, dtype=logits.data.dtype), (logits,), bw)
 
 
-def dropout(x: Tensor, p: float, rng, lengths=None) -> Tensor:
-    """Inverted dropout; draws a fresh mask from `rng` on every call.
+def dropout(x: Tensor, p: float, rngs, lengths) -> Tensor:
+    """Inverted dropout over a batch `x` [B, L, ...], with one generator
+    and one length per row; draws a fresh mask on every call.
 
-    With `lengths`, `rng` is a sequence of generators, one per row of `x`
-    (axis 0). Row b draws its mask only over its first lengths[b]
+    Row b draws its mask from rngs[b] only over its first lengths[b]
     positions along axis 1, in the shape that part has on its own, and
     the rest of the row is dropped. A row's draws therefore do not depend
     on the other rows of the batch or on how far the row is padded.
@@ -495,17 +495,14 @@ def dropout(x: Tensor, p: float, rng, lengths=None) -> Tensor:
     x = as_tensor(x)
     if p == 0:
         return x
-    if lengths is None:
-        keep = rng.random(x.data.shape) >= p
-    else:
-        if len(rng) != x.data.shape[0] or len(lengths) != x.data.shape[0]:
-            raise ValueError(
-                f"need one generator and length per row of {x.data.shape}, "
-                f"got {len(rng)} and {len(lengths)}"
-            )
-        keep = np.zeros(x.data.shape, dtype=bool)
-        for row, (gen, n) in enumerate(zip(rng, lengths)):
-            keep[row, :n] = gen.random((n, *x.data.shape[2:])) >= p
+    if x.data.ndim < 2 or len(rngs) != len(x.data) or len(lengths) != len(x.data):
+        raise ValueError(
+            f"need one generator and length per row of a [batch, length, ...] tensor, "
+            f"got shape {x.data.shape}, {len(rngs)} generators and {len(lengths)} lengths"
+        )
+    keep = np.zeros(x.data.shape, dtype=bool)
+    for row, (gen, n) in enumerate(zip(rngs, lengths)):
+        keep[row, :n] = gen.random((n, *x.data.shape[2:])) >= p
     keep = (keep / (1.0 - p)).astype(x.data.dtype)
 
     def bw(g, acc):

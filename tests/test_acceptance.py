@@ -85,9 +85,9 @@ def criterion(number: int, name: str):
 GRAD_CFG = ModelConfig(vocab_size=50, d_model=16, n_heads=2, d_ff=32,
                        n_enc_layers=1, n_dec_layers=1, dropout=0.0,
                        max_src_len=16, max_tgt_len=8)
-GRAD_SRC = np.array([4, 9, 17, 33, 2, 7, 41, 28, 13, 6], dtype=np.int64)
-GRAD_MASK = np.ones(10, dtype=np.float32)
-GRAD_TGT = np.array([12, 7, 30, EOS], dtype=np.int64)
+GRAD_SRC = np.array([[4, 9, 17, 33, 2, 7, 41, 28, 13, 6]], dtype=np.int64)
+GRAD_MASK = np.ones((1, 10), dtype=np.float32)
+GRAD_TGT = np.array([[12, 7, 30, EOS]], dtype=np.int64)
 
 
 def grad_params():
@@ -161,7 +161,7 @@ def test_acceptance_02_init_loss_near_log_vocab():
         params = init_params(mcfg, 11)
         examples = encode_training_examples(records[:16], "standard",
                                             registry, vocab, mcfg)
-        losses = [float(example_loss(params, src, mask, tgt, mcfg).data)
+        losses = [float(example_loss(params, src[None], mask[None], tgt[None], mcfg).data)
                   for src, mask, tgt in examples]
         mean = sum(losses) / len(losses)
         expected = math.log(vocab.size)

@@ -87,7 +87,9 @@ def test_extra_payload_round_trip(tmp_path):
 
 
 def test_fp64_arrays_round_trip(tmp_path):
-    params = init_params(CFG, 0).astype(np.float64)
+    params = init_params(CFG, 0)
+    for _, t in params.items():
+        t.data = t.data.astype(np.float64)
     path = tmp_path / "wide.castckpt"
     save_checkpoint(path, params, CFG, vocab_hash="x", step=0, seed=0)
     data = load_checkpoint(path)

@@ -239,8 +239,9 @@ def test_bad_train_config_exits_2(ws, tmp_path, capsys):
     ({"seed": "x"}, "seed"),
     ({"model": {"d_model": 16.0}}, "d_model"),
     ({"train": {"peak_lr": True}}, "peak_lr"),
+    ({"train": {"peak_lr": float("nan")}}, "peak_lr"),  # json writes and reads NaN
     ({"train": {"micro_batch": 4}}, "micro_batch"),  # not a train field
-], ids=["epochs", "effective_batch", "seed", "d_model", "peak_lr", "unknown"])
+], ids=["epochs", "effective_batch", "seed", "d_model", "peak_lr", "peak_lr_nan", "unknown"])
 def test_mistyped_config_value_exits_2(ws, tmp_path, capsys, doc, field):
     bad = tmp_path / "typed.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")

@@ -285,7 +285,7 @@ def test_compose_plan_cross_domain():
     splits = two_event_splits()
     plan = compose_plan({"nq_flood"}, "np_quake", "postq", splits, seed=4)
     assert plan.task_id == "nq_flood->np_quake/postq"
-    assert not plan.in_domain
+    assert plan.source_events != frozenset({plan.target_event})
     assert {r.event_id for r in plan.source_dataset} == {"nq_flood"}
     assert {r.event_id for r in plan.target_test_set} == {"np_quake"}
     assert len(plan.source_dataset) == 6
@@ -293,7 +293,7 @@ def test_compose_plan_cross_domain():
 
 def test_compose_plan_in_domain():
     plan = compose_plan({"nq_flood"}, "nq_flood", "standard", two_event_splits(), 0)
-    assert plan.in_domain
+    assert plan.source_events == frozenset({plan.target_event})
     assert plan.task_id == "nq_flood->nq_flood/standard"
 
 
@@ -356,4 +356,3 @@ def test_splits_by_event_groups_and_sorts():
     assert len(grouped["a_ev"].train) == 2
     assert len(grouped["a_ev"].test) == 2
     assert grouped["b_ev"].test == []
-    assert grouped["a_ev"].dev == []

@@ -25,7 +25,8 @@ from crisisadapt.evaluation import (
     write_matrix_provenance,
 )
 from crisisadapt.model import ModelConfig, init_params
-from crisisadapt.tokenizer import EOS, build_vocab, encode
+from crisisadapt.prompt import LABELS
+from crisisadapt.tokenizer import EOS, PAD, build_vocab, encode
 
 from conftest import make_record
 
@@ -185,7 +186,7 @@ def encode_query(text="water rain"):
 def test_predict_label_clean_decode():
     params, cfg = rigged({"yes": 10.0}, max_tgt_len=1)
     ids, mask = encode_query()
-    label, fell_back = predict_label(params, ids, mask, VOCAB, cfg)
+    label, fell_back = predict_label(params, ids[None], mask[None], VOCAB, cfg)
     assert (label, fell_back) == ("yes", False)
 
 
@@ -193,7 +194,7 @@ def test_predict_label_fallback_tie_is_no():
     # greedy emits a non-label word, and the scoring tie resolves to "no"
     params, cfg = rigged({"water": 10.0})
     ids, mask = encode_query()
-    label, fell_back = predict_label(params, ids, mask, VOCAB, cfg)
+    label, fell_back = predict_label(params, ids[None], mask[None], VOCAB, cfg)
     assert fell_back
     assert label == "no"
 
@@ -201,14 +202,14 @@ def test_predict_label_fallback_tie_is_no():
 def test_predict_label_fallback_prefers_higher_score():
     params, cfg = rigged({"water": 10.0, "yes": 2.0, "no": 1.0})
     ids, mask = encode_query()
-    label, fell_back = predict_label(params, ids, mask, VOCAB, cfg)
+    label, fell_back = predict_label(params, ids[None], mask[None], VOCAB, cfg)
     assert fell_back
     assert label == "yes"
 
 
 def test_predict_label_fallback_encodes_source_once(monkeypatch):
     params, cfg = rigged({"water": 10.0, "yes": 2.0, "no": 1.0})
-    ids, mask = encode_query()
+    ids, mask = (a[None] for a in encode_query())
     enc = model.encode_source(params, ids, mask, cfg)
     # reused states give the same bits as states computed afresh
     for lab in ("yes", "no"):
@@ -228,6 +229,31 @@ def test_predict_label_fallback_encodes_source_once(monkeypatch):
     monkeypatch.setattr(model, "encode_source", counted)
     assert predict_label(params, ids, mask, VOCAB, cfg) == ("yes", True)
     assert len(calls) == 1
+
+
+def test_right_padding_leaves_decode_score_and_label_unchanged():
+    """Extra padding (mask 0) after a [1, S] source changes no greedy
+    token, no label score bit and no predicted label."""
+    cfg = ModelConfig(vocab_size=VOCAB.size, d_model=8, n_heads=2, d_ff=16,
+                      n_enc_layers=1, n_dec_layers=1, dropout=0.0,
+                      max_src_len=16, max_tgt_len=4)
+    params = init_params(cfg, 5)
+    for name in params.names():
+        if name.endswith(".weight"):  # large enough that outputs depend on the source
+            params[name].data *= 50.0
+    targets = [np.array([VOCAB.lookup(lab), EOS]) for lab in LABELS]
+    for text in ("water rain", "storm flood go"):
+        ids, mask = (a[None] for a in encode_query(text))
+        want = (model.generate_greedy(params, ids, mask, cfg),
+                [model.score_sequence(params, ids, mask, tgt, cfg) for tgt in targets],
+                predict_label(params, ids, mask, VOCAB, cfg))
+        for k in (1, 3, 8):
+            ids_k = np.concatenate([ids, np.full((1, k), PAD, dtype=np.int64)], axis=1)
+            mask_k = np.concatenate([mask, np.zeros((1, k), dtype=np.float32)], axis=1)
+            got = (model.generate_greedy(params, ids_k, mask_k, cfg),
+                   [model.score_sequence(params, ids_k, mask_k, tgt, cfg) for tgt in targets],
+                   predict_label(params, ids_k, mask_k, VOCAB, cfg))
+            assert got == want, (text, k)
 
 
 def test_evaluate_report_shape():

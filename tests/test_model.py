@@ -49,6 +49,8 @@ def test_config_validation():
         small_config(d_ff=0)
     with pytest.raises(ValueError, match="positive"):
         small_config(n_enc_layers=0)
+    with pytest.raises(ValueError, match="positive"):
+        small_config(max_tgt_len=0)
     with pytest.raises(ValueError, match="dropout"):
         small_config(dropout=1.0)
     with pytest.raises(ValueError, match="dropout"):
@@ -59,7 +61,8 @@ def test_config_validation():
         small_config(n_heads=True)
     with pytest.raises(ValueError, match="dropout must be a number, got None"):
         small_config(dropout=None)
-    assert small_config(dropout=0.0).head_dim == 8
+    cfg = small_config(dropout=0.0)
+    assert cfg.d_model // cfg.n_heads == 8
     assert small_config(vocab_size=np.int64(12), dropout=0).vocab_size == 12
 
 
@@ -123,7 +126,8 @@ def closed_form_count(cfg: ModelConfig) -> int:
 def test_parameter_count_closed_form():
     for cfg in (small_config(), named_config("tiny", vocab_size=120),
                 small_config(n_enc_layers=3, n_dec_layers=2, d_ff=48)):
-        assert init_params(cfg, 0).size() == closed_form_count(cfg)
+        params = init_params(cfg, 0)
+        assert sum(t.data.size for _, t in params.items()) == closed_form_count(cfg)
 
 
 def test_load_arrays_shape_check():
@@ -141,11 +145,11 @@ def test_load_arrays_shape_check():
 def test_pad_extension_leaves_logits_bitwise_identical():
     cfg = small_config()
     params = init_params(cfg, 7)
-    dec_in = [PAD, 12, 7]
-    base = decode_logits(params, encode_source(params, SRC[:5], MASK[:5], cfg),
-                         MASK[:5], dec_in, cfg).data
-    src2 = np.concatenate([SRC[:5], [PAD, PAD, PAD]])
-    mask2 = np.concatenate([MASK[:5], np.zeros(3, dtype=np.float32)])
+    dec_in = [[PAD, 12, 7]]
+    base = decode_logits(params, encode_source(params, SRC[None, :5], MASK[None, :5], cfg),
+                         MASK[None, :5], dec_in, cfg).data
+    src2 = np.concatenate([SRC[:5], [PAD, PAD, PAD]])[None]
+    mask2 = np.concatenate([MASK[:5], np.zeros(3, dtype=np.float32)])[None]
     ext = decode_logits(params, encode_source(params, src2, mask2, cfg),
                         mask2, dec_in, cfg).data
     assert np.array_equal(base, ext)
@@ -154,9 +158,9 @@ def test_pad_extension_leaves_logits_bitwise_identical():
 def test_causal_mask_is_bitwise():
     cfg = small_config()
     params = init_params(cfg, 7)
-    enc = encode_source(params, SRC, MASK, cfg)
-    a = decode_logits(params, enc, MASK, [PAD, 12, 7], cfg).data
-    b = decode_logits(params, enc, MASK, [PAD, 12, 40], cfg).data
+    enc = encode_source(params, SRC[None], MASK[None], cfg)
+    a = decode_logits(params, enc, MASK[None], [[PAD, 12, 7]], cfg).data[0]
+    b = decode_logits(params, enc, MASK[None], [[PAD, 12, 40]], cfg).data[0]
     assert np.array_equal(a[:2], b[:2])
     assert not np.array_equal(a[2], b[2])
 
@@ -165,36 +169,56 @@ def test_source_input_validation():
     cfg = small_config()
     params = init_params(cfg, 0)
     with pytest.raises(ValueError, match="no attendable source positions"):
-        encode_source(params, SRC, np.zeros_like(MASK), cfg)
-    with pytest.raises(ValueError, match="aligned 1-D"):
-        encode_source(params, SRC, MASK[:4], cfg)
+        encode_source(params, SRC[None], np.zeros_like(MASK)[None], cfg)
+    with pytest.raises(ValueError, match="aligned"):
+        encode_source(params, SRC[None], MASK[None, :4], cfg)
     with pytest.raises(ValueError, match="exceeds limit"):
-        long_src = np.arange(3, 3 + cfg.max_src_len + 1, dtype=np.int64)
-        encode_source(params, long_src, np.ones(len(long_src), np.float32), cfg)
+        long_src = np.arange(3, 3 + cfg.max_src_len + 1, dtype=np.int64)[None]
+        encode_source(params, long_src, np.ones(long_src.shape, np.float32), cfg)
     with pytest.raises(ValueError, match="needs an rng"):
-        encode_source(params, SRC, MASK, small_config(dropout=0.5), train=True)
+        encode_source(params, SRC[None], MASK[None], small_config(dropout=0.5), train=True)
 
 
 def test_decoder_input_validation():
     cfg = small_config()
     params = init_params(cfg, 0)
-    enc = encode_source(params, SRC, MASK, cfg)
+    enc = encode_source(params, SRC[None], MASK[None], cfg)
     with pytest.raises(ValueError, match="non-empty"):
-        decode_logits(params, enc, MASK, [], cfg)
+        decode_logits(params, enc, MASK[None], [[]], cfg)
     with pytest.raises(ValueError, match="exceeds limit"):
-        decode_logits(params, enc, MASK, [PAD] * (cfg.max_tgt_len + 2), cfg)
-    with pytest.raises(ValueError, match=r"src_mask shape \(1,\) .* \(10, 16\)"):
-        decode_logits(params, enc, MASK[:1], [PAD], cfg)
+        decode_logits(params, enc, MASK[None], [[PAD] * (cfg.max_tgt_len + 2)], cfg)
+    with pytest.raises(ValueError, match=r"src_mask shape \(1, 1\) .* \(1, 10, 16\)"):
+        decode_logits(params, enc, MASK[None, :1], [[PAD]], cfg)
     with pytest.raises(ValueError, match="differ in batch"):
-        decode_logits(params, T.reshape(enc, (1, 10, 16)), MASK[None], [PAD], cfg)
+        decode_logits(params, enc, MASK[None], [[PAD], [PAD]], cfg)
+
+
+def test_entry_points_reject_1d_inputs():
+    cfg = small_config()
+    params = init_params(cfg, 0)
+    enc = encode_source(params, SRC[None], MASK[None], cfg)
+    with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
+        encode_source(params, SRC, MASK, cfg)
+    with pytest.raises(ValueError, match=r"decoder input .* got shape \(2,\)"):
+        decode_logits(params, enc, MASK[None], [PAD, 12], cfg)
+    with pytest.raises(ValueError, match=r"src_mask shape \(10,\)"):
+        decode_logits(params, enc, MASK, [[PAD, 12]], cfg)
+    with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
+        example_loss(params, SRC[None], MASK[None], TGT, cfg)
+    with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
+        shift_right(TGT)
+    with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
+        generate_greedy(params, SRC, MASK, cfg)
+    with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
+        score_sequence(params, SRC, MASK, TGT, cfg)
 
 
 def test_logits_shape_and_finiteness():
     cfg = small_config()
     params = init_params(cfg, 5)
-    enc = encode_source(params, SRC, MASK, cfg)
-    logits = decode_logits(params, enc, MASK, [PAD, 12, 7], cfg).data
-    assert logits.shape == (3, cfg.vocab_size)
+    enc = encode_source(params, SRC[None], MASK[None], cfg)
+    logits = decode_logits(params, enc, MASK[None], [[PAD, 12, 7]], cfg).data
+    assert logits.shape == (1, 3, cfg.vocab_size)
     assert np.isfinite(logits).all()
     assert np.isfinite(enc.data).all()
     assert MASK_PENALTY == -1e9
@@ -205,12 +229,13 @@ def test_logits_shape_and_finiteness():
 
 
 def test_shift_right():
-    assert shift_right([5, 6, EOS]).tolist() == [PAD, 5, 6]
-    assert shift_right([EOS]).tolist() == [PAD]
+    assert shift_right([[5, 6, EOS]]).tolist() == [[PAD, 5, 6]]
+    assert shift_right([[5, 6, EOS], [7, 8, 9]]).tolist() == [[PAD, 5, 6], [PAD, 7, 8]]
+    assert shift_right([[EOS]]).tolist() == [[PAD]]
     with pytest.raises(ValueError):
-        shift_right([])
+        shift_right([[]])
     with pytest.raises(ValueError):
-        shift_right([[1, 2]])
+        shift_right([5, 6])
 
 
 def rigged_params(cfg, favored: dict[int, float]):
@@ -228,35 +253,31 @@ def rigged_params(cfg, favored: dict[int, float]):
 def test_greedy_stops_at_eos():
     cfg = small_config()
     params = rigged_params(cfg, {EOS: 10.0})
-    out = generate_greedy(params, SRC, MASK, cfg)
+    out = generate_greedy(params, SRC[None], MASK[None], cfg)
     assert out == [EOS]
 
 
-def test_greedy_respects_max_steps():
-    cfg = small_config()
-    params = rigged_params(cfg, {7: 10.0})
-    out = generate_greedy(params, SRC, MASK, cfg, max_steps=3)
-    assert out == [7, 7, 7]
-    full = generate_greedy(params, SRC, MASK, cfg)
-    assert len(full) == cfg.max_tgt_len
-    with pytest.raises(ValueError, match="positive"):
-        generate_greedy(params, SRC, MASK, cfg, max_steps=0)
+def test_greedy_stops_at_max_tgt_len():
+    for limit in (3, 8):
+        cfg = small_config(max_tgt_len=limit)
+        params = rigged_params(cfg, {7: 10.0})
+        assert generate_greedy(params, SRC[None], MASK[None], cfg) == [7] * limit
 
 
 def test_greedy_tie_breaks_to_lowest_id():
-    cfg = small_config()
+    cfg = small_config(max_tgt_len=2)
     params = rigged_params(cfg, {6: 10.0, 5: 10.0})
     # identical weights and biases make the two logits bitwise equal
-    out = generate_greedy(params, SRC, MASK, cfg, max_steps=2)
+    out = generate_greedy(params, SRC[None], MASK[None], cfg)
     assert out == [5, 5]
 
 
 def test_score_sequence_matches_log_softmax_sum():
     cfg = small_config()
     params = init_params(cfg, 13)
-    got = score_sequence(params, SRC, MASK, TGT, cfg)
-    enc = encode_source(params, SRC, MASK, cfg)
-    logits = decode_logits(params, enc, MASK, shift_right(TGT), cfg).data
+    got = score_sequence(params, SRC[None], MASK[None], TGT, cfg)
+    enc = encode_source(params, SRC[None], MASK[None], cfg)
+    logits = decode_logits(params, enc, MASK[None], shift_right(TGT[None]), cfg).data[0]
     logz = np.logaddexp.reduce(logits.astype(np.float64), axis=1)
     want = sum(float(logits[i, t]) - float(logz[i]) for i, t in enumerate(TGT))
     # the model sums log-probs in fp32, the oracle in fp64
@@ -268,9 +289,9 @@ def test_score_sequence_requires_eos():
     cfg = small_config()
     params = init_params(cfg, 13)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, SRC, MASK, [12, 7], cfg)
+        score_sequence(params, SRC[None], MASK[None], [12, 7], cfg)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, SRC, MASK, [], cfg)
+        score_sequence(params, SRC[None], MASK[None], [], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +307,9 @@ def test_score_sequence_requires_eos():
 MICRO = ModelConfig(vocab_size=8, d_model=4, n_heads=1, d_ff=8,
                     n_enc_layers=1, n_dec_layers=1, dropout=0.0,
                     max_src_len=8, max_tgt_len=4)
-MICRO_SRC = np.array([3, 5, 7, 2, 6], dtype=np.int64)
-MICRO_MASK = np.ones(5, dtype=np.float32)
-MICRO_TGT = np.array([4, EOS], dtype=np.int64)
+MICRO_SRC = np.array([[3, 5, 7, 2, 6]], dtype=np.int64)
+MICRO_MASK = np.ones((1, 5), dtype=np.float32)
+MICRO_TGT = np.array([[4, EOS]], dtype=np.int64)
 MICRO_SEED, MICRO_SCALE = 116, 24.0
 # Two heads (same parameter shapes) on a padded batch of two: the second
 # source is padded after three tokens.
@@ -370,6 +391,6 @@ def test_full_model_gradient_fp32():
 def test_example_loss_positive_scalar():
     cfg = small_config()
     params = init_params(cfg, 2)
-    loss = example_loss(params, SRC, MASK, TGT, cfg)
+    loss = example_loss(params, SRC[None], MASK[None], TGT[None], cfg)
     assert loss.data.shape == ()
     assert float(loss.data) > 0.0

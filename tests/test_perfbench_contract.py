@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from crisisadapt import experiment
+from crisisadapt import evaluation, experiment
 from crisisadapt.checkpoint import load_checkpoint, save_checkpoint
 from crisisadapt.corpus import RELEVANCE_MAP, EventSplits, compose_plan, unify_labels
-from crisisadapt.model import ModelConfig
+from crisisadapt.model import ModelConfig, init_params
 from crisisadapt.synth import DEFAULT_EVENTS, generate_corpus
 from crisisadapt.tokenizer import build_vocab
 from crisisadapt.train import TrainConfig
@@ -95,3 +95,31 @@ def test_recorder_sees_fresh_and_resumed_run_plan(tmp_path):
     assert [len(t.losses) for t in recorder.trainings] == [2, 2]
     assert [r.step for r in resumed.train_result.history] == [2, 3]
     assert resumed.train_result.optimizer.t == 4
+
+
+def test_recorder_sees_every_prediction_of_evaluate():
+    """The recorder counts predictions by wrapping
+    `evaluation.predict_label`; an `evaluate` that predicts some other way
+    would leave the benchmark's eval figures without their predictions."""
+    splits, registry = generate_corpus(DEFAULT_EVENTS[:1], n_train=8, n_test=5, seed=0)
+    event = DEFAULT_EVENTS[0].event_id
+    test = unify_labels(splits[event].test, RELEVANCE_MAP)
+    vocab = build_vocab(experiment.augmented_texts(test, "postq", registry), min_freq=1)
+    mcfg = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, n_enc_layers=1,
+                       n_dec_layers=1, dropout=0.0, max_src_len=48, max_tgt_len=3)
+    encoded, gold = experiment.encode_eval_inputs(test, "postq", registry[event], vocab, mcfg)
+
+    recorder = workloads.Recorder(clock=time.perf_counter)
+    patcher = spans.Patcher()
+    recorder.install(patcher)
+    try:
+        report = evaluation.evaluate(init_params(mcfg, 0), encoded, gold, vocab, mcfg)
+    finally:
+        patcher.restore()
+
+    assert len(encoded) == 5
+    assert len(recorder.predictions) == len(encoded)
+    assert all(label in ("yes", "no") and isinstance(fell_back, bool)
+               for label, fell_back in recorder.predictions)
+    assert sum(fell_back for _, fell_back in recorder.predictions) == report.fallback_count
+    assert [(n, fell_back) for n, _, fell_back in recorder.evals] == [(5, report.fallback_count)]

@@ -490,18 +490,24 @@ def test_non_float_input_coerced_to_float32():
 
 def test_dropout_zero_rate_is_identity_and_validates():
     x = T.Tensor(np.ones((3, 3)))
-    rng = np.random.Generator(np.random.PCG64(0))
-    assert T.dropout(x, 0.0, rng) is x
+    rngs = [np.random.Generator(np.random.PCG64(row)) for row in range(3)]
+    assert T.dropout(x, 0.0, rngs, [3, 3, 3]) is x
     with pytest.raises(ValueError):
-        T.dropout(x, 1.0, rng)
+        T.dropout(x, 1.0, rngs, [3, 3, 3])
     with pytest.raises(ValueError):
-        T.dropout(x, -0.1, rng)
+        T.dropout(x, -0.1, rngs, [3, 3, 3])
+    with pytest.raises(ValueError, match=r"shape \(3, 3\), 2 generators and 3 lengths"):
+        T.dropout(x, 0.5, rngs[:2], [3, 3, 3])
+    with pytest.raises(ValueError, match=r"shape \(3, 3\), 3 generators and 2 lengths"):
+        T.dropout(x, 0.5, rngs, [3, 3])
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        T.dropout(T.Tensor(np.ones(3)), 0.5, rngs, [1, 1, 1])
 
 
 def test_dropout_scales_survivors():
     x = T.Tensor(np.ones((100, 100)))
     rng = np.random.Generator(np.random.PCG64(5))
-    y = T.dropout(x, 0.25, rng).data
+    y = T.dropout(x, 0.25, [rng] * 100, [100] * 100).data
     kept = y[y != 0]
     np.testing.assert_allclose(kept, 1 / 0.75)
     assert 0.70 < (y != 0).mean() < 0.80
@@ -511,10 +517,10 @@ def test_finite_diff_check_flags_nondeterminism():
     rng = np.random.Generator(np.random.PCG64(7))
 
     def noisy(t):
-        return T.sum_all(T.dropout(t, 0.5, rng))
+        return T.sum_all(T.dropout(t, 0.5, [rng, rng], [4, 4]))
 
     with pytest.raises(ValueError, match="non-deterministic"):
-        T.finite_diff_check(noisy, T.Tensor(np.ones(8)), eps=1e-5)
+        T.finite_diff_check(noisy, T.Tensor(np.ones((2, 4))), eps=1e-5)
 
 
 def test_finite_diff_check_validates_inputs():

@@ -90,6 +90,9 @@ def test_train_config_validation():
         (dict(effective_batch=True), "effective_batch must be an integer"),
         (dict(peak_lr="1e-3"), "peak_lr must be a number"),
         (dict(weight_decay=False), "weight_decay must be a number"),
+        (dict(adam_eps=float("inf")), "adam_eps must be finite, got inf"),
+        (dict(peak_lr=float("nan")), "peak_lr must be finite, got nan"),
+        (dict(weight_decay=float("nan")), "weight_decay must be finite, got nan"),
     ]
     for overrides, needle in cases:
         with pytest.raises(ConfigError, match=needle):
@@ -256,7 +259,9 @@ def test_chunked_step_matches_per_example_mean_fp64():
     cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=16,
                       n_enc_layers=1, n_dec_layers=1, dropout=0.3,
                       max_src_len=64, max_tgt_len=4)
-    params = init_params(cfg, 3).astype(np.float64)
+    params = init_params(cfg, 3)
+    for _, t in params.items():
+        t.data = t.data.astype(np.float64)
     rng = np.random.Generator(np.random.PCG64(9))
     examples = []
     for n in (40, 17, 55, 23, 60, 31, 48, 12, 64, 36):
@@ -280,7 +285,8 @@ def test_chunked_step_matches_per_example_mean_fp64():
         src, mask, tgt = examples[slot]
         drop = np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
         with T.Tape() as tape:
-            one = example_loss(params, src, mask, tgt, cfg, train=True, rng=drop)
+            one = example_loss(params, src[None], mask[None], tgt[None], cfg, train=True,
+                               rng=[drop])
         g = T.backward(tape, one)
         for name, t in params.items():
             ref_grads[name] += g.of(t) / len(slots)
