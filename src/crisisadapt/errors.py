@@ -62,16 +62,34 @@ class IncompleteExperimentError(CrisisAdaptError):
 
 # annotation -> (accepted type, what the error message asks for)
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+# int fields hold counts, sizes and seeds; seeds are unsigned 64-bit
+# (rng.mix_seed), so the accepted range spans int64 and uint64
+_INT_RANGE = (-(2**63), 2**64 - 1)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def check_field_types(config, error: type[Exception]) -> None:
     """Raise `error` naming the first field of the dataclass `config` whose
-    value does not fit its annotation: an int field takes an integer, a
-    float field any finite real number, and neither takes a bool."""
+    value does not fit its annotation: an int field takes an integer that
+    fits in 64 bits, a float field any real number that converts to a
+    finite float, and neither takes a bool."""
     for f in fields(config):
         kind = _FIELD_KINDS.get(getattr(f.type, "__name__", f.type))
+        if kind is None:
+            continue
         value = getattr(config, f.name)
-        if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+        if isinstance(value, bool) or not isinstance(value, kind[0]):
             raise error(f"{f.name} must be {kind[1]}, got {value!r}")
-        if kind and not isinstance(value, numbers.Integral) and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value!r}")
+        # an integer too long to print is described by its size
+        shown = (f"an integer of {int(value).bit_length()} bits"
+                 if isinstance(value, numbers.Integral) else repr(value))
+        if kind[0] is numbers.Integral and not _INT_RANGE[0] <= value <= _INT_RANGE[1]:
+            raise error(f"{f.name} must fit in 64 bits, got {shown}")
+        if not _is_finite(value):
+            raise error(f"{f.name} must be finite, got {shown}")

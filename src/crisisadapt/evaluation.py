@@ -22,7 +22,7 @@ from .files import write_atomic
 from .model import ModelConfig, ParameterStore, generate_greedy, score_sequence
 from .prompt import LABELS, parse_label
 from .rng import mix_seed
-from .tokenizer import EOS, Vocabulary, decode
+from .tokenizer import EOS, UNK, Vocabulary, decode
 
 DIAGONAL_MODES = ("five_fold_mean", "standard_split")
 
@@ -36,21 +36,24 @@ def predict_label(
 ) -> tuple[str, bool]:
     """Greedy decode of one source [1, S]; if the output is not exactly a
     label word, fall back to scoring both label sequences (ties resolve to
-    "no"). The source is encoded once, for the decode and both scorings."""
+    "no"). The source is encoded once. Greedy decoding stops as soon as
+    its output can no longer decode to a label, and the fallback scores
+    both labels in one decoder pass: a label followed by the end token
+    costs two decoder passes, and so does a first token that is no label."""
+    label_ids = [vocab.lookup(lab) for lab in LABELS]
     # looked up on the module, so that a wrapper installed there (a
     # profiler or a call counter) sees this call
     enc = model.encode_source(params, src_ids, src_mask, config)
-    generated = generate_greedy(params, src_ids, src_mask, config, enc_states=enc)
+    # a label word outside the vocabulary maps to UNK, which decodes to
+    # the UNK token and so is never that label
+    accept = [[i] for i in label_ids if i != UNK]
+    generated = generate_greedy(params, src_ids, src_mask, config, accept, enc_states=enc)
     label = parse_label(decode(generated, vocab))
     if label is not None:
         return label, False
-    scores = {
-        lab: score_sequence(
-            params, src_ids, src_mask, np.array([vocab.lookup(lab), EOS]), config,
-            enc_states=enc,
-        )
-        for lab in LABELS
-    }
+    targets = np.array([[i, EOS] for i in label_ids])
+    scores = dict(zip(LABELS, score_sequence(params, src_ids, src_mask, targets, config,
+                                             enc_states=enc)))
     return ("yes" if scores["yes"] > scores["no"] else "no"), True
 
 

@@ -339,15 +339,23 @@ def generate_greedy(
     src_ids,
     src_mask,
     config: ModelConfig,
+    accept: Sequence[Sequence[int]],
     enc_states: T.Tensor | None = None,
 ) -> list[int]:
     """Greedy decode of one source, ids/mask [1, S]: argmax at each step
-    (ties break to the lowest id), stopping at the end token or after
-    `config.max_tgt_len` tokens. `enc_states`, if given, are this source's
-    encoder states [1, S, d_model], which are then not computed again."""
+    (ties break to the lowest id). `accept` lists the PAD-free id
+    sequences the caller can use. Decoding stops at the end token, after
+    `config.max_tgt_len` tokens, or as soon as the tokens so far, with
+    PADs dropped, are no longer a prefix of an accepted sequence; decoding
+    further could then not produce one. The tokens generated up to the
+    stop are returned, the last one included. `enc_states`, if given, are
+    this source's encoder states [1, S, d_model], which are then not
+    computed again."""
+    accepted = [tuple(seq) for seq in accept]
     if enc_states is None:
         enc_states = encode_source(params, src_ids, src_mask, config)
     out: list[int] = []
+    kept: tuple[int, ...] = ()  # out without its PADs
     dec_input = [PAD]
     for _ in range(config.max_tgt_len):
         logits = decode_logits(params, enc_states, src_mask, [dec_input], config)
@@ -355,24 +363,40 @@ def generate_greedy(
         out.append(next_id)
         if next_id == EOS:
             break
+        if next_id != PAD:
+            kept += (next_id,)
+            if not any(seq[: len(kept)] == kept for seq in accepted):
+                break
         dec_input.append(next_id)
     return out
 
 
 def score_sequence(params: ParameterStore, src_ids, src_mask, target_ids, config: ModelConfig,
-                   enc_states: T.Tensor | None = None) -> float:
-    """Sum of log-probabilities of `target_ids` [T] (which must end with
-    the end token) under teacher forcing, for one source as in
-    :func:`generate_greedy`. `enc_states` are as there."""
+                   enc_states: T.Tensor | None = None) -> np.ndarray:
+    """Sums of log-probabilities of the L targets `target_ids` [L, T],
+    each ending with the end token, under teacher forcing, for one source
+    as in :func:`generate_greedy`; returns the L sums as float64. All L
+    targets are scored in one decoder pass over L copies of the encoder
+    states, and each sum has the same bits as when its target is scored
+    alone. `enc_states` are as for :func:`generate_greedy`."""
     tgt = np.asarray(target_ids, dtype=np.int64)
-    if len(tgt) == 0 or tgt[-1] != EOS:
-        raise ValueError("target must be non-empty and end with the end token")
+    if tgt.ndim != 2 or tgt.size == 0 or (tgt[:, -1] != EOS).any():
+        raise ValueError(
+            f"targets must be a non-empty [L, T] array, each ending with the end token, "
+            f"got shape {tgt.shape}"
+        )
     if enc_states is None:
         enc_states = encode_source(params, src_ids, src_mask, config)
-    logits = decode_logits(params, enc_states, src_mask, shift_right(tgt[None]), config).data[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(logp[np.arange(len(tgt)), tgt].sum())
+    copies = len(tgt)
+    logits = decode_logits(
+        params, T.Tensor(np.repeat(enc_states.data, copies, axis=0)),
+        np.repeat(np.asarray(src_mask, dtype=np.float32), copies, axis=0),
+        shift_right(tgt), config,
+    ).data
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
+    picked = np.take_along_axis(logp, tgt[:, :, None], axis=2)[:, :, 0]
+    return picked.sum(axis=1).astype(np.float64)
 
 
 def example_loss(

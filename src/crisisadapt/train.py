@@ -8,10 +8,11 @@ history bitwise, and a run resumed from step k continues it exactly.
 
 Each optimizer step runs its examples as a few batched passes (chunks)
 rather than one pass per example. The step's slots are sorted by (source
-length, slot) and packed greedily while examples x longest source stays
-within a token budget, so each chunk pads little. A chunk's loss is the
-mean of its examples' losses; chunk losses and gradients are weighted by
-the chunk's example count, summed, and divided once by the step's count.
+length, slot) and packed greedily while examples x longest source x
+d_model stays within a budget, so each chunk pads little. A chunk's loss
+is the mean of its examples' losses; chunk losses and gradients are
+weighted by the chunk's example count, summed, and divided once by the
+step's count.
 Every example draws its dropout masks from its own (seed, epoch, slot)
 generator over its own length, so the masks do not depend on chunking.
 """
@@ -31,10 +32,11 @@ from .rng import mix_seed, shuffle
 from .tensor import Tape, backward, scale
 from .tokenizer import PAD
 
-# Most padded source tokens (examples x longest source) in one batched
-# pass. On the mini model, larger budgets run no faster and only raise
-# peak memory, which the budget bounds (see CHANGES.md for the sweep).
-_TOKEN_BUDGET = 256
+# Most padded source tokens x d_model (examples x longest source x width)
+# in one batched pass: 256 tokens on the mini model, where larger budgets
+# run no faster and only raise peak memory, and more tokens on narrower
+# models (see CHANGES.md for the sweeps).
+_ACTIVATION_BUDGET = 256 * 128
 
 
 @dataclass(frozen=True)
@@ -134,19 +136,19 @@ def steps_per_epoch(n_examples: int, effective_batch: int) -> int:
     return math.ceil(n_examples / effective_batch)
 
 
-def chunk_slots(examples, slots) -> list[list[int]]:
+def chunk_slots(examples, slots, d_model: int) -> list[list[int]]:
     """Split a step's slots into the chunks it runs as batched passes.
 
     Slots are sorted by (source length, slot) and packed greedily while
-    chunk size x longest source stays within _TOKEN_BUDGET; an example
-    longer than the budget runs alone. Examples with targets of different
-    lengths never share a chunk.
+    chunk size x longest source x `d_model` stays within
+    _ACTIVATION_BUDGET; an example longer than the budget runs alone.
+    Examples with targets of different lengths never share a chunk.
     """
     chunks: list[list[int]] = []
     for slot in sorted(slots, key=lambda s: (len(examples[s][0]), s)):
         src_len, tgt_len = len(examples[slot][0]), len(examples[slot][2])
         last = chunks[-1] if chunks else None
-        if (last and (len(last) + 1) * src_len <= _TOKEN_BUDGET
+        if (last and (len(last) + 1) * src_len * d_model <= _ACTIVATION_BUDGET
                 and len(examples[last[0]][2]) == tgt_len):
             last.append(slot)
         else:
@@ -182,7 +184,7 @@ def step_gradients(
     with dropout drawn from each slot's (seed, epoch, slot) generator."""
     grad_sums = {name: np.zeros_like(t.data) for name, t in params.items()}
     loss_sum = 0.0
-    for chunk in chunk_slots(examples, slots):
+    for chunk in chunk_slots(examples, slots, model_config.d_model):
         src_ids, src_mask, tgt_ids = _pad_chunk(examples, chunk)
         rngs = None if model_config.dropout == 0 else [
             np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))

@@ -28,3 +28,15 @@ def quake_event() -> EventDescriptor:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(20240817))
+
+
+def scripted_decoder(decode_logits, script):
+    """Wrap a `model.decode_logits` so that greedy decoding emits the ids
+    in `script` first: at position t, every row's logit for script[t] is
+    raised by 100. Positions past the script keep the model's logits."""
+    def scripted(*args, **kwargs):
+        logits = decode_logits(*args, **kwargs)
+        for t, tok in enumerate(script[: logits.data.shape[1]]):
+            logits.data[:, t, tok] += 100.0
+        return logits
+    return scripted

@@ -343,8 +343,8 @@ def test_acceptance_08_accumulation_equivalence(monkeypatch):
         # of 1 runs each example alone and sums the eight gradients
         for budget, passes in ((None, 1), (1, 8)):
             if budget is not None:
-                monkeypatch.setattr("crisisadapt.train._TOKEN_BUDGET", budget)
-            assert len(chunk_slots(examples, range(len(examples)))) == passes
+                monkeypatch.setattr("crisisadapt.train._ACTIVATION_BUDGET", budget)
+            assert len(chunk_slots(examples, range(len(examples)), RUN_CFG.d_model)) == passes
             params = init_params(RUN_CFG, 9)
             result = train(params, examples, RUN_CFG, tcfg)
             assert result.final_step == 1

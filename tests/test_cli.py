@@ -241,7 +241,9 @@ def test_bad_train_config_exits_2(ws, tmp_path, capsys):
     ({"train": {"peak_lr": True}}, "peak_lr"),
     ({"train": {"peak_lr": float("nan")}}, "peak_lr"),  # json writes and reads NaN
     ({"train": {"micro_batch": 4}}, "micro_batch"),  # not a train field
-], ids=["epochs", "effective_batch", "seed", "d_model", "peak_lr", "peak_lr_nan", "unknown"])
+    ({"train": {"epochs": 10**400}}, "epochs"),  # json reads it as a Python int
+], ids=["epochs", "effective_batch", "seed", "d_model", "peak_lr", "peak_lr_nan", "unknown",
+        "epochs_overflow"])
 def test_mistyped_config_value_exits_2(ws, tmp_path, capsys, doc, field):
     bad = tmp_path / "typed.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")

@@ -208,9 +208,11 @@ def test_entry_points_reject_1d_inputs():
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
         shift_right(TGT)
     with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
-        generate_greedy(params, SRC, MASK, cfg)
+        generate_greedy(params, SRC, MASK, cfg, [[12]])
     with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
-        score_sequence(params, SRC, MASK, TGT, cfg)
+        score_sequence(params, SRC, MASK, TGT[None], cfg)
+    with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
+        score_sequence(params, SRC[None], MASK[None], TGT, cfg)
 
 
 def test_logits_shape_and_finiteness():
@@ -253,7 +255,7 @@ def rigged_params(cfg, favored: dict[int, float]):
 def test_greedy_stops_at_eos():
     cfg = small_config()
     params = rigged_params(cfg, {EOS: 10.0})
-    out = generate_greedy(params, SRC[None], MASK[None], cfg)
+    out = generate_greedy(params, SRC[None], MASK[None], cfg, [[12]])
     assert out == [EOS]
 
 
@@ -261,21 +263,39 @@ def test_greedy_stops_at_max_tgt_len():
     for limit in (3, 8):
         cfg = small_config(max_tgt_len=limit)
         params = rigged_params(cfg, {7: 10.0})
-        assert generate_greedy(params, SRC[None], MASK[None], cfg) == [7] * limit
+        assert generate_greedy(params, SRC[None], MASK[None], cfg, [[7] * 9]) == [7] * limit
 
 
 def test_greedy_tie_breaks_to_lowest_id():
     cfg = small_config(max_tgt_len=2)
     params = rigged_params(cfg, {6: 10.0, 5: 10.0})
     # identical weights and biases make the two logits bitwise equal
-    out = generate_greedy(params, SRC[None], MASK[None], cfg)
+    out = generate_greedy(params, SRC[None], MASK[None], cfg, [[5, 5]])
     assert out == [5, 5]
+
+
+def test_greedy_stops_once_output_cannot_be_accepted():
+    cfg = small_config()
+    params = rigged_params(cfg, {7: 10.0})
+    # the first token already leaves every accepted sequence
+    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[12], [5, 7]]) == [7]
+    # the second token does: [7, 7] is no prefix of [7, 12]
+    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[7, 12]]) == [7, 7]
+    assert generate_greedy(params, SRC[None], MASK[None], cfg, []) == [7]
+
+
+def test_greedy_drops_pads_before_matching_accepted_sequences():
+    # PADs never leave an accepted prefix, so a PAD-emitting model decodes
+    # to the length limit even when only [12] is accepted
+    cfg = small_config(max_tgt_len=5)
+    params = rigged_params(cfg, {PAD: 10.0})
+    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[12]]) == [PAD] * 5
 
 
 def test_score_sequence_matches_log_softmax_sum():
     cfg = small_config()
     params = init_params(cfg, 13)
-    got = score_sequence(params, SRC[None], MASK[None], TGT, cfg)
+    (got,) = score_sequence(params, SRC[None], MASK[None], TGT[None], cfg)
     enc = encode_source(params, SRC[None], MASK[None], cfg)
     logits = decode_logits(params, enc, MASK[None], shift_right(TGT[None]), cfg).data[0]
     logz = np.logaddexp.reduce(logits.astype(np.float64), axis=1)
@@ -285,13 +305,35 @@ def test_score_sequence_matches_log_softmax_sum():
     assert got < 0.0
 
 
+def test_score_sequence_rows_match_scoring_each_target_alone():
+    """L targets scored in one pass get the same bits as each target
+    scored on its own, with or without cached encoder states."""
+    targets = np.array([[12, 7, EOS], [30, 30, EOS], [EOS, 5, EOS]], dtype=np.int64)
+    for seed in range(4):
+        cfg = small_config()
+        params = init_params(cfg, seed)
+        for name in params.names():
+            if name.endswith(".weight"):  # spread the logits, as a trained model does
+                params[name].data *= 20.0
+        src = np.roll(SRC, seed)[None]
+        enc = encode_source(params, src, MASK[None], cfg)
+        alone = [score_sequence(params, src, MASK[None], tgt[None], cfg)[0] for tgt in targets]
+        together = score_sequence(params, src, MASK[None], targets, cfg)
+        cached = score_sequence(params, src, MASK[None], targets, cfg, enc_states=enc)
+        assert together.dtype == np.float64 and together.shape == (3,)
+        assert together.tolist() == alone == cached.tolist()
+        assert score_sequence(params, src, MASK[None], targets[:2], cfg).tolist() == alone[:2]
+
+
 def test_score_sequence_requires_eos():
     cfg = small_config()
     params = init_params(cfg, 13)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, SRC[None], MASK[None], [12, 7], cfg)
+        score_sequence(params, SRC[None], MASK[None], [[12, 7]], cfg)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, SRC[None], MASK[None], [], cfg)
+        score_sequence(params, SRC[None], MASK[None], [[5, EOS], [12, 7]], cfg)
+    with pytest.raises(ValueError, match="end token"):
+        score_sequence(params, SRC[None], MASK[None], [[]], cfg)
 
 
 # ---------------------------------------------------------------------------

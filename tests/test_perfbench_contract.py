@@ -6,15 +6,18 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from crisisadapt import evaluation, experiment
+from crisisadapt import evaluation, experiment, model
 from crisisadapt.checkpoint import load_checkpoint, save_checkpoint
 from crisisadapt.corpus import RELEVANCE_MAP, EventSplits, compose_plan, unify_labels
 from crisisadapt.model import ModelConfig, init_params
 from crisisadapt.synth import DEFAULT_EVENTS, generate_corpus
-from crisisadapt.tokenizer import build_vocab
+from crisisadapt.tokenizer import EOS, build_vocab, encode
 from crisisadapt.train import TrainConfig
+
+from conftest import scripted_decoder
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -123,3 +126,46 @@ def test_recorder_sees_every_prediction_of_evaluate():
                for label, fell_back in recorder.predictions)
     assert sum(fell_back for _, fell_back in recorder.predictions) == report.fallback_count
     assert [(n, fell_back) for n, _, fell_back in recorder.evals] == [(5, report.fallback_count)]
+
+
+@pytest.mark.parametrize("first, fallback", [("yes", False), ("water", True)],
+                         ids=["label_then_eos", "word_first"])
+def test_prediction_costs_two_decoder_passes(monkeypatch, first, fallback):
+    """Greedy output [label, EOS] costs two greedy decoder passes; a first
+    token that rules a label out costs one greedy pass and one pass that
+    scores both labels. The traced greedy/fallback split keeps its
+    meaning: each prediction encodes once and calls
+    `evaluation.generate_greedy` once and `evaluation.score_sequence` at
+    most once, and every decoder pass runs inside one of the two."""
+    vocab = build_vocab(["water rain storm flood go"], min_freq=1)
+    mcfg = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, n_enc_layers=1,
+                       n_dec_layers=1, dropout=0.0, max_src_len=8, max_tgt_len=10)
+    monkeypatch.setattr(model, "decode_logits",
+                        scripted_decoder(model.decode_logits, [vocab.lookup(first), EOS]))
+    encoded = [(np.array(ids), np.array(mask, dtype=np.float32))
+               for ids, mask in (encode(text, vocab, max_len=8)
+                                 for text in ("water rain", "storm flood go", "go"))]
+
+    tracer, patcher = spans.Tracer(), spans.Patcher()
+    layers.install(tracer, patcher)
+    try:
+        report = evaluation.evaluate(init_params(mcfg, 0), encoded, ["yes", "no", "yes"],
+                                     vocab, mcfg)
+    finally:
+        patcher.restore()
+
+    traced = tracer.spans
+    preds = [i for i, s in enumerate(traced) if s[spans.NAME] == "evaluation.predict_label"]
+    assert len(preds) == 3 and report.fallback_count == 3 * fallback
+    scorer = ["model.score_sequence"] if fallback else []
+    for i in preds:
+        calls = [j for j, s in enumerate(traced) if s[spans.PARENT] == i]
+        assert [traced[j][spans.NAME] for j in calls] == \
+            ["model.encode_source", "model.generate_greedy", *scorer]
+        passes = [traced[j][spans.NAME] for s in traced
+                  if s[spans.NAME] == "model.decode_logits" and (j := s[spans.PARENT]) in calls]
+        assert passes == ["model.generate_greedy", *(scorer or ["model.generate_greedy"])]
+    metrics = layers.layer_metrics(traced, 1.0)
+    assert metrics["model.decode_calls_per_eval_example"] == 2.0
+    assert metrics["model.encode_calls_per_eval_example"] == 1.0
+    assert metrics["evaluation.fallback_ratio"] == float(fallback)

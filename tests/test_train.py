@@ -93,6 +93,11 @@ def test_train_config_validation():
         (dict(adam_eps=float("inf")), "adam_eps must be finite, got inf"),
         (dict(peak_lr=float("nan")), "peak_lr must be finite, got nan"),
         (dict(weight_decay=float("nan")), "weight_decay must be finite, got nan"),
+        # integers past the float range or past 64 bits
+        (dict(peak_lr=10**400), "peak_lr must be finite, got an integer of 1329 bits"),
+        (dict(epochs=10**400), "epochs must fit in 64 bits, got an integer of 1329 bits"),
+        (dict(seed=2**64), "seed must fit in 64 bits"),
+        (dict(seed=-(2**63) - 1), "seed must fit in 64 bits"),
     ]
     for overrides, needle in cases:
         with pytest.raises(ConfigError, match=needle):
@@ -102,6 +107,8 @@ def test_train_config_validation():
         0.9, 0.999, 1e-8, 0.0)
     # numpy integers count as integers, and an int is a number
     assert TrainConfig(seed=np.int64(3), epochs=np.int32(2), peak_lr=1).seed == 3
+    # plan seeds are unsigned 64-bit
+    assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_steps_per_epoch_rounds_up():
@@ -255,7 +262,7 @@ def test_on_epoch_end_early_stop():
     assert result.final_step == 2 * result.steps_per_epoch
 
 
-def test_chunked_step_matches_per_example_mean_fp64():
+def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
     cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=16,
                       n_enc_layers=1, n_dec_layers=1, dropout=0.3,
                       max_src_len=64, max_tgt_len=4)
@@ -274,7 +281,9 @@ def test_chunked_step_matches_per_example_mean_fp64():
                    tgt)
     examples[3] = (examples[3][0], examples[3][1], np.array([5, 6, EOS], dtype=np.int64))
     slots = [7, 2, 9, 0, 4, 1, 8, 3, 6, 5]
-    assert len(chunk_slots(examples, slots)) >= 3
+    # 256 tokens at d_model 8, so that this step splits into several chunks
+    monkeypatch.setattr("crisisadapt.train._ACTIVATION_BUDGET", 256 * cfg.d_model)
+    assert len(chunk_slots(examples, slots, cfg.d_model)) >= 3
     seed, epoch = 11, 2
 
     loss, grads = step_gradients(params, examples, slots, cfg, seed, epoch)
