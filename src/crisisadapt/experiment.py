@@ -136,11 +136,17 @@ def run_plan(
         plan.source_dataset, plan.scenario, registry, vocab, model_config
     )
     result = train(params, examples, model_config, tcfg, **resumed)
+    report = _score(params, plan, registry, vocab, model_config)
+    return PlanOutcome(plan=plan, params=params, train_result=result, report=report)
+
+
+def _score(params, plan: AdaptationPlan, registry, vocab, model_config) -> EvalReport:
+    """Evaluate `params` on the plan's target test set, each input augmented
+    with the target event's description."""
     encoded, gold = encode_eval_inputs(
         plan.target_test_set, plan.scenario, registry[plan.target_event], vocab, model_config
     )
-    report = evaluate(params, encoded, gold, vocab, model_config)
-    return PlanOutcome(plan=plan, params=params, train_result=result, report=report)
+    return evaluate(params, encoded, gold, vocab, model_config)
 
 
 def _resume(plan, model_config, resume: CheckpointData, params: ParameterStore) -> dict:
@@ -162,23 +168,17 @@ def _resume(plan, model_config, resume: CheckpointData, params: ParameterStore) 
     return {"start_step": resume.step, "optimizer": optimizer}
 
 
-def _cell_plan(
-    task: tuple[str, str, int | None],
-    splits: dict[str, EventSplits],
-    scenario: str,
-    k: int,
-    seed: int,
+def _fold_plan(
+    event: str, fold: int, splits: dict[str, EventSplits], scenario: str, k: int, seed: int
 ) -> AdaptationPlan:
-    s, t, fold = task
-    if fold is None:
-        return compose_plan({s}, t, scenario, splits, mix_seed(seed, "cell", s, t))
-    ev = splits[t]
+    """Fold `fold` of k over all of `event`'s records, pooled."""
+    ev = splits[event]
     pooled = list(ev.train) + list(ev.test)
-    assignments = make_folds(pooled, k, mix_seed(seed, "folds", t))
+    assignments = make_folds(pooled, k, mix_seed(seed, "folds", event))
     tr, te = fold_split(pooled, assignments, fold)
     return compose_plan(
-        {t}, t, scenario, {t: EventSplits(train=tr, test=te)},
-        mix_seed(seed, "cell", t, fold),
+        {event}, event, scenario, {event: EventSplits(train=tr, test=te)},
+        mix_seed(seed, "cell", event, fold),
     )
 
 
@@ -190,10 +190,23 @@ def _map(fn, items: list, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
-def _run_cell(task, *, splits, registry, scenario, vocab, model_config, train_config, k, seed):
-    plan = _cell_plan(task, splits, scenario, k, seed)
-    outcome = run_plan(plan, registry, vocab, model_config, train_config)
-    return task, outcome.report
+def _run_matrix_task(task, *, splits, registry, scenario, vocab, model_config, train_config,
+                     k, seed) -> list[EvalReport]:
+    """One report per target of a (source, targets, fold) task.
+
+    A row (fold None) trains one model on the source event's train split,
+    with the row seed, and scores it on every target's test set. A
+    diagonal fold trains and scores its own plan."""
+    source, targets, fold = task
+    if fold is not None:
+        plan = _fold_plan(source, fold, splits, scenario, k, seed)
+        return [run_plan(plan, registry, vocab, model_config, train_config).report]
+    row_seed = mix_seed(seed, "cell", source)
+    plans = [compose_plan({source}, t, scenario, splits, row_seed) for t in targets]
+    outcome = run_plan(plans[0], registry, vocab, model_config, train_config)
+    return [outcome.report] + [
+        _score(outcome.params, plan, registry, vocab, model_config) for plan in plans[1:]
+    ]
 
 
 def run_matrix(
@@ -211,24 +224,26 @@ def run_matrix(
 ) -> AdaptationMatrix:
     """Fill the full source x target accuracy matrix.
 
-    Off-diagonal cells train on one event and test on another. Diagonal
-    cells either reuse the event's own train/test split or average k
-    cross-validation folds over all of the event's records. Cell seeds
-    derive from (seed, cell), never from execution order, so several
-    worker processes change wall time only, not results.
+    Each row trains one model on its source event's train split, seeded
+    with mix_seed(seed, "cell", source), and scores it on the test set of
+    every target in the row, so N events cost N trainings. Diagonal cells
+    either reuse that row model on the event's own test split
+    (standard_split) or average k cross-validation folds over all of the
+    event's records, one training per fold (five_fold_mean). Seeds derive
+    from (seed, row) and (seed, event, fold), never from execution order,
+    so several worker processes change wall time only, not results.
     """
     names = tuple(sorted(events))
     matrix = AdaptationMatrix(events=names, diagonal_mode=diagonal_mode)
-    tasks: list[tuple[str, str, int | None]] = []
+    tasks: list[tuple[str, tuple[str, ...], int | None]] = []
     for s in names:
-        for t in names:
-            if s != t or diagonal_mode == "standard_split":
-                tasks.append((s, t, None))
-            else:
-                tasks.extend((t, t, f) for f in range(k))
+        targets = tuple(t for t in names if t != s or diagonal_mode == "standard_split")
+        tasks.append((s, targets, None))
+    if diagonal_mode != "standard_split":
+        tasks.extend((t, (t,), f) for t in names for f in range(k))
 
     runner = partial(
-        _run_cell,
+        _run_matrix_task,
         splits=splits,
         registry=registry,
         scenario=scenario,
@@ -241,8 +256,11 @@ def run_matrix(
     results = _map(runner, tasks, jobs)
 
     fold_reports: dict[str, list[EvalReport]] = {}
-    for (s, t, fold), report in results:
-        if fold is None:
+    for (s, targets, fold), reports in zip(tasks, results):
+        if fold is not None:
+            fold_reports.setdefault(s, []).extend(reports)
+            continue
+        for t, report in zip(targets, reports):
             matrix.set_cell(
                 s,
                 t,
@@ -252,11 +270,9 @@ def run_matrix(
                     "n_test": report.n,
                     "weighted_f1": report.weighted_f1,
                     "fallback_rate": report.fallback_rate,
-                    "seed": mix_seed(seed, "cell", s, t),
+                    "seed": mix_seed(seed, "cell", s),
                 },
             )
-        else:
-            fold_reports.setdefault(t, []).append(report)
     for t, reports in fold_reports.items():
         accs = [r.accuracy for r in reports]
         matrix.set_cell(

@@ -225,6 +225,16 @@ def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _header_int(path, header: dict[str, str], key: str) -> int:
+    value = header[key]
+    try:
+        return int(value)
+    except ValueError:
+        raise VocabError(
+            f"{path}: vocabulary header {key} must be an integer, got {value!r}"
+        ) from None
+
+
 def load_vocab(path: str | Path) -> Vocabulary:
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
@@ -239,8 +249,8 @@ def load_vocab(path: str | Path) -> Vocabulary:
         else:
             break
     try:
-        min_freq = int(header["min_freq"])
-        max_size = int(header["max_size"])
+        min_freq = _header_int(path, header, "min_freq")
+        max_size = _header_int(path, header, "max_size")
         content_hash = header["content_hash"]
     except KeyError as exc:
         raise VocabError(f"{path}: vocabulary header missing {exc}") from None
@@ -248,11 +258,15 @@ def load_vocab(path: str | Path) -> Vocabulary:
     id_to_token = tuple(lines[body_start:])
     if id_to_token[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
         raise VocabError(f"{path}: vocabulary must start with {SPECIAL_TOKENS}")
+    token_to_id: dict[str, int] = {}
+    for i, tok in enumerate(id_to_token):
+        if token_to_id.setdefault(tok, i) != i:
+            raise VocabError(f"{path}: token {tok!r} repeated at ids {token_to_id[tok]} and {i}")
     if _digest(id_to_token, min_freq, max_size) != content_hash:
         raise VocabError(f"{path}: content_hash mismatch, file corrupted")
     return Vocabulary(
         id_to_token=id_to_token,
-        token_to_id={tok: i for i, tok in enumerate(id_to_token)},
+        token_to_id=token_to_id,
         forced_tokens=frozenset(TEMPLATE_FORCED_TOKENS),
         min_freq=min_freq,
         max_size=max_size,

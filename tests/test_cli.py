@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import crisisadapt.cli as cli
 from crisisadapt.checkpoint import load_checkpoint
 from crisisadapt.errors import IncompleteExperimentError
-from crisisadapt.tokenizer import load_vocab
+from crisisadapt.tokenizer import _digest, load_vocab, save_vocab
 from crisisadapt.train import read_history
 
 CONFIG = {
@@ -304,6 +305,25 @@ def test_missing_checkpoint_exits_3(ws, tmp_path):
                      "--scenario", "postq",
                      "--target-event", "alpha_flood",
                      "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("case", ["repeated_token", "non_integer_header"])
+def test_bad_vocab_file_exits_3(ws, tmp_path, capsys, case):
+    vocab = load_vocab(ws["vocab"])
+    bad = tmp_path / "vocab.txt"
+    if case == "repeated_token":
+        tokens = vocab.id_to_token + ("yes",)
+        save_vocab(replace(vocab, id_to_token=tokens,
+                           content_hash=_digest(tokens, vocab.min_freq, vocab.max_size)), bad)
+        named = "token 'yes' repeated"
+    else:
+        text = ws["vocab"].read_text(encoding="utf-8")
+        bad.write_text(text.replace("# max_size=", "# max_size=x"), encoding="utf-8")
+        named = "header max_size must be an integer"
+    assert cli.main(base_args(ws, "train", vocab=bad, target_event="alpha_flood",
+                              out=tmp_path / "x")) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err
 
 
 def evaluate_with_config_entry(ws, tmp_path, key, value) -> int:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crisisadapt import experiment
 from crisisadapt.corpus import (
     RELEVANCE_MAP,
     EventSplits,
@@ -10,7 +11,7 @@ from crisisadapt.corpus import (
     unify_labels,
 )
 from crisisadapt.errors import LabelError, UnknownEventError, VocabError
-from crisisadapt.evaluation import AdaptationMatrix
+from crisisadapt.evaluation import AdaptationMatrix, evaluate
 from crisisadapt.experiment import (
     augmented_texts,
     encode_eval_inputs,
@@ -21,8 +22,10 @@ from crisisadapt.experiment import (
 )
 from crisisadapt.model import ModelConfig, init_params
 from crisisadapt.prompt import construct
+from crisisadapt.rng import mix_seed
 from crisisadapt.synth import SynthEventSpec, generate_corpus
 from crisisadapt.tokenizer import EOS, PAD, build_vocab, decode
+from crisisadapt.train import train
 
 from conftest import make_record
 
@@ -210,6 +213,65 @@ def test_run_matrix_five_fold_diagonal():
         assert len(prov["fold_accuracies"]) == 2
         assert prov["value"] == pytest.approx(
             sum(prov["fold_accuracies"]) / 2)
+
+
+# training-set sizes: a row trains on its source's 8 train records, a
+# diagonal fold on 6 of the event's 12 records pooled (k = 2)
+@pytest.mark.parametrize("mode, k, trainings", [("standard_split", 5, [8] * 3),
+                                                ("five_fold_mean", 2, [6] * 6 + [8] * 3)])
+def test_run_matrix_trains_each_row_once(monkeypatch, mode, k, trainings):
+    """N events cost N row trainings, plus N * k diagonal folds under
+    five_fold_mean; every cell of a row records the row seed."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "train", counted)
+    names = tuple(sorted(SPLITS))
+    matrix = run_matrix(SPLITS, REGISTRY, names, "postq", VOCAB, MCFG,
+                        tiny_train_config(), diagonal_mode=mode, k=k, seed=3)
+    assert matrix.complete
+    assert sorted(calls) == trainings
+    for s in names:
+        for t in names:
+            prov = matrix.provenance[f"{s}->{t}"]
+            if s == t and mode == "five_fold_mean":
+                assert prov["seed"] == 3 and len(prov["fold_accuracies"]) == k
+            else:
+                assert prov["seed"] == mix_seed(3, "cell", s), (s, t)
+
+
+def test_run_matrix_cells_score_the_row_model():
+    """Cell (s, t) is row s's model, trained once with the row seed,
+    evaluated on t's test set under t's description. At this learning
+    rate whether a model's predictions fall back depends on its seed, and
+    test sets of 4, 3 and 2 records tell the targets apart."""
+    names = tuple(sorted(SPLITS))
+    splits = {name: EventSplits(train=SPLITS[name].train, test=SPLITS[name].test[:n])
+              for name, n in zip(names, (4, 3, 2))}
+    tcfg = tiny_train_config(peak_lr=1e-2, epochs=4)
+    matrix = run_matrix(splits, REGISTRY, names, "postq", VOCAB, MCFG, tcfg, seed=3)
+    for s in names:
+        plan = compose_plan({s}, names[0], "postq", splits, mix_seed(3, "cell", s))
+        params = run_plan(plan, REGISTRY, VOCAB, MCFG, tcfg).params
+        for t in names:
+            encoded, gold = encode_eval_inputs(splits[t].test, "postq", REGISTRY[t], VOCAB, MCFG)
+            report = evaluate(params, encoded, gold, VOCAB, MCFG)
+            prov = matrix.provenance[f"{s}->{t}"]
+            assert matrix.cells[(s, t)] == report.accuracy, (s, t)
+            assert (prov["weighted_f1"], prov["fallback_rate"], prov["n_test"]) == \
+                   (report.weighted_f1, report.fallback_rate, report.n), (s, t)
+
+
+def test_run_matrix_jobs_change_nothing_but_wall_time():
+    splits, names = two_event_views()
+    runs = [run_matrix(splits, REGISTRY, names, "postq", VOCAB, MCFG, tiny_train_config(),
+                       diagonal_mode="five_fold_mean", k=2, seed=5, jobs=jobs)
+            for jobs in (1, 2)]
+    assert runs[0].cells == runs[1].cells
+    assert runs[0].provenance == runs[1].provenance
 
 
 def test_run_loo_micro():

@@ -155,6 +155,32 @@ def test_pad_extension_leaves_logits_bitwise_identical():
     assert np.array_equal(base, ext)
 
 
+def test_padding_by_8_changes_states_by_rounding_only():
+    """Padded below 8 keys, the states at real positions stay bitwise
+    equal; padded by 8, attention sums over the wider key axis in another
+    order, and they differ by float32 rounding only (measured at most
+    4.8e-7 over these seeds and lengths)."""
+    cfg = small_config()
+    worst = 0.0
+    for seed in range(8):
+        params = init_params(cfg, seed)
+        for name in params.names():
+            if name.endswith(".weight"):  # large enough that states depend on the source
+                params[name].data *= 50.0
+        for n in range(1, 9):
+            base = encode_source(params, SRC[None, :n], MASK[None, :n], cfg).data
+
+            def padded(k):
+                ids = np.concatenate([SRC[:n], np.full(k, PAD)])[None]
+                mask = np.concatenate([MASK[:n], np.zeros(k, dtype=np.float32)])[None]
+                return encode_source(params, ids, mask, cfg).data[:, :n]
+
+            if n < 7:
+                assert np.array_equal(padded(7 - n), base), (seed, n)
+            worst = max(worst, float(np.abs(padded(8) - base).max()))
+    assert worst <= 1e-6, worst
+
+
 def test_causal_mask_is_bitwise():
     cfg = small_config()
     params = init_params(cfg, 7)

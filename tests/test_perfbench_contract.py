@@ -169,3 +169,26 @@ def test_prediction_costs_two_decoder_passes(monkeypatch, first, fallback):
     assert metrics["model.decode_calls_per_eval_example"] == 2.0
     assert metrics["model.encode_calls_per_eval_example"] == 1.0
     assert metrics["evaluation.fallback_ratio"] == float(fallback)
+
+
+def test_matrix_tiny_records_one_training_per_row(tmp_path):
+    """matrix_tiny's 3x3 run_matrix trains each of its 3 rows once and
+    evaluates all 9 cells, each `evaluate` call seen once by the recorder,
+    and the workload's own checks pass on what it recorded."""
+    workload = workloads.MatrixTiny(1, tmp_path)
+    workload.setup()
+    recorder = workloads.Recorder(clock=time.perf_counter)
+    patcher = spans.Patcher()
+    recorder.install(patcher)
+    try:
+        matrix = workload.run()
+    finally:
+        patcher.restore()
+
+    assert len(matrix.events) == 3 and matrix.complete
+    assert len(recorder.trainings) == 3
+    assert [n for n, _, _ in recorder.evals] == [24] * 9
+    assert len(recorder.predictions) == 9 * 24
+    tally = workloads.Tally()
+    workload.check(matrix, recorder, tally)
+    assert tally.failures == []

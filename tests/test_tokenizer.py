@@ -1,5 +1,7 @@
 """Tokenization, vocabulary construction, and bounded encoding."""
 
+from dataclasses import replace
+
 import pytest
 
 from crisisadapt.corpus import EventDescriptor
@@ -11,6 +13,7 @@ from crisisadapt.tokenizer import (
     TEMPLATE_FORCED_TOKENS,
     UNK,
     Vocabulary,
+    _digest,
     build_vocab,
     decode,
     encode,
@@ -136,6 +139,32 @@ def test_load_vocab_rejects_tampered_hash(tmp_path):
     text = p.read_text(encoding="utf-8").replace("water", "later")
     p.write_text(text, encoding="utf-8")
     with pytest.raises(VocabError, match="hash"):
+        load_vocab(p)
+
+
+def test_load_vocab_rejects_repeated_token(tmp_path):
+    """A repeated token is refused even under a matching content_hash;
+    `lookup` would otherwise see only its last id."""
+    vocab = build_vocab(["water rising"], min_freq=1)
+    tokens = vocab.id_to_token + ("yes",)
+    p = tmp_path / "vocab.txt"
+    save_vocab(replace(vocab, id_to_token=tokens,
+                       content_hash=_digest(tokens, vocab.min_freq, vocab.max_size)), p)
+    with pytest.raises(VocabError, match=rf"vocab\.txt: token 'yes' repeated at ids "
+                                         rf"{vocab.lookup('yes')} and {vocab.size}"):
+        load_vocab(p)
+
+
+@pytest.mark.parametrize("field, value", [("min_freq", "two"), ("max_size", "1e4")])
+def test_load_vocab_rejects_non_integer_header(tmp_path, field, value):
+    vocab = build_vocab(["water rising"], min_freq=1)
+    p = tmp_path / "vocab.txt"
+    save_vocab(vocab, p)
+    text = p.read_text(encoding="utf-8")
+    p.write_text(text.replace(f"# {field}={getattr(vocab, field)}\n", f"# {field}={value}\n"),
+                 encoding="utf-8")
+    with pytest.raises(VocabError, match=f"vocab\\.txt: vocabulary header {field} must be "
+                                         f"an integer, got '{value}'"):
         load_vocab(p)
 
 
