@@ -193,6 +193,11 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
             f"content is {digest}"
         )
     _check_manifest(manifest)
+    if expected_vocab_hash is not None and manifest["vocab_hash"] != expected_vocab_hash:
+        raise CompatibilityError(
+            f"checkpoint was built against vocabulary {manifest['vocab_hash']}, "
+            f"current vocabulary is {expected_vocab_hash}"
+        )
 
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
@@ -213,12 +218,6 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
             np.frombuffer(payload[start : start + length], dtype=_DTYPES[dtype])
             .reshape(shape)
             .copy()
-        )
-
-    if expected_vocab_hash is not None and manifest["vocab_hash"] != expected_vocab_hash:
-        raise CompatibilityError(
-            f"checkpoint was built against vocabulary {manifest['vocab_hash']}, "
-            f"current vocabulary is {expected_vocab_hash}"
         )
 
     try:

@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .corpus import (
 )
 from .errors import CheckpointError, ConfigError, DataError, IncompleteExperimentError
 from .evaluation import (
+    DIAGONAL_MODES,
     evaluate,
     pearson_row_correlation,
     write_correlation_csv,
@@ -353,7 +355,11 @@ def cmd_matrix(args) -> None:
     points = len(matrix.events) - (2 if args.exclude_self else 0)
     artifacts = {"matrix": "matrix.csv", "provenance": "provenance.json"}
     if points >= 3:
-        corr = pearson_row_correlation(matrix, exclude_self=args.exclude_self)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corr = pearson_row_correlation(matrix, exclude_self=args.exclude_self)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         write_correlation_csv(run.out / "correlation.csv", matrix.events, corr)
         artifacts["correlation"] = "correlation.csv"
     else:
@@ -490,8 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("matrix", parents=[data, run, grid], help="fill a transfer matrix")
-    p.add_argument("--diagonal", choices=("standard_split", "five_fold_mean"),
-                   default="standard_split")
+    p.add_argument("--diagonal", choices=DIAGONAL_MODES, default="standard_split")
     p.add_argument("--k", type=int, default=5, help="folds for five_fold_mean")
     p.add_argument("--exclude-self", action="store_true",
                    help="drop self-transfer columns from row correlations")

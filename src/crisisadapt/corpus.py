@@ -6,9 +6,10 @@ inside the text field are escaped as ``\\t``, ``\\n`` and ``\\\\`` so that
 serialization round-trips byte-for-byte. Event metadata lives in a JSON
 registry mapping event ids to their location / crisis names.
 
-Two corpus styles are supported: standard-split corpora ship two TSVs
-(train/test), while cross-validation corpora ship one TSV per event
-and derive splits from a deterministic :class:`FoldPlan`.
+A corpus ships as two TSVs (train/test) whose records are grouped per
+event by :func:`splits_by_event`. Cross-validation splits are derived, not
+shipped: :func:`make_folds` deals an event's pooled records onto k folds
+in a deterministic :class:`FoldPlan`.
 """
 
 from __future__ import annotations

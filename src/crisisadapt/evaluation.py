@@ -233,12 +233,13 @@ def pearson_row_correlation(matrix, exclude_self: bool = False) -> np.ndarray:
 
     With `exclude_self`, the two self-transfer columns are dropped before
     correlating rows i and j. A zero-variance row pair gets correlation 0
-    and a warning. The result is symmetric with a unit diagonal.
+    and a warning naming both rows. The result is symmetric with a unit diagonal.
     """
     arr = matrix.to_array() if isinstance(matrix, AdaptationMatrix) else np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
+    rows = matrix.events if isinstance(matrix, AdaptationMatrix) else range(n)
     points = n - 2 if exclude_self else n
     if points < 3:
         raise ValueError(
@@ -255,7 +256,7 @@ def pearson_row_correlation(matrix, exclude_self: bool = False) -> np.ndarray:
             den = np.sqrt((xc * xc).sum() * (yc * yc).sum())
             if den == 0.0:
                 warnings.warn(
-                    f"zero variance when correlating rows {i} and {j}; using 0",
+                    f"zero variance when correlating rows {rows[i]} and {rows[j]}; using 0",
                     stacklevel=2,
                 )
                 r = 0.0

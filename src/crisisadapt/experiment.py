@@ -11,6 +11,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -168,45 +169,38 @@ def _resume(plan, model_config, resume: CheckpointData, params: ParameterStore) 
     return {"start_step": resume.step, "optimizer": optimizer}
 
 
-def _fold_plan(
-    event: str, fold: int, splits: dict[str, EventSplits], scenario: str, k: int, seed: int
-) -> AdaptationPlan:
-    """Fold `fold` of k over all of `event`'s records, pooled."""
+def _fold_plans(
+    event: str, splits: dict[str, EventSplits], scenario: str, k: int, seed: int
+) -> list[AdaptationPlan]:
+    """The k cross-validation plans over all of `event`'s records, pooled."""
     ev = splits[event]
     pooled = list(ev.train) + list(ev.test)
     assignments = make_folds(pooled, k, mix_seed(seed, "folds", event))
-    tr, te = fold_split(pooled, assignments, fold)
-    return compose_plan(
-        {event}, event, scenario, {event: EventSplits(train=tr, test=te)},
-        mix_seed(seed, "cell", event, fold),
-    )
+    return [
+        compose_plan({event}, event, scenario,
+                     {event: EventSplits(*fold_split(pooled, assignments, fold))},
+                     mix_seed(seed, "cell", event, fold))
+        for fold in range(k)
+    ]
 
 
-def _map(fn, items: list, jobs: int) -> list:
-    """`fn` over `items` in order, in `jobs` worker processes when jobs > 1."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _run_matrix_task(task, *, splits, registry, scenario, vocab, model_config, train_config,
-                     k, seed) -> list[EvalReport]:
-    """One report per target of a (source, targets, fold) task.
-
-    A row (fold None) trains one model on the source event's train split,
-    with the row seed, and scores it on every target's test set. A
-    diagonal fold trains and scores its own plan."""
-    source, targets, fold = task
-    if fold is not None:
-        plan = _fold_plan(source, fold, splits, scenario, k, seed)
-        return [run_plan(plan, registry, vocab, model_config, train_config).report]
-    row_seed = mix_seed(seed, "cell", source)
-    plans = [compose_plan({source}, t, scenario, splits, row_seed) for t in targets]
+def _train_and_score(plans, *, registry, vocab, model_config, train_config) -> list[EvalReport]:
+    """One report per plan of a job. The plans share their source events
+    and seed, so one model, trained on the first plan, serves them all."""
     outcome = run_plan(plans[0], registry, vocab, model_config, train_config)
     return [outcome.report] + [
         _score(outcome.params, plan, registry, vocab, model_config) for plan in plans[1:]
     ]
+
+
+def _run_jobs(jobs: list[list[AdaptationPlan]], workers: int, **context) -> list[list[EvalReport]]:
+    """`_train_and_score` over `jobs` in order, in `workers` worker
+    processes when workers > 1."""
+    fn = partial(_train_and_score, **context)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def run_matrix(
@@ -224,57 +218,48 @@ def run_matrix(
 ) -> AdaptationMatrix:
     """Fill the full source x target accuracy matrix.
 
-    Each row trains one model on its source event's train split, seeded
-    with mix_seed(seed, "cell", source), and scores it on the test set of
-    every target in the row, so N events cost N trainings. Diagonal cells
-    either reuse that row model on the event's own test split
-    (standard_split) or average k cross-validation folds over all of the
-    event's records, one training per fold (five_fold_mean). Seeds derive
-    from (seed, row) and (seed, event, fold), never from execution order,
-    so several worker processes change wall time only, not results.
+    All plans are composed before any training, so a bad event or fold
+    count fails at once. Each row is one job: a model trained on its source
+    event's train split, seeded with mix_seed(seed, "cell", source), and
+    scored on the test set of every target in the row, so N events cost N
+    trainings. Diagonal cells either reuse that row model on the event's
+    own test split (standard_split) or average k cross-validation folds
+    over all of the event's records, one job per fold (five_fold_mean).
+    Seeds derive from (seed, row) and (seed, event, fold), never from
+    execution order, so worker processes change wall time only.
     """
     names = tuple(sorted(events))
     matrix = AdaptationMatrix(events=names, diagonal_mode=diagonal_mode)
-    tasks: list[tuple[str, tuple[str, ...], int | None]] = []
-    for s in names:
-        targets = tuple(t for t in names if t != s or diagonal_mode == "standard_split")
-        tasks.append((s, targets, None))
-    if diagonal_mode != "standard_split":
-        tasks.extend((t, (t,), f) for t in names for f in range(k))
+    folds = diagonal_mode != "standard_split"
+    plans = [
+        [compose_plan({s}, t, scenario, splits, mix_seed(seed, "cell", s))
+         for t in names if t != s or not folds]
+        for s in names
+    ]
+    if folds:
+        plans.extend([plan] for t in names for plan in _fold_plans(t, splits, scenario, k, seed))
+    reports = _run_jobs(plans, jobs, registry=registry, vocab=vocab,
+                        model_config=model_config, train_config=train_config)
 
-    runner = partial(
-        _run_matrix_task,
-        splits=splits,
-        registry=registry,
-        scenario=scenario,
-        vocab=vocab,
-        model_config=model_config,
-        train_config=train_config,
-        k=k,
-        seed=seed,
-    )
-    results = _map(runner, tasks, jobs)
-
-    fold_reports: dict[str, list[EvalReport]] = {}
-    for (s, targets, fold), reports in zip(tasks, results):
-        if fold is not None:
-            fold_reports.setdefault(s, []).extend(reports)
+    fold_accs: dict[str, list[float]] = {}
+    for plan, report in zip(chain(*plans), chain(*reports)):
+        (s,), t = plan.source_events, plan.target_event
+        if folds and s == t:
+            fold_accs.setdefault(t, []).append(report.accuracy)
             continue
-        for t, report in zip(targets, reports):
-            matrix.set_cell(
-                s,
-                t,
-                report.accuracy,
-                info={
-                    "task_id": f"{s}->{t}/{scenario}",
-                    "n_test": report.n,
-                    "weighted_f1": report.weighted_f1,
-                    "fallback_rate": report.fallback_rate,
-                    "seed": mix_seed(seed, "cell", s),
-                },
-            )
-    for t, reports in fold_reports.items():
-        accs = [r.accuracy for r in reports]
+        matrix.set_cell(
+            s,
+            t,
+            report.accuracy,
+            info={
+                "task_id": plan.task_id,
+                "n_test": report.n,
+                "weighted_f1": report.weighted_f1,
+                "fallback_rate": report.fallback_rate,
+                "seed": plan.seed,
+            },
+        )
+    for t, accs in fold_accs.items():
         matrix.set_cell(
             t, t, float(np.mean(accs)), info={"k": k, "fold_accuracies": accs, "seed": seed}
         )
@@ -292,19 +277,10 @@ def run_loo(
     seed: int = 0,
     jobs: int = 1,
 ) -> tuple[list[AdaptationPlan], dict[str, EvalReport], dict]:
-    """Leave-one-out over events: train on all others, test on the one."""
+    """Leave-one-out over events: train on all others, test on the one.
+    Every plan is composed before any training, and each is its own job."""
     plans = plan_leave_one_out(events, scenario, splits, seed)
-    runner = partial(
-        _run_loo_plan,
-        registry=registry,
-        vocab=vocab,
-        model_config=model_config,
-        train_config=train_config,
-    )
-    reports = _map(runner, plans, jobs)
-    results = {plan.target_event: report for plan, report in zip(plans, reports)}
+    reports = _run_jobs([[plan] for plan in plans], jobs, registry=registry, vocab=vocab,
+                        model_config=model_config, train_config=train_config)
+    results = {plan.target_event: report for plan, (report,) in zip(plans, reports)}
     return plans, results, loo_table(results)
-
-
-def _run_loo_plan(plan, *, registry, vocab, model_config, train_config):
-    return run_plan(plan, registry, vocab, model_config, train_config).report

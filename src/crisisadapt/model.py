@@ -172,15 +172,6 @@ def _sinusoid_table(n: int, d: int) -> np.ndarray:
     return table.astype(np.float32)
 
 
-def _dropout_rngs(rng, train: bool, config: ModelConfig):
-    """One dropout generator per example, or None when nothing drops."""
-    if not (train and config.dropout > 0):
-        return None
-    if rng is None:
-        raise ValueError("training forward pass needs an rng for dropout")
-    return rng
-
-
 def _dropout(x: T.Tensor, config: ModelConfig, rngs, lengths) -> T.Tensor:
     return x if rngs is None else T.dropout(x, config.dropout, rngs, lengths)
 
@@ -241,7 +232,6 @@ def encode_source(
     src_ids,
     src_mask,
     config: ModelConfig,
-    train: bool = False,
     rng: Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
     """Run the encoder stack over ids [B, S]; returns states [B, S, d_model].
@@ -252,24 +242,23 @@ def encode_source(
     run over the padded width, where numpy and BLAS may add in another
     order. On the 16-dim test model the states stay bitwise equal below a
     padded width of 8 keys and differ by up to about 1e-6 from 8 keys on;
-    wider models can differ at smaller widths too. For training with dropout,
-    `rng` is one generator per example. Each example draws its masks over
-    its own length up to its last real position, so the draws do not
+    wider models can differ at smaller widths too. Dropout runs only when
+    `rng` is given, one generator per example. Each example draws its masks
+    over its own length up to its last real position, so the draws do not
     depend on how examples are batched.
     """
     ids, mask = _check_source(src_ids, src_mask, config)
-    rngs = _dropout_rngs(rng, train, config)
     # each example's length up to its last real position
-    lengths = None if rngs is None else mask.shape[1] - np.argmax(mask[:, ::-1] > 0, axis=1)
+    lengths = None if rng is None else mask.shape[1] - np.argmax(mask[:, ::-1] > 0, axis=1)
     bias = _key_bias(mask)
-    x = _embed(params, ids, config, rngs, lengths)
+    x = _embed(params, ids, config, rng, lengths)
     for i in range(config.n_enc_layers):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.self_attn.ln", x)
         x = _residual(x, _attention(params, f"{p}.self_attn", normed, normed, bias, config),
-                      config, rngs, lengths)
+                      config, rng, lengths)
         x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)),
-                      config, rngs, lengths)
+                      config, rng, lengths)
     return _ln(params, "enc.final_ln", x)
 
 
@@ -279,7 +268,6 @@ def decode_logits(
     src_mask,
     dec_input,
     config: ModelConfig,
-    train: bool = False,
     rng: Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
     """Teacher-forced decoder pass over dec_input [B, T], with encoder
@@ -308,24 +296,23 @@ def decode_logits(
         raise ValueError("no attendable source positions: mask is all zero")
 
     batch, t = ids.shape
-    rngs = _dropout_rngs(rng, train, config)
     lengths = [t] * batch
     causal = np.triu(np.full((t, t), MASK_PENALTY, dtype=np.float32), k=1)
     cross_bias = _key_bias(mask)
-    x = _embed(params, ids, config, rngs, lengths)
+    x = _embed(params, ids, config, rng, lengths)
     for i in range(config.n_dec_layers):
         p = f"dec.{i}"
         normed = _ln(params, f"{p}.self_attn.ln", x)
         x = _residual(x, _attention(params, f"{p}.self_attn", normed, normed, causal, config),
-                      config, rngs, lengths)
+                      config, rng, lengths)
         x = _residual(
             x,
             _attention(params, f"{p}.cross_attn", _ln(params, f"{p}.cross_attn.ln", x),
                        enc_states, cross_bias, config),
-            config, rngs, lengths,
+            config, rng, lengths,
         )
         x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)),
-                      config, rngs, lengths)
+                      config, rng, lengths)
     return _linear(params, "out_proj", _ln(params, "dec.final_ln", x))
 
 
@@ -409,7 +396,6 @@ def example_loss(
     src_mask,
     target_ids,
     config: ModelConfig,
-    train: bool = False,
     rng: Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
     """Mean over examples of each example's mean cross-entropy over its
@@ -417,6 +403,6 @@ def example_loss(
     are [B, T], all of one length, so this is the mean over every target
     position of the batch."""
     tgt = np.asarray(target_ids, dtype=np.int64)
-    enc = encode_source(params, src_ids, src_mask, config, train=train, rng=rng)
-    logits = decode_logits(params, enc, src_mask, shift_right(tgt), config, train=train, rng=rng)
+    enc = encode_source(params, src_ids, src_mask, config, rng=rng)
+    logits = decode_logits(params, enc, src_mask, shift_right(tgt), config, rng=rng)
     return T.cross_entropy(T.reshape(logits, (tgt.size, config.vocab_size)), tgt.reshape(-1))

@@ -351,10 +351,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _apply(y, (a,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance over the last axis (1/N variance), then affine."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Zero-mean unit-variance over the last axis (1/N variance plus 1e-5), then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     dim = x.data.shape[-1]
     if gain.data.shape != (dim,) or bias.data.shape != (dim,):
@@ -366,7 +364,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = x.data - mu
     var = np.square(xhat).sum(axis=-1, keepdims=True)
     var /= dim
-    var += eps
+    var += 1e-5
     inv = 1.0 / np.sqrt(var)
     xhat *= inv
 
@@ -444,11 +442,8 @@ def mean_all(a: Tensor) -> Tensor:
     return _apply(a.data.mean(), (a,), bw)
 
 
-def cross_entropy(logits: Tensor, target_ids, ignore_id: int = -100) -> Tensor:
-    """Mean over non-ignored positions of -log softmax(logits)[target].
-
-    Ignored positions contribute nothing to the loss or the gradient.
-    """
+def cross_entropy(logits: Tensor, target_ids) -> Tensor:
+    """Mean over positions of -log softmax(logits)[target]."""
     logits = as_tensor(logits)
     if logits.data.ndim != 2:
         raise ValueError(f"logits must be [positions, V], got {logits.data.shape}")
@@ -458,24 +453,22 @@ def cross_entropy(logits: Tensor, target_ids, ignore_id: int = -100) -> Tensor:
             f"targets shape {targets.shape} does not match logits {logits.data.shape}"
         )
     vocab = logits.data.shape[1]
-    supervised = targets != ignore_id
-    bad = supervised & ((targets < 0) | (targets >= vocab))
+    bad = (targets < 0) | (targets >= vocab)
     if bad.any():
         raise IndexError(f"target id {targets[bad][0]} outside [0, {vocab})")
-    n = int(supervised.sum())
+    n = len(targets)
     if n == 0:
-        raise ValueError("no supervised positions: every target equals ignore_id")
+        raise ValueError("no target positions")
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
-    rows = np.nonzero(supervised)[0]
-    loss = -logp[rows, targets[rows]].sum() / n
+    rows = np.arange(n)
+    loss = -logp[rows, targets].sum() / n
 
     def bw(g, acc):
         dlogits = np.exp(logp)
-        dlogits[rows, targets[rows]] -= 1.0
-        dlogits[~supervised] = 0.0
+        dlogits[rows, targets] -= 1.0
         acc.add(logits, dlogits * (g / n))
 
     return _apply(np.asarray(loss, dtype=logits.data.dtype), (logits,), bw)

@@ -191,9 +191,7 @@ def step_gradients(
             for slot in chunk
         ]
         with Tape() as tape:
-            loss = example_loss(
-                params, src_ids, src_mask, tgt_ids, model_config, train=True, rng=rngs
-            )
+            loss = example_loss(params, src_ids, src_mask, tgt_ids, model_config, rng=rngs)
             weighted = scale(loss, len(chunk))
         grads = backward(tape, weighted)
         for name, tensor in params.items():

@@ -269,6 +269,21 @@ def test_missing_optimizer_moment_is_integrity_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_vocab_hash_checked_before_any_tensor(tmp_path):
+    path, _, _ = fresh(tmp_path)
+
+    def edit(manifest):
+        manifest["vocab_hash"] = "ffff0000"
+        manifest["tensors"][0]["offset"] = 10**9
+        return manifest
+
+    rewrite_manifest(path, edit)
+    with pytest.raises(CompatibilityError, match="vocabulary ffff0000"):
+        load_checkpoint(path, expected_vocab_hash="abcd1234")
+    with pytest.raises(IntegrityError, match="extends past the payload"):
+        load_checkpoint(path)
+
+
 def test_untouched_manifest_rewrite_still_loads(tmp_path):
     path, params, _ = fresh(tmp_path)
     rewrite_manifest(path, lambda manifest: manifest)

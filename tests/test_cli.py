@@ -10,6 +10,7 @@ import pytest
 import crisisadapt.cli as cli
 from crisisadapt.checkpoint import load_checkpoint
 from crisisadapt.errors import IncompleteExperimentError
+from crisisadapt.evaluation import AdaptationMatrix
 from crisisadapt.tokenizer import _digest, load_vocab, save_vocab
 from crisisadapt.train import read_history
 
@@ -198,6 +199,44 @@ def test_matrix_three_events_writes_correlation(ws, tmp_path):
     assert len(corr) == 4
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["artifacts"]["correlation"] == "correlation.csv"
+
+
+def test_matrix_zero_variance_rows_warn_one_plain_line_per_pair(ws, tmp_path, capsys,
+                                                               monkeypatch):
+    def constant_matrix(splits, registry, events, *args, **kwargs):
+        matrix = AdaptationMatrix(events=tuple(sorted(events)))
+        for s in matrix.events:
+            for t in matrix.events:
+                matrix.set_cell(s, t, 0.5)
+        return matrix
+
+    monkeypatch.setattr(cli, "run_matrix", constant_matrix)
+    out = tmp_path / "flat"
+    assert cli.main(base_args(ws, "matrix", vocab=ws["vocab"], out=out)) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: zero variance when correlating rows {a} and {b}; using 0"
+        for a, b in [("alpha_flood", "beta_flood"), ("alpha_flood", "gamma_quake"),
+                     ("beta_flood", "gamma_quake")]
+    ]
+    assert (out / "correlation.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "alpha_flood,1.0000,0.0000,0.0000",
+        "beta_flood,0.0000,1.0000,0.0000",
+        "gamma_quake,0.0000,0.0000,1.0000",
+    ]
+
+
+def test_matrix_event_without_training_records_exits_3_before_training(ws, tmp_path,
+                                                                       capsys):
+    train_file = tmp_path / "train.tsv"
+    lines = (ws["data"] / "train.tsv").read_text(encoding="utf-8").splitlines()
+    kept = [line for line in lines if not line.endswith("\tgamma_quake")]
+    assert len(kept) < len(lines)
+    train_file.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    args = base_args(ws, "matrix", vocab=ws["vocab"], out=tmp_path / "m")
+    args[args.index(str(ws["data"] / "train.tsv"))] = str(train_file)
+    assert cli.main(args) == 3
+    assert "'gamma_quake' has no training data" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "matrix.csv").exists()
 
 
 def test_loo_artifacts(ws, tmp_path):

@@ -10,7 +10,7 @@ from crisisadapt.corpus import (
     compose_plan,
     unify_labels,
 )
-from crisisadapt.errors import LabelError, UnknownEventError, VocabError
+from crisisadapt.errors import DataError, LabelError, UnknownEventError, VocabError
 from crisisadapt.evaluation import AdaptationMatrix, evaluate
 from crisisadapt.experiment import (
     augmented_texts,
@@ -241,6 +241,19 @@ def test_run_matrix_trains_each_row_once(monkeypatch, mode, k, trainings):
                 assert prov["seed"] == 3 and len(prov["fold_accuracies"]) == k
             else:
                 assert prov["seed"] == mix_seed(3, "cell", s), (s, t)
+
+
+def test_run_matrix_composes_every_plan_before_training(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiment, "train", lambda *args, **kwargs: calls.append(args))
+    names = tuple(sorted(SPLITS))
+    splits = dict(SPLITS, **{names[-1]: EventSplits(train=[], test=SPLITS[names[-1]].test)})
+    with pytest.raises(DataError, match=f"{names[-1]!r} has no training data"):
+        run_matrix(splits, REGISTRY, names, "postq", VOCAB, MCFG, tiny_train_config())
+    with pytest.raises(ValueError, match="into 100 folds"):
+        run_matrix(SPLITS, REGISTRY, names, "postq", VOCAB, MCFG, tiny_train_config(),
+                   diagonal_mode="five_fold_mean", k=100)
+    assert calls == []
 
 
 def test_run_matrix_cells_score_the_row_model():

@@ -201,8 +201,6 @@ def test_source_input_validation():
     with pytest.raises(ValueError, match="exceeds limit"):
         long_src = np.arange(3, 3 + cfg.max_src_len + 1, dtype=np.int64)[None]
         encode_source(params, long_src, np.ones(long_src.shape, np.float32), cfg)
-    with pytest.raises(ValueError, match="needs an rng"):
-        encode_source(params, SRC[None], MASK[None], small_config(dropout=0.5), train=True)
 
 
 def test_decoder_input_validation():

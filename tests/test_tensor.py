@@ -286,10 +286,6 @@ def test_fd_cross_entropy_logits():
         targets = rng.integers(0, v, size=pos).astype(np.int64)
         err = check(lambda t: T.cross_entropy(t, targets), logits)
         assert err < NEAR_ZERO_TOL
-    # with ignored positions
-    logits = rng.normal(size=(4, 5))
-    targets = np.array([1, -100, 3, -100], dtype=np.int64)
-    assert check(lambda t: T.cross_entropy(t, targets), logits) < NEAR_ZERO_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +368,6 @@ def test_layer_norm_normalizes_rows():
 def test_layer_norm_rejects_bad_eps_and_shapes():
     x = T.Tensor(np.ones((2, 4)))
     with pytest.raises(ValueError):
-        T.layer_norm(x, T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)), eps=0.0)
-    with pytest.raises(ValueError):
         T.layer_norm(x, T.Tensor(np.ones(3)), T.Tensor(np.zeros(4)))
 
 
@@ -394,34 +388,16 @@ def test_cross_entropy_large_margin_is_tiny():
     assert 0.0 < float(loss.data) < 1e-8
 
 
-def test_cross_entropy_ignore_id_means_over_supervised_only():
-    logits = np.array([[2.0, 1.0], [0.5, 0.5], [3.0, -1.0]])
-    full = T.cross_entropy(
-        T.Tensor(logits[[0, 2]]), np.array([0, 1], dtype=np.int64)
-    )
-    masked = T.cross_entropy(
-        T.Tensor(logits), np.array([0, -100, 1], dtype=np.int64)
-    )
-    assert float(full.data) == float(masked.data)
-
-
 def test_cross_entropy_error_cases():
     logits = T.Tensor(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="no supervised"):
-        T.cross_entropy(logits, np.array([-100, -100], dtype=np.int64))
+    with pytest.raises(ValueError, match="no target positions"):
+        T.cross_entropy(T.Tensor(np.zeros((0, 3))), np.array([], dtype=np.int64))
     with pytest.raises(IndexError):
         T.cross_entropy(logits, np.array([0, 3], dtype=np.int64))
+    with pytest.raises(IndexError):
+        T.cross_entropy(logits, np.array([0, -100], dtype=np.int64))
     with pytest.raises(ValueError):
         T.cross_entropy(T.Tensor(np.zeros(3)), np.array([0], dtype=np.int64))
-
-
-def test_ignored_positions_get_zero_gradient():
-    logits = T.Tensor(np.array([[2.0, 1.0], [0.5, 0.5]]), requires_grad=True)
-    with T.Tape() as tape:
-        loss = T.cross_entropy(logits, np.array([0, -100], dtype=np.int64))
-    g = T.backward(tape, loss).of(logits)
-    assert np.array_equal(g[1], np.zeros(2))
-    assert not np.array_equal(g[0], np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

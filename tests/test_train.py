@@ -294,8 +294,7 @@ def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
         src, mask, tgt = examples[slot]
         drop = np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
         with T.Tape() as tape:
-            one = example_loss(params, src[None], mask[None], tgt[None], cfg, train=True,
-                               rng=[drop])
+            one = example_loss(params, src[None], mask[None], tgt[None], cfg, rng=[drop])
         g = T.backward(tape, one)
         for name, t in params.items():
             ref_grads[name] += g.of(t) / len(slots)
