@@ -39,7 +39,13 @@ from .corpus import (
     write_dataset,
     write_registry,
 )
-from .errors import CheckpointError, ConfigError, DataError, IncompleteExperimentError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    IncompleteExperimentError,
+    NonFiniteError,
+)
 from .evaluation import (
     DIAGONAL_MODES,
     evaluate,
@@ -519,6 +525,9 @@ def main(argv=None) -> int:
     except IncompleteExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except (DataError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -2,7 +2,8 @@
 that the config dataclasses raise through it.
 
 The CLI maps these onto exit codes: usage/config problems exit 2, data
-problems exit 3, incomplete experiments exit 4.
+problems exit 3, incomplete experiments exit 4, a training run whose loss
+or gradients stop being finite exits 5.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ class CompatibilityError(CheckpointError):
 
 class IncompleteExperimentError(CrisisAdaptError):
     """An experiment finished with failing cells (exit code 4)."""
+
+
+class NonFiniteError(CrisisAdaptError):
+    """A training loss or gradient norm is NaN or infinite, as when the
+    learning rate is too high (exit code 5)."""
 
 
 # annotation -> (accepted type, what the error message asks for)

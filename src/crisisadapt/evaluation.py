@@ -3,8 +3,9 @@
 Prediction decodes greedily and falls back to comparing the scores of the
 two label sequences whenever the decoder produced anything that is not
 exactly a label word; the fallback is counted so drifting decoders are
-visible in reports. Matrix cells hold test accuracies of source->target
-runs; row correlations compare transfer profiles between source events.
+visible in reports. A test set is decoded and scored in batched chunks.
+Matrix cells hold test accuracies of source->target runs; row
+correlations compare transfer profiles between source events.
 """
 
 from __future__ import annotations
@@ -22,39 +23,31 @@ from .files import write_atomic
 from .model import ModelConfig, ParameterStore, generate_greedy, score_sequence
 from .prompt import LABELS, parse_label
 from .rng import mix_seed
+from .tensor import Tensor
 from .tokenizer import EOS, UNK, Vocabulary, decode
+from .train import chunk_by_length, pad_sources
 
 DIAGONAL_MODES = ("five_fold_mean", "standard_split")
 
+# Most padded source tokens x d_model in one batched evaluation pass: four
+# times training's budget, as evaluation keeps no tape for a backward
+# pass (see CHANGES.md for the sweep).
+_EVAL_BUDGET = 4 * 256 * 128
 
-def predict_label(
-    params: ParameterStore,
-    src_ids,
-    src_mask,
-    vocab: Vocabulary,
-    config: ModelConfig,
-) -> tuple[str, bool]:
-    """Greedy decode of one source [1, S]; if the output is not exactly a
-    label word, fall back to scoring both label sequences (ties resolve to
-    "no"). The source is encoded once. Greedy decoding stops as soon as
-    its output can no longer decode to a label, and the fallback scores
-    both labels in one decoder pass: a label followed by the end token
-    costs two decoder passes, and so does a first token that is no label."""
-    label_ids = [vocab.lookup(lab) for lab in LABELS]
-    # looked up on the module, so that a wrapper installed there (a
-    # profiler or a call counter) sees this call
-    enc = model.encode_source(params, src_ids, src_mask, config)
-    # a label word outside the vocabulary maps to UNK, which decodes to
-    # the UNK token and so is never that label
-    accept = [[i] for i in label_ids if i != UNK]
-    generated = generate_greedy(params, src_ids, src_mask, config, accept, enc_states=enc)
+
+def predict_label(generated, scores, vocab: Vocabulary) -> tuple[str, bool]:
+    """The label of one input and whether it fell back, from its greedy
+    output `generated` and, when that output is not exactly a label word,
+    the scores of the two label sequences `scores` (in LABELS order): the
+    higher-scoring label wins, and a tie resolves to "no". Makes no model
+    call."""
     label = parse_label(decode(generated, vocab))
     if label is not None:
         return label, False
-    targets = np.array([[i, EOS] for i in label_ids])
-    scores = dict(zip(LABELS, score_sequence(params, src_ids, src_mask, targets, config,
-                                             enc_states=enc)))
-    return ("yes" if scores["yes"] > scores["no"] else "no"), True
+    if scores is None:
+        raise ValueError("the greedy output is no label word, and no label scores were given")
+    by_label = dict(zip(LABELS, scores))
+    return ("yes" if by_label["yes"] > by_label["no"] else "no"), True
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +136,47 @@ def evaluate(
     vocab: Vocabulary,
     config: ModelConfig,
 ) -> EvalReport:
-    """Predict every encoded (ids, mask) pair and score against gold labels."""
+    """Predict every encoded (ids, mask) pair and score against gold labels.
+
+    The inputs run in length-sorted chunks within _EVAL_BUDGET
+    (:func:`train.chunk_by_length`). Each chunk is padded to its longest
+    input and encoded once, then decoded greedily as one batch, which
+    stops each row as soon as its output can no longer be a label word.
+    The rows whose output is not exactly a label word are scored for both
+    label sequences in one more decoder pass. :func:`predict_label` then
+    decides each input, in input order. A prediction does not depend on
+    the other inputs of its chunk, beyond float32 rounding (see
+    :func:`model.generate_greedy`)."""
     if len(encoded) != len(gold):
         raise ValueError(f"{len(encoded)} inputs but {len(gold)} gold labels")
     if not encoded:
         raise ValueError("cannot evaluate an empty set")
+    label_ids = [vocab.lookup(lab) for lab in LABELS]
+    # a label word outside the vocabulary maps to UNK, which decodes to
+    # the UNK token and so is never that label
+    accept = [[i] for i in label_ids if i != UNK]
+    targets = np.array([[i, EOS] for i in label_ids])
+    generated: list[list[int]] = [[] for _ in encoded]
+    scores: list[np.ndarray | None] = [None] * len(encoded)
+    for chunk in chunk_by_length(encoded, range(len(encoded)), config.d_model,
+                                 _EVAL_BUDGET):
+        ids, mask = pad_sources(encoded, chunk)
+        # looked up on the module, so that a wrapper installed there (a
+        # profiler or a call counter) sees this call
+        enc = model.encode_source(params, ids, mask, config)
+        outs = generate_greedy(params, ids, mask, config, accept, enc_states=enc)
+        rows = [r for r, out in enumerate(outs) if parse_label(decode(out, vocab)) is None]
+        if rows:
+            row_scores = score_sequence(params, ids[rows], mask[rows], targets, config,
+                                        enc_states=Tensor(enc.data[rows]))
+            for r, s in zip(rows, row_scores):
+                scores[chunk[r]] = s
+        for i, out in zip(chunk, outs):
+            generated[i] = out
     preds: list[str] = []
     fallback_count = 0
-    for src_ids, src_mask in encoded:
-        label, used_fallback = predict_label(params, src_ids[None], src_mask[None], vocab, config)
+    for out, s in zip(generated, scores):
+        label, used_fallback = predict_label(out, s, vocab)
         preds.append(label)
         fallback_count += used_fallback
     confusion: dict[tuple[str, str], int] = {}

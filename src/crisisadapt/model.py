@@ -9,8 +9,8 @@ argmax with lowest-id tie-break.
 Every entry point takes batches only: sources [B, S] with a mask that
 is 0.0 at padding, and targets [B, T]; a 1-D input raises a ValueError.
 Padded keys get a -1e9 score bias [B, 1, 1, S] and so are never
-attended to. Greedy decoding and sequence scoring take one source as a
-batch of one, [1, S].
+attended to. Greedy decoding and sequence scoring take any number of
+sources, each row decoded or scored as if it ran alone.
 
 Each attention block is three bias-free projections, one
 :func:`tensor.attention` op (head split, scaled scores, bias, softmax,
@@ -332,44 +332,60 @@ def generate_greedy(
     config: ModelConfig,
     accept: Sequence[Sequence[int]],
     enc_states: T.Tensor | None = None,
-) -> list[int]:
-    """Greedy decode of one source, ids/mask [1, S]: argmax at each step
-    (ties break to the lowest id). `accept` lists the PAD-free id
-    sequences the caller can use. Decoding stops at the end token, after
-    `config.max_tgt_len` tokens, or as soon as the tokens so far, with
-    PADs dropped, are no longer a prefix of an accepted sequence; decoding
-    further could then not produce one. The tokens generated up to the
-    stop are returned, the last one included. `enc_states`, if given, are
-    this source's encoder states [1, S, d_model], which are then not
-    computed again."""
+) -> list[list[int]]:
+    """Greedy decode of sources ids/mask [B, S]: argmax at each step (ties
+    break to the lowest id); returns one token list per row. `accept`
+    lists the PAD-free id sequences the caller can use. A row stops at the
+    end token, after `config.max_tgt_len` tokens, or as soon as its tokens
+    so far, with PADs dropped, are no longer a prefix of an accepted
+    sequence; decoding further could then not produce one. Its tokens up
+    to the stop are returned, the last one included. Each decoder pass
+    runs the rows that have not stopped, and the loop ends when every row
+    has. `enc_states`, if given, are these sources' encoder states
+    [B, S, d_model], which are then not computed again.
+
+    A row's tokens do not depend on the other rows: padding and batch size
+    change its logits by float32 rounding only, as for
+    :func:`encode_source` (bitwise on the 16-dim test model below a padded
+    width of 8 keys)."""
     accepted = [tuple(seq) for seq in accept]
     if enc_states is None:
         enc_states = encode_source(params, src_ids, src_mask, config)
-    out: list[int] = []
-    kept: tuple[int, ...] = ()  # out without its PADs
-    dec_input = [PAD]
+    mask = np.asarray(src_mask, dtype=np.float32)
+    outs: list[list[int]] = [[] for _ in range(len(mask))]
+    live = np.arange(len(mask))  # the rows still decoding
+    dec_input = np.full((len(mask), 1), PAD, dtype=np.int64)
     for _ in range(config.max_tgt_len):
-        logits = decode_logits(params, enc_states, src_mask, [dec_input], config)
-        next_id = int(np.argmax(logits.data[0, -1]))
-        out.append(next_id)
-        if next_id == EOS:
+        logits = decode_logits(params, enc_states, mask, dec_input, config)
+        next_ids = np.argmax(logits.data[:, -1], axis=1)
+        going = []
+        for pos, (row, tok) in enumerate(zip(live.tolist(), next_ids.tolist())):
+            out = outs[row]
+            out.append(tok)
+            if tok == EOS:
+                continue
+            kept = tuple(t for t in out if t != PAD)
+            if tok == PAD or any(seq[: len(kept)] == kept for seq in accepted):
+                going.append(pos)
+        if not going:
             break
-        if next_id != PAD:
-            kept += (next_id,)
-            if not any(seq[: len(kept)] == kept for seq in accepted):
-                break
-        dec_input.append(next_id)
-    return out
+        if len(going) < len(live):
+            live, mask, dec_input, next_ids = (a[going] for a in (live, mask, dec_input, next_ids))
+            enc_states = T.Tensor(enc_states.data[going])
+        dec_input = np.concatenate((dec_input, next_ids[:, None]), axis=1)
+    return outs
 
 
 def score_sequence(params: ParameterStore, src_ids, src_mask, target_ids, config: ModelConfig,
                    enc_states: T.Tensor | None = None) -> np.ndarray:
     """Sums of log-probabilities of the L targets `target_ids` [L, T],
-    each ending with the end token, under teacher forcing, for one source
-    as in :func:`generate_greedy`; returns the L sums as float64. All L
-    targets are scored in one decoder pass over L copies of the encoder
-    states, and each sum has the same bits as when its target is scored
-    alone. `enc_states` are as for :func:`generate_greedy`."""
+    each ending with the end token, under teacher forcing, for each of the
+    sources ids/mask [B, S]; returns the [B, L] sums as float64. All B·L
+    (source, target) pairs are scored in one decoder pass over L copies of
+    each source's encoder states. Each sum has the bits of its target
+    scored alone for its source alone, unpadded, as long as padding leaves
+    the source's encoder states unchanged (see :func:`encode_source`).
+    `enc_states` are as for :func:`generate_greedy`."""
     tgt = np.asarray(target_ids, dtype=np.int64)
     if tgt.ndim != 2 or tgt.size == 0 or (tgt[:, -1] != EOS).any():
         raise ValueError(
@@ -378,16 +394,17 @@ def score_sequence(params: ParameterStore, src_ids, src_mask, target_ids, config
         )
     if enc_states is None:
         enc_states = encode_source(params, src_ids, src_mask, config)
-    copies = len(tgt)
+    batch, copies = len(enc_states.data), len(tgt)
+    pairs = np.tile(tgt, (batch, 1))  # row b * L + l holds target l for source b
     logits = decode_logits(
         params, T.Tensor(np.repeat(enc_states.data, copies, axis=0)),
         np.repeat(np.asarray(src_mask, dtype=np.float32), copies, axis=0),
-        shift_right(tgt), config,
+        shift_right(pairs), config,
     ).data
     shifted = logits - logits.max(axis=2, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-    picked = np.take_along_axis(logp, tgt[:, :, None], axis=2)[:, :, 0]
-    return picked.sum(axis=1).astype(np.float64)
+    picked = np.take_along_axis(logp, pairs[:, :, None], axis=2)[:, :, 0]
+    return picked.sum(axis=1).astype(np.float64).reshape(batch, copies)
 
 
 def example_loss(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, NonFiniteError, check_field_types
 from .files import write_atomic
 from .model import ModelConfig, ParameterStore, example_loss
 from .rng import mix_seed, shuffle
@@ -136,40 +136,53 @@ def steps_per_epoch(n_examples: int, effective_batch: int) -> int:
     return math.ceil(n_examples / effective_batch)
 
 
-def chunk_slots(examples, slots, d_model: int) -> list[list[int]]:
-    """Split a step's slots into the chunks it runs as batched passes.
+def chunk_by_length(sources, items, d_model: int, budget: int,
+                    group=None) -> list[list[int]]:
+    """Split `items`, indices into `sources` ((ids, mask, ...) tuples), into
+    the chunks they run in as batched passes.
 
-    Slots are sorted by (source length, slot) and packed greedily while
-    chunk size x longest source x `d_model` stays within
-    _ACTIVATION_BUDGET; an example longer than the budget runs alone.
-    Examples with targets of different lengths never share a chunk.
+    Items are sorted by (source length, index) and packed greedily while
+    chunk size x longest source x `d_model` stays within `budget`; a
+    source longer than the budget runs alone. Items whose `group(index)`
+    values differ never share a chunk.
     """
     chunks: list[list[int]] = []
-    for slot in sorted(slots, key=lambda s: (len(examples[s][0]), s)):
-        src_len, tgt_len = len(examples[slot][0]), len(examples[slot][2])
+    for i in sorted(items, key=lambda i: (len(sources[i][0]), i)):
         last = chunks[-1] if chunks else None
-        if (last and (len(last) + 1) * src_len * d_model <= _ACTIVATION_BUDGET
-                and len(examples[last[0]][2]) == tgt_len):
-            last.append(slot)
+        if (last and (len(last) + 1) * len(sources[i][0]) * d_model <= budget
+                and (group is None or group(last[0]) == group(i))):
+            last.append(i)
         else:
-            chunks.append([slot])
+            chunks.append([i])
     return chunks
 
 
-def _pad_chunk(examples, chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source ids and mask [B, S], padded to the longest source, and targets [B, T]."""
-    width = max(len(examples[slot][0]) for slot in chunk)
+def pad_sources(sources, chunk) -> tuple[np.ndarray, np.ndarray]:
+    """Source ids and mask [B, S] of `sources[i]` for each i in `chunk`,
+    right-padded to the longest. A source whose ids and mask differ in
+    length, or whose mask is all zero, raises a ValueError naming it."""
+    width = max(len(sources[i][0]) for i in chunk)
     ids = np.full((len(chunk), width), PAD, dtype=np.int64)
     mask = np.zeros((len(chunk), width), dtype=np.float32)
-    for row, slot in enumerate(chunk):
-        src_ids, src_mask, _ = examples[slot]
+    for row, i in enumerate(chunk):
+        src_ids, src_mask = sources[i][:2]
         if len(src_mask) != len(src_ids):
             raise ValueError(
-                f"example {slot}: source ids/mask lengths differ: {len(src_ids)} / {len(src_mask)}"
+                f"example {i}: source ids/mask lengths differ: {len(src_ids)} / {len(src_mask)}"
             )
         ids[row, : len(src_ids)] = src_ids
         mask[row, : len(src_ids)] = src_mask
-    return ids, mask, np.stack([examples[slot][2] for slot in chunk])
+        if not mask[row].any():
+            raise ValueError(f"example {i}: no attendable source positions: mask is all zero")
+    return ids, mask
+
+
+def chunk_slots(examples, slots, d_model: int) -> list[list[int]]:
+    """The chunks of a step's slots (:func:`chunk_by_length` within
+    _ACTIVATION_BUDGET); examples with targets of different lengths never
+    share a chunk."""
+    return chunk_by_length(examples, slots, d_model, _ACTIVATION_BUDGET,
+                           group=lambda s: len(examples[s][2]))
 
 
 def step_gradients(
@@ -181,11 +194,13 @@ def step_gradients(
     epoch: int,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean loss and mean parameter gradients over one step's examples,
-    with dropout drawn from each slot's (seed, epoch, slot) generator."""
+    with dropout drawn from each slot's (seed, epoch, slot) generator.
+    A chunk whose loss is not finite raises NonFiniteError."""
     grad_sums = {name: np.zeros_like(t.data) for name, t in params.items()}
     loss_sum = 0.0
     for chunk in chunk_slots(examples, slots, model_config.d_model):
-        src_ids, src_mask, tgt_ids = _pad_chunk(examples, chunk)
+        src_ids, src_mask = pad_sources(examples, chunk)
+        tgt_ids = np.stack([examples[slot][2] for slot in chunk])
         rngs = None if model_config.dropout == 0 else [
             np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
             for slot in chunk
@@ -193,10 +208,15 @@ def step_gradients(
         with Tape() as tape:
             loss = example_loss(params, src_ids, src_mask, tgt_ids, model_config, rng=rngs)
             weighted = scale(loss, len(chunk))
+        chunk_loss = float(loss.data)
+        if not math.isfinite(chunk_loss):
+            raise NonFiniteError(
+                f"epoch {epoch}: loss {chunk_loss} over the chunk of slots {chunk}"
+            )
         grads = backward(tape, weighted)
         for name, tensor in params.items():
             grad_sums[name] += grads.of(tensor)
-        loss_sum += len(chunk) * float(loss.data)
+        loss_sum += len(chunk) * chunk_loss
     count = len(slots)
     return loss_sum / count, {name: g / count for name, g in grad_sums.items()}
 
@@ -217,7 +237,9 @@ def train(
     `examples` is a sequence of (src_ids, src_mask, target_ids) triples.
     `start_step` > 0 continues an earlier run and requires the matching
     `optimizer` state. `on_epoch_end(epoch, params)` may return True to
-    stop after that epoch. Parameters are updated in place.
+    stop after that epoch. Parameters are updated in place. A step whose
+    chunk loss or global gradient norm is not finite raises NonFiniteError
+    naming the step and epoch, before that step updates any parameter.
     """
     n = len(examples)
     if n == 0:
@@ -252,7 +274,15 @@ def train(
             order_epoch = epoch
         slots = order[b * train_config.effective_batch : (b + 1) * train_config.effective_batch]
 
-        loss, mean_grads = step_gradients(params, examples, slots, model_config, seed, epoch)
+        try:
+            loss, mean_grads = step_gradients(params, examples, slots, model_config, seed, epoch)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"step {s}, {exc}") from None
+        # one global gradient norm per step; the float32 sum overflows to
+        # inf only for a norm past 1e19
+        norm_sq = sum(float(np.vdot(g, g)) for g in mean_grads.values())
+        if not math.isfinite(norm_sq):
+            raise NonFiniteError(f"step {s}, epoch {epoch}: gradient norm is not finite")
         lr = lr_at(s, total, train_config.warmup_ratio, train_config.peak_lr)
         optimizer.apply(params, mean_grads, lr, train_config)
         result.history.append(StepRecord(step=s, lr=lr, loss=loss))

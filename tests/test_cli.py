@@ -273,6 +273,21 @@ def test_bad_train_config_exits_2(ws, tmp_path, capsys):
     assert "peak_lr" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+def test_diverging_train_exits_5_and_writes_no_artifacts(ws, tmp_path, capsys):
+    diverging = tmp_path / "diverging.json"
+    doc = {**CONFIG, "train": {**CONFIG["train"], "peak_lr": 1e30, "epochs": 4}}
+    diverging.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    args = base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood", out=out)
+    args[args.index(str(ws["config"]))] = str(diverging)
+    assert cli.main(args) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: step ") and "over the chunk of slots" in err
+    for name in ("checkpoint.castckpt", "history.csv", "report.json", "manifest.json"):
+        assert not (out / name).exists(), name
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"train": {"epochs": 2.5}}, "epochs"),
     ({"train": {"effective_batch": 2.5}}, "effective_batch"),

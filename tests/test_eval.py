@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from crisisadapt import model
+from crisisadapt import evaluation, model
 from crisisadapt.corpus import EventSplits
 from crisisadapt.errors import IncompleteExperimentError
 from crisisadapt.evaluation import (
@@ -183,31 +183,52 @@ def encode_query(text="water rain"):
     return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float32)
 
 
+def predictions(params, encoded, cfg, vocab=VOCAB):
+    """(label, fell back) of each input, as `evaluate` decides them
+    through `evaluation.predict_label`."""
+    seen = []
+    decide = evaluation.predict_label
+
+    def recorded(*args):
+        seen.append(decide(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "predict_label", recorded)
+        report = evaluate(params, encoded, ["no"] * len(encoded), vocab, cfg)
+    assert report.fallback_count == sum(fell_back for _, fell_back in seen)
+    return seen
+
+
 def test_predict_label_clean_decode():
     params, cfg = rigged({"yes": 10.0}, max_tgt_len=1)
-    ids, mask = encode_query()
-    label, fell_back = predict_label(params, ids[None], mask[None], VOCAB, cfg)
-    assert (label, fell_back) == ("yes", False)
+    assert predictions(params, [encode_query()], cfg) == [("yes", False)]
+    # a label word decides without scores, PADs before it are dropped
+    assert predict_label([VOCAB.lookup("no")], None, VOCAB) == ("no", False)
+    assert predict_label([PAD, VOCAB.lookup("yes"), EOS], [-9.0, -1.0], VOCAB) == ("yes", False)
 
 
 def test_predict_label_fallback_tie_is_no():
     # greedy emits a non-label word, and the scoring tie resolves to "no"
     params, cfg = rigged({"water": 10.0})
-    ids, mask = encode_query()
-    label, fell_back = predict_label(params, ids[None], mask[None], VOCAB, cfg)
-    assert fell_back
-    assert label == "no"
+    assert predictions(params, [encode_query()], cfg) == [("no", True)]
+    assert predict_label([VOCAB.lookup("water")], [-2.5, -2.5], VOCAB) == ("no", True)
 
 
 def test_predict_label_fallback_prefers_higher_score():
     params, cfg = rigged({"water": 10.0, "yes": 2.0, "no": 1.0})
-    ids, mask = encode_query()
-    label, fell_back = predict_label(params, ids[None], mask[None], VOCAB, cfg)
-    assert fell_back
-    assert label == "yes"
+    assert predictions(params, [encode_query()], cfg) == [("yes", True)]
+    # scores come in LABELS order
+    assert LABELS == ("yes", "no")
+    assert predict_label([VOCAB.lookup("water")], [-1.0, -2.0], VOCAB) == ("yes", True)
+    assert predict_label([VOCAB.lookup("water")], [-2.0, -1.0], VOCAB) == ("no", True)
+    with pytest.raises(ValueError, match="no label scores"):
+        predict_label([VOCAB.lookup("water")], None, VOCAB)
 
 
 def test_predict_label_fallback_encodes_source_once(monkeypatch):
+    """`evaluate` encodes each chunk of inputs once and reuses the states
+    for greedy decoding and for scoring the fallbacks."""
     params, cfg = rigged({"water": 10.0, "yes": 2.0, "no": 1.0})
     ids, mask = (a[None] for a in encode_query())
     enc = model.encode_source(params, ids, mask, cfg)
@@ -227,8 +248,9 @@ def test_predict_label_fallback_encodes_source_once(monkeypatch):
         return encode_source(*args, **kwargs)
 
     monkeypatch.setattr(model, "encode_source", counted)
-    assert predict_label(params, ids, mask, VOCAB, cfg) == ("yes", True)
-    assert len(calls) == 1
+    encoded = [encode_query(text) for text in ("water rain", "storm flood go", "go")]
+    assert predictions(params, encoded, cfg) == [("yes", True)] * 3
+    assert len(calls) == 1  # the three inputs fit one chunk
 
 
 def test_right_padding_leaves_decode_score_and_label_unchanged():
@@ -249,7 +271,7 @@ def test_right_padding_leaves_decode_score_and_label_unchanged():
                 model.score_sequence(params, ids, mask, targets, cfg).tolist(),
                 [model.score_sequence(params, ids, mask, tgt[None], cfg).tolist()
                  for tgt in targets],
-                predict_label(params, ids, mask, VOCAB, cfg))
+                predictions(params, [(ids[0], mask[0])], cfg))
         for k in (1, 3, 8):
             ids_k = np.concatenate([ids, np.full((1, k), PAD, dtype=np.int64)], axis=1)
             mask_k = np.concatenate([mask, np.zeros((1, k), dtype=np.float32)], axis=1)
@@ -257,7 +279,7 @@ def test_right_padding_leaves_decode_score_and_label_unchanged():
                    model.score_sequence(params, ids_k, mask_k, targets, cfg).tolist(),
                    [model.score_sequence(params, ids_k, mask_k, tgt[None], cfg).tolist()
                     for tgt in targets],
-                   predict_label(params, ids_k, mask_k, VOCAB, cfg))
+                   predictions(params, [(ids_k[0], mask_k[0])], cfg))
             assert got == want, (text, k)
 
 
@@ -299,15 +321,16 @@ def untrained(vocab, seed, max_tgt_len=6, weight_scale=1.0):
 
 def test_predict_label_matches_full_decode_reference_on_untrained_models():
     texts = ("water rain", "storm flood go", "go go water", "flood")
+    encoded = [encode_query(text) for text in texts]
     outcomes = []
     for seed in range(6):
         for scale in (1.0, 30.0):
             params, cfg = untrained(VOCAB, seed, weight_scale=scale)
-            for text in texts:
-                ids, mask = (a[None] for a in encode_query(text))
-                got = predict_label(params, ids, mask, VOCAB, cfg)
-                assert got == reference_predict(params, ids, mask, VOCAB, cfg), (seed, scale, text)
-                outcomes.append(got)
+            # the four inputs, of three lengths, run as one padded chunk
+            got = predictions(params, encoded, cfg)
+            assert got == [reference_predict(params, ids[None], mask[None], VOCAB, cfg)
+                           for ids, mask in encoded], (seed, scale)
+            outcomes.extend(got)
     # these models emit no label word, so every prediction falls back (the
     # scripted outputs below cover greedy labels); both labels win somewhere
     assert {label for label, _ in outcomes} == {"yes", "no"}
@@ -334,15 +357,55 @@ def test_predict_label_matches_full_decode_reference_on_scripted_outputs(
     is no label and the prediction falls back to scoring."""
     ids = [vocab.lookup(tok) if isinstance(tok, str) else tok for tok in script]
     monkeypatch.setattr(model, "decode_logits", scripted_decoder(model.decode_logits, ids))
+    encoded = [(np.array(src), np.array(mask, dtype=np.float32))
+               for src, mask in (encode(text, vocab, max_len=8)
+                                 for text in ("water rain", "storm flood go", "go"))]
     for seed in range(3):
         params, cfg = untrained(vocab, seed, max_tgt_len)
-        src, mask = encode("water rain", vocab, max_len=8)
-        src, mask = np.array([src]), np.array([mask], dtype=np.float32)
-        got = predict_label(params, src, mask, vocab, cfg)
-        assert got == reference_predict(params, src, mask, vocab, cfg)
-        assert got[1] == (want is None)
-        if want is not None:
-            assert got == want
+        for got, (src, mask) in zip(predictions(params, encoded, cfg, vocab), encoded):
+            assert got == reference_predict(params, src[None], mask[None], vocab, cfg)
+            assert got[1] == (want is None)
+            if want is not None:
+                assert got == want
+
+
+def test_evaluate_does_not_depend_on_batch_composition(monkeypatch):
+    """On 16-dim models, a mixed-length set evaluated as one padded chunk
+    gets the labels and fallback flags of each input evaluated alone.
+    Sources with an even number of real tokens are scripted to answer
+    "yes" and stop; the others decode freely and fall back to scoring."""
+    monkeypatch.setattr(model, "decode_logits", scripted_decoder(
+        model.decode_logits, [VOCAB.lookup("yes"), EOS], rows=lambda m: m.sum(axis=1) % 2 == 0))
+    texts = ("water rain", "storm flood go water", "go", "flood storm", "rain go flood",
+             "water water rain go storm flood", "storm")
+    encoded = [encode_query(text) for text in texts]
+    assert len({len(ids) for ids, _ in encoded}) >= 4
+    outcomes = set()
+    for seed in range(4):
+        cfg = ModelConfig(vocab_size=VOCAB.size, d_model=16, n_heads=2, d_ff=32,
+                          n_enc_layers=1, n_dec_layers=1, dropout=0.0,
+                          max_src_len=8, max_tgt_len=4)
+        params = init_params(cfg, seed)
+        for name in params.names():
+            if name.endswith(".weight"):  # large enough that outputs depend on the source
+                params[name].data *= 30.0
+        together = predictions(params, encoded, cfg)
+        assert together == [predictions(params, [pair], cfg)[0] for pair in encoded], seed
+        # and in reverse input order, which moves every row within the chunk
+        assert predictions(params, encoded[::-1], cfg) == together[::-1], seed
+        outcomes.update(together)
+    assert {("yes", False), ("yes", True), ("no", True)} <= outcomes
+
+
+def test_evaluate_names_a_malformed_input():
+    params, cfg = rigged({"no": 10.0}, max_tgt_len=1)
+    ids, mask = encode_query("storm flood go")
+    with pytest.raises(ValueError, match="example 1: source ids/mask lengths differ: 4 / 3"):
+        evaluate(params, [encode_query(), (ids, mask[:3]), encode_query()], ["no"] * 3, VOCAB,
+                 cfg)
+    with pytest.raises(ValueError, match="example 2: no attendable source positions"):
+        evaluate(params, [encode_query(), encode_query("go"), (ids, np.zeros_like(mask))],
+                 ["no"] * 3, VOCAB, cfg)
 
 
 def test_evaluate_report_shape():

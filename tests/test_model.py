@@ -20,6 +20,7 @@ from crisisadapt.model import (
     shift_right,
 )
 from crisisadapt.tokenizer import EOS, PAD
+from crisisadapt.train import pad_sources
 
 
 def small_config(**overrides):
@@ -280,14 +281,14 @@ def test_greedy_stops_at_eos():
     cfg = small_config()
     params = rigged_params(cfg, {EOS: 10.0})
     out = generate_greedy(params, SRC[None], MASK[None], cfg, [[12]])
-    assert out == [EOS]
+    assert out == [[EOS]]
 
 
 def test_greedy_stops_at_max_tgt_len():
     for limit in (3, 8):
         cfg = small_config(max_tgt_len=limit)
         params = rigged_params(cfg, {7: 10.0})
-        assert generate_greedy(params, SRC[None], MASK[None], cfg, [[7] * 9]) == [7] * limit
+        assert generate_greedy(params, SRC[None], MASK[None], cfg, [[7] * 9]) == [[7] * limit]
 
 
 def test_greedy_tie_breaks_to_lowest_id():
@@ -295,17 +296,17 @@ def test_greedy_tie_breaks_to_lowest_id():
     params = rigged_params(cfg, {6: 10.0, 5: 10.0})
     # identical weights and biases make the two logits bitwise equal
     out = generate_greedy(params, SRC[None], MASK[None], cfg, [[5, 5]])
-    assert out == [5, 5]
+    assert out == [[5, 5]]
 
 
 def test_greedy_stops_once_output_cannot_be_accepted():
     cfg = small_config()
     params = rigged_params(cfg, {7: 10.0})
     # the first token already leaves every accepted sequence
-    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[12], [5, 7]]) == [7]
+    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[12], [5, 7]]) == [[7]]
     # the second token does: [7, 7] is no prefix of [7, 12]
-    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[7, 12]]) == [7, 7]
-    assert generate_greedy(params, SRC[None], MASK[None], cfg, []) == [7]
+    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[7, 12]]) == [[7, 7]]
+    assert generate_greedy(params, SRC[None], MASK[None], cfg, []) == [[7]]
 
 
 def test_greedy_drops_pads_before_matching_accepted_sequences():
@@ -313,13 +314,13 @@ def test_greedy_drops_pads_before_matching_accepted_sequences():
     # to the length limit even when only [12] is accepted
     cfg = small_config(max_tgt_len=5)
     params = rigged_params(cfg, {PAD: 10.0})
-    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[12]]) == [PAD] * 5
+    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[12]]) == [[PAD] * 5]
 
 
 def test_score_sequence_matches_log_softmax_sum():
     cfg = small_config()
     params = init_params(cfg, 13)
-    (got,) = score_sequence(params, SRC[None], MASK[None], TGT[None], cfg)
+    [[got]] = score_sequence(params, SRC[None], MASK[None], TGT[None], cfg).tolist()
     enc = encode_source(params, SRC[None], MASK[None], cfg)
     logits = decode_logits(params, enc, MASK[None], shift_right(TGT[None]), cfg).data[0]
     logz = np.logaddexp.reduce(logits.astype(np.float64), axis=1)
@@ -341,12 +342,71 @@ def test_score_sequence_rows_match_scoring_each_target_alone():
                 params[name].data *= 20.0
         src = np.roll(SRC, seed)[None]
         enc = encode_source(params, src, MASK[None], cfg)
-        alone = [score_sequence(params, src, MASK[None], tgt[None], cfg)[0] for tgt in targets]
+        alone = [score_sequence(params, src, MASK[None], tgt[None], cfg)[0, 0]
+                 for tgt in targets]
         together = score_sequence(params, src, MASK[None], targets, cfg)
         cached = score_sequence(params, src, MASK[None], targets, cfg, enc_states=enc)
-        assert together.dtype == np.float64 and together.shape == (3,)
-        assert together.tolist() == alone == cached.tolist()
-        assert score_sequence(params, src, MASK[None], targets[:2], cfg).tolist() == alone[:2]
+        assert together.dtype == np.float64 and together.shape == (1, 3)
+        assert together.tolist() == [alone] == cached.tolist()
+        assert score_sequence(params, src, MASK[None], targets[:2], cfg).tolist() == [alone[:2]]
+
+
+def scaled_params(cfg, seed, factor):
+    params = init_params(cfg, seed)
+    for name in params.names():
+        if name.endswith(".weight"):  # large enough that outputs depend on the source
+            params[name].data *= factor
+    return params
+
+
+# sources of 1-7 tokens: padded to the longest, the width stays under 8
+# keys, so each row's encoder states keep their bits (see the padding
+# test above)
+MIXED = [np.roll(SRC, i)[:n] for i, n in enumerate((3, 7, 5, 1, 4, 6, 2, 7))]
+
+
+def alone(src):
+    return src[None], np.ones((1, len(src)), dtype=np.float32)
+
+
+def test_batched_greedy_rows_match_each_row_decoded_alone():
+    """Each row of a batched greedy decode stops on its own rule and gets
+    the tokens it gets when decoded alone, unpadded."""
+    cfg = small_config()
+    ids, mask = pad_sources([(src, np.ones(len(src))) for src in MIXED], range(len(MIXED)))
+    lengths = set()
+    for seed in range(4):
+        params = scaled_params(cfg, seed, 50.0)
+        firsts = [generate_greedy(params, *alone(src), cfg, [])[0][0] for src in MIXED]
+        # rows whose first token starts no accepted sequence stop after it
+        accept = [[tok, 12] for tok in firsts[::2] if tok != PAD]
+        want = [generate_greedy(params, *alone(src), cfg, accept)[0] for src in MIXED]
+        enc = encode_source(params, ids, mask, cfg)
+        assert generate_greedy(params, ids, mask, cfg, accept) == want, seed
+        assert generate_greedy(params, ids, mask, cfg, accept, enc_states=enc) == want, seed
+        lengths.update(len(out) for out in want)
+    # rows stopped after one token, after two, and at the length limit
+    assert {1, 2, cfg.max_tgt_len} <= lengths
+
+
+def test_batched_scores_match_each_source_scored_alone():
+    """[B, L] scores of a padded batch have the bits of each source scored
+    alone, with or without cached encoder states and for any subset of
+    the batch's rows."""
+    cfg = small_config()
+    targets = np.array([[12, 7, EOS], [30, 30, EOS], [EOS, 5, EOS]], dtype=np.int64)
+    ids, mask = pad_sources([(src, np.ones(len(src))) for src in MIXED], range(len(MIXED)))
+    rows = [1, 4, 6]
+    for seed in range(4):
+        params = scaled_params(cfg, seed, 20.0)
+        want = [score_sequence(params, *alone(src), targets, cfg)[0].tolist() for src in MIXED]
+        got = score_sequence(params, ids, mask, targets, cfg)
+        assert got.dtype == np.float64 and got.shape == (len(MIXED), len(targets))
+        assert got.tolist() == want, seed
+        enc = encode_source(params, ids, mask, cfg)
+        subset = score_sequence(params, ids[rows], mask[rows], targets, cfg,
+                                enc_states=T.Tensor(enc.data[rows]))
+        assert subset.tolist() == [want[r] for r in rows], seed
 
 
 def test_score_sequence_requires_eos():

@@ -131,12 +131,13 @@ def test_recorder_sees_every_prediction_of_evaluate():
 @pytest.mark.parametrize("first, fallback", [("yes", False), ("water", True)],
                          ids=["label_then_eos", "word_first"])
 def test_prediction_costs_two_decoder_passes(monkeypatch, first, fallback):
-    """Greedy output [label, EOS] costs two greedy decoder passes; a first
-    token that rules a label out costs one greedy pass and one pass that
-    scores both labels. The traced greedy/fallback split keeps its
-    meaning: each prediction encodes once and calls
-    `evaluation.generate_greedy` once and `evaluation.score_sequence` at
-    most once, and every decoder pass runs inside one of the two."""
+    """A chunk of inputs is encoded once and decoded by one
+    `evaluation.generate_greedy` call: greedy output [label, EOS] costs it
+    two decoder passes, and a first token that rules a label out costs it
+    one, plus one `evaluation.score_sequence` pass that scores both labels
+    of every such row. Every decoder pass runs inside one of the two, and
+    `evaluation.predict_label` then decides each input without a model
+    call."""
     vocab = build_vocab(["water rain storm flood go"], min_freq=1)
     mcfg = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, d_ff=16, n_enc_layers=1,
                        n_dec_layers=1, dropout=0.0, max_src_len=8, max_tgt_len=10)
@@ -155,20 +156,19 @@ def test_prediction_costs_two_decoder_passes(monkeypatch, first, fallback):
         patcher.restore()
 
     traced = tracer.spans
-    preds = [i for i, s in enumerate(traced) if s[spans.NAME] == "evaluation.predict_label"]
-    assert len(preds) == 3 and report.fallback_count == 3 * fallback
+    (top,) = [i for i, s in enumerate(traced) if s[spans.NAME] == "evaluation.evaluate"]
+    assert report.fallback_count == 3 * fallback
+    calls = [j for j, s in enumerate(traced) if s[spans.PARENT] == top]
     scorer = ["model.score_sequence"] if fallback else []
-    for i in preds:
-        calls = [j for j, s in enumerate(traced) if s[spans.PARENT] == i]
-        assert [traced[j][spans.NAME] for j in calls] == \
-            ["model.encode_source", "model.generate_greedy", *scorer]
-        passes = [traced[j][spans.NAME] for s in traced
-                  if s[spans.NAME] == "model.decode_logits" and (j := s[spans.PARENT]) in calls]
-        assert passes == ["model.generate_greedy", *(scorer or ["model.generate_greedy"])]
-    metrics = layers.layer_metrics(traced, 1.0)
-    assert metrics["model.decode_calls_per_eval_example"] == 2.0
-    assert metrics["model.encode_calls_per_eval_example"] == 1.0
-    assert metrics["evaluation.fallback_ratio"] == float(fallback)
+    # the three inputs fit one chunk
+    assert [traced[j][spans.NAME] for j in calls] == \
+        ["model.encode_source", "model.generate_greedy", *scorer,
+         *["evaluation.predict_label"] * 3]
+    passes = [traced[j][spans.NAME] for s in traced
+              if s[spans.NAME] == "model.decode_logits" and (j := s[spans.PARENT]) in calls]
+    assert passes == ["model.generate_greedy", *(scorer or ["model.generate_greedy"])]
+    decisions = {j for j in calls if traced[j][spans.NAME] == "evaluation.predict_label"}
+    assert not [s for s in traced if s[spans.PARENT] in decisions]  # no model call inside
 
 
 def test_matrix_tiny_records_one_training_per_row(tmp_path):

@@ -1,10 +1,12 @@
 """Optimizer, LR schedule, loop determinism, resume, history files."""
 
+import re
+
 import numpy as np
 import pytest
 
 import crisisadapt.tensor as T
-from crisisadapt.errors import ConfigError
+from crisisadapt.errors import ConfigError, NonFiniteError
 from crisisadapt.model import ModelConfig, ParameterStore, example_loss, init_params
 from crisisadapt.rng import mix_seed
 from crisisadapt.tokenizer import EOS
@@ -236,6 +238,39 @@ def test_misaligned_example_mask_rejected():
     tcfg = TrainConfig(peak_lr=1e-3, effective_batch=4, epochs=2)
     with pytest.raises(ValueError, match="example 2: source ids/mask lengths differ"):
         train(init_params(MICRO, 0), examples, MICRO, tcfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+def test_diverging_loss_fails_fast():
+    """A learning rate of 1e30 drives the loss to NaN within a few steps;
+    training stops there, naming the step, the epoch and the chunk."""
+    cfg = ModelConfig(vocab_size=8, d_model=16, n_heads=2, d_ff=32, n_enc_layers=1,
+                      n_dec_layers=1, dropout=0.0, max_src_len=8, max_tgt_len=4)
+    tcfg = TrainConfig(peak_lr=1e30, effective_batch=4, epochs=4)
+    seen = []
+    with pytest.raises(NonFiniteError, match=r"loss (nan|inf) over the chunk of slots \[") as err:
+        train(init_params(cfg, 0), micro_examples(8), cfg, tcfg,
+              on_epoch_end=lambda epoch, params: seen.append(epoch))
+    step, epoch = map(int, re.match(r"step (\d+), epoch (\d+): ", str(err.value)).groups())
+    # two steps per epoch; the epochs before the failing one completed
+    assert step >= 1 and epoch == step // 2 and seen == list(range(epoch))
+
+
+def test_non_finite_gradient_fails_fast_before_the_update(monkeypatch):
+    params = init_params(MICRO, 0)
+    before = snapshot(params)
+
+    def inf_gradients(params, *args):
+        grads = {name: np.zeros_like(t.data) for name, t in params.items()}
+        grads["embed.weight"][3, 1] = np.inf
+        return 1.5, grads
+
+    monkeypatch.setattr("crisisadapt.train.step_gradients", inf_gradients)
+    tcfg = TrainConfig(peak_lr=1e-3, effective_batch=4, epochs=2)
+    with pytest.raises(NonFiniteError, match=r"^step 0, epoch 0: gradient norm is not finite"):
+        train(params, micro_examples(8), MICRO, tcfg)
+    for name, arr in before.items():
+        assert np.array_equal(params[name].data, arr)
 
 
 def test_warmup_covering_run_fails_fast():
