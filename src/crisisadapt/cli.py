@@ -8,7 +8,8 @@ leave-one-out over events. Every run directory gets a manifest.json with
 input digests and the exact configuration.
 
 Exit codes: 0 success, 2 configuration or usage problems, 3 data or
-checkpoint problems, 4 incomplete experiments.
+checkpoint problems, 4 incomplete experiments, 5 a training run whose loss
+or gradient norm stopped being finite.
 
 Relative input paths that do not exist under the working directory are
 retried under $CRISISADAPT_DATA_DIR when it is set.
@@ -98,6 +99,8 @@ def _load_config_file(path: str | None) -> dict:
         cfg = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: malformed UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: malformed config JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -105,6 +108,9 @@ def _load_config_file(path: str | None) -> dict:
     unknown = set(cfg) - {"model", "train", "seed"}
     if unknown:
         raise ConfigError(f"{p}: unknown config sections {sorted(unknown)}")
+    for name in ("model", "train"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"{p}: config section {name!r} must be a JSON object")
     return cfg
 
 

@@ -100,21 +100,28 @@ class AdaptationPlan:
 
 
 def load_registry(path: str | Path) -> dict[str, EventDescriptor]:
-    """Load the event registry JSON: {event_id: {location_name, crisis_name, ...}}."""
+    """Load the event registry JSON: {event_id: {location_name, crisis_name, ...}}.
+    Each entry must be an object, and its two names strings."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: malformed UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed registry JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: registry must be a JSON object, got {type(raw).__name__}")
     registry = {}
     for event_id, meta in raw.items():
-        registry[event_id] = EventDescriptor(
-            event_id=event_id,
-            location_name=meta.get("location_name", ""),
-            crisis_name=meta.get("crisis_name", ""),
-            event_type=meta.get("event_type"),
-        )
+        if not isinstance(meta, dict):
+            raise SchemaError(
+                f"{path}: event {event_id!r} must be a JSON object, got {type(meta).__name__}"
+            )
+        names = {key: meta.get(key, "") for key in ("location_name", "crisis_name")}
+        for key, value in names.items():
+            if not isinstance(value, str):
+                raise SchemaError(f"{path}: event {event_id!r}: {key} must be a string, "
+                                  f"got {value!r}")
+        registry[event_id] = EventDescriptor(event_id, **names, event_type=meta.get("event_type"))
     return registry
 
 

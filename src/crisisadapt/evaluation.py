@@ -131,17 +131,19 @@ class EvalReport:
 
 def evaluate(
     params: ParameterStore,
-    encoded: list[tuple[np.ndarray, np.ndarray]],
+    encoded: list[np.ndarray],
     gold: list[str],
     vocab: Vocabulary,
     config: ModelConfig,
 ) -> EvalReport:
-    """Predict every encoded (ids, mask) pair and score against gold labels.
+    """Predict every encoded source (a 1-D id array) and score against gold
+    labels.
 
     The inputs run in length-sorted chunks within _EVAL_BUDGET
-    (:func:`train.chunk_by_length`). Each chunk is padded to its longest
-    input and encoded once, then decoded greedily as one batch, which
-    stops each row as soon as its output can no longer be a label word.
+    (:func:`train.chunk_by_length`). Each chunk is padded and masked
+    (:func:`train.pad_sources`) and encoded once, then decoded greedily
+    as one batch, which stops each row as soon as its output can no longer
+    be a label word.
     The rows whose output is not exactly a label word are scored for both
     label sequences in one more decoder pass. :func:`predict_label` then
     decides each input, in input order. A prediction does not depend on
@@ -164,11 +166,11 @@ def evaluate(
         # looked up on the module, so that a wrapper installed there (a
         # profiler or a call counter) sees this call
         enc = model.encode_source(params, ids, mask, config)
-        outs = generate_greedy(params, ids, mask, config, accept, enc_states=enc)
+        outs = generate_greedy(params, enc, mask, config, accept)
         rows = [r for r, out in enumerate(outs) if parse_label(decode(out, vocab)) is None]
         if rows:
-            row_scores = score_sequence(params, ids[rows], mask[rows], targets, config,
-                                        enc_states=Tensor(enc.data[rows]))
+            row_scores = score_sequence(params, Tensor(enc.data[rows]), mask[rows], targets,
+                                        config)
             for r, s in zip(rows, row_scores):
                 scores[chunk[r]] = s
         for i, out in zip(chunk, outs):

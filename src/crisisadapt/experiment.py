@@ -62,12 +62,6 @@ def _target_ids(record: CrisisRecord, vocab: Vocabulary) -> np.ndarray:
     return np.array([tid, EOS], dtype=np.int64)
 
 
-def _source_arrays(aug, vocab: Vocabulary, model_config: ModelConfig):
-    """An augmented input's (ids, mask) arrays, unpadded."""
-    ids, mask = encode_augmented(aug, vocab, model_config.max_src_len)
-    return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float32)
-
-
 def augmented_texts(
     records: list[CrisisRecord], scenario: str, registry: dict[str, EventDescriptor]
 ) -> list[str]:
@@ -81,11 +75,11 @@ def encode_training_examples(
     registry: dict[str, EventDescriptor],
     vocab: Vocabulary,
     model_config: ModelConfig,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(src_ids, src_mask, target_ids) triples; each record is augmented
-    with the description of its own event."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(src_ids, target_ids) pairs of 1-D id arrays; each record is
+    augmented with the description of its own event."""
     return [
-        (*_source_arrays(_augmented(rec, scenario, registry), vocab, model_config),
+        (encode_augmented(_augmented(rec, scenario, registry), vocab, model_config.max_src_len),
          _target_ids(rec, vocab))
         for rec in records
     ]
@@ -97,13 +91,14 @@ def encode_eval_inputs(
     descriptor: EventDescriptor,
     vocab: Vocabulary,
     model_config: ModelConfig,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[str]]:
-    """Encoded test inputs (augmented with the target event's description)
-    plus the gold label list."""
+) -> tuple[list[np.ndarray], list[str]]:
+    """Encoded test inputs, 1-D id arrays augmented with the target event's
+    description, plus the gold label list."""
     encoded, gold = [], []
     for rec in records:
         gold.append(_unified_label(rec))
-        encoded.append(_source_arrays(construct(rec, scenario, descriptor), vocab, model_config))
+        encoded.append(encode_augmented(construct(rec, scenario, descriptor), vocab,
+                                        model_config.max_src_len))
     return encoded, gold
 
 

@@ -9,8 +9,8 @@ argmax with lowest-id tie-break.
 Every entry point takes batches only: sources [B, S] with a mask that
 is 0.0 at padding, and targets [B, T]; a 1-D input raises a ValueError.
 Padded keys get a -1e9 score bias [B, 1, 1, S] and so are never
-attended to. Greedy decoding and sequence scoring take any number of
-sources, each row decoded or scored as if it ran alone.
+attended to. Greedy decoding and sequence scoring start from encoder
+states and take any number of sources, each row as if it ran alone.
 
 Each attention block is three bias-free projections, one
 :func:`tensor.attention` op (head split, scaled scores, bias, softmax,
@@ -327,30 +327,27 @@ def shift_right(target_ids) -> np.ndarray:
 
 def generate_greedy(
     params: ParameterStore,
-    src_ids,
+    enc_states: T.Tensor,
     src_mask,
     config: ModelConfig,
     accept: Sequence[Sequence[int]],
-    enc_states: T.Tensor | None = None,
 ) -> list[list[int]]:
-    """Greedy decode of sources ids/mask [B, S]: argmax at each step (ties
-    break to the lowest id); returns one token list per row. `accept`
+    """Greedy decode from encoder states [B, S, d_model] with src_mask
+    [B, S], as for :func:`decode_logits`: argmax at each step (ties break
+    to the lowest id); returns one token list per row. `accept`
     lists the PAD-free id sequences the caller can use. A row stops at the
     end token, after `config.max_tgt_len` tokens, or as soon as its tokens
     so far, with PADs dropped, are no longer a prefix of an accepted
     sequence; decoding further could then not produce one. Its tokens up
     to the stop are returned, the last one included. Each decoder pass
     runs the rows that have not stopped, and the loop ends when every row
-    has. `enc_states`, if given, are these sources' encoder states
-    [B, S, d_model], which are then not computed again.
+    has.
 
     A row's tokens do not depend on the other rows: padding and batch size
     change its logits by float32 rounding only, as for
     :func:`encode_source` (bitwise on the 16-dim test model below a padded
     width of 8 keys)."""
     accepted = [tuple(seq) for seq in accept]
-    if enc_states is None:
-        enc_states = encode_source(params, src_ids, src_mask, config)
     mask = np.asarray(src_mask, dtype=np.float32)
     outs: list[list[int]] = [[] for _ in range(len(mask))]
     live = np.arange(len(mask))  # the rows still decoding
@@ -376,24 +373,22 @@ def generate_greedy(
     return outs
 
 
-def score_sequence(params: ParameterStore, src_ids, src_mask, target_ids, config: ModelConfig,
-                   enc_states: T.Tensor | None = None) -> np.ndarray:
+def score_sequence(params: ParameterStore, enc_states: T.Tensor, src_mask, target_ids,
+                   config: ModelConfig) -> np.ndarray:
     """Sums of log-probabilities of the L targets `target_ids` [L, T],
     each ending with the end token, under teacher forcing, for each of the
-    sources ids/mask [B, S]; returns the [B, L] sums as float64. All B·L
+    B sources whose encoder states and mask are given as for
+    :func:`decode_logits`; returns the [B, L] sums as float64. All B·L
     (source, target) pairs are scored in one decoder pass over L copies of
     each source's encoder states. Each sum has the bits of its target
     scored alone for its source alone, unpadded, as long as padding leaves
-    the source's encoder states unchanged (see :func:`encode_source`).
-    `enc_states` are as for :func:`generate_greedy`."""
+    the source's encoder states unchanged (see :func:`encode_source`)."""
     tgt = np.asarray(target_ids, dtype=np.int64)
     if tgt.ndim != 2 or tgt.size == 0 or (tgt[:, -1] != EOS).any():
         raise ValueError(
             f"targets must be a non-empty [L, T] array, each ending with the end token, "
             f"got shape {tgt.shape}"
         )
-    if enc_states is None:
-        enc_states = encode_source(params, src_ids, src_mask, config)
     batch, copies = len(enc_states.data), len(tgt)
     pairs = np.tile(tgt, (batch, 1))  # row b * L + l holds target l for source b
     logits = decode_logits(

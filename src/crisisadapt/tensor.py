@@ -44,7 +44,6 @@ __all__ = [
     "cross_entropy",
     "dropout",
     "backward",
-    "finite_diff_check",
 ]
 
 _ACTIVE: list["Tape"] = []
@@ -502,44 +501,3 @@ def dropout(x: Tensor, p: float, rngs, lengths) -> Tensor:
         acc.add(x, g * keep)
 
     return _apply(x.data * keep, (x,), bw)
-
-
-def finite_diff_check(f, x: Tensor, eps: float = 1e-5) -> float:
-    """Compare f's analytic gradient at x against central differences.
-
-    Returns the max over coordinates of |analytic - numeric| scaled by
-    max(|analytic|, |numeric|, 1e-12). f must be deterministic: two
-    baseline evaluations are compared bitwise first.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-
-    def evaluate(arr: np.ndarray) -> float:
-        out = f(Tensor(arr))
-        if out.data.shape != ():
-            raise ValueError(f"f must be scalar-valued, got shape {out.data.shape}")
-        return float(out.data)
-
-    base = evaluate(x.data.copy())
-    if evaluate(x.data.copy()) != base:
-        raise ValueError("f is non-deterministic: two baseline evaluations differ")
-
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    with Tape() as tape:
-        loss = f(probe)
-    analytic = backward(tape, loss).of(probe)
-
-    flat = x.data.copy().reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = evaluate(flat.reshape(x.data.shape))
-        flat[i] = orig - eps
-        lo = evaluate(flat.reshape(x.data.shape))
-        flat[i] = orig
-        numeric[i] = (hi - lo) / (2 * eps)
-    numeric = numeric.reshape(x.data.shape)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
-    return float((np.abs(analytic - numeric) / denom).max())

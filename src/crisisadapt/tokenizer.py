@@ -4,10 +4,10 @@ The normalizer applies Unicode NFC, lowercases, splits on whitespace, and
 peels each leading/trailing punctuation character (Unicode category P*)
 off into its own token, so "Flood!" becomes ["flood", "!"].
 
-Truncation is suffix-preserving for augmented inputs: when an input
-exceeds the length cap, tokens are dropped from the end of the message
-content only, never from the question template, so the event description
-survives encoding. Plain text truncates from the tail.
+An augmented input encodes to a 1-D id array ending in EOS, which
+:func:`train.pad_sources` pads and masks per batch. Truncation keeps the
+template: tokens are dropped from the end of the message content only, so
+the event description survives encoding.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from .errors import VocabError
 from .files import write_atomic
@@ -153,25 +155,9 @@ def build_vocab(
     )
 
 
-def _finalize(ids: list[int]) -> tuple[list[int], list[int]]:
-    """Append EOS; every position of the result is real, so the mask is all ones."""
-    ids = ids + [EOS]
-    return ids, [1] * len(ids)
-
-
-def encode(text: str, vocab: Vocabulary, max_len: int) -> tuple[list[int], list[int]]:
-    """Encode plain text: tokens -> ids (UNK for OOV), tail-truncated to
-    max_len - 1, EOS appended. Returns (ids, mask), unpadded; batching
-    pads later."""
-    if max_len < 2:
-        raise ValueError(f"max_len must be >= 2, got {max_len}")
-    return _finalize([vocab.lookup(tok) for tok in tokenize(text)][: max_len - 1])
-
-
-def encode_augmented(
-    aug: AugmentedInput, vocab: Vocabulary, max_len: int
-) -> tuple[list[int], list[int]]:
-    """Encode an augmented input, truncating only the message content.
+def encode_augmented(aug: AugmentedInput, vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """Encode an augmented input as at most `max_len` int64 ids ending in
+    EOS (UNK for out-of-vocabulary tokens), truncating only the content.
 
     The template prefix and suffix around the content span are tokenized
     separately (split points fall on whitespace/punctuation boundaries, so
@@ -191,7 +177,7 @@ def encode_augmented(
             f"template alone needs {len(prefix_ids) + len(suffix_ids) + 1} tokens, "
             f"over max_len={max_len}"
         )
-    return _finalize(prefix_ids + content_ids[:budget] + suffix_ids)
+    return np.array(prefix_ids + content_ids[:budget] + suffix_ids + [EOS], dtype=np.int64)
 
 
 def decode(ids, vocab: Vocabulary) -> str:
@@ -236,7 +222,10 @@ def _header_int(path, header: dict[str, str], key: str) -> int:
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise VocabError(f"{path}: malformed UTF-8: {exc}") from None
     if lines and lines[-1] == "":
         lines.pop()
     header: dict[str, str] = {}

@@ -19,7 +19,6 @@ generator over its own length, so the masks do not depend on chunking.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -138,8 +137,8 @@ def steps_per_epoch(n_examples: int, effective_batch: int) -> int:
 
 def chunk_by_length(sources, items, d_model: int, budget: int,
                     group=None) -> list[list[int]]:
-    """Split `items`, indices into `sources` ((ids, mask, ...) tuples), into
-    the chunks they run in as batched passes.
+    """Split `items`, indices into `sources` (1-D id arrays), into the
+    chunks they run in as batched passes.
 
     Items are sorted by (source length, index) and packed greedily while
     chunk size x longest source x `d_model` stays within `budget`; a
@@ -147,9 +146,9 @@ def chunk_by_length(sources, items, d_model: int, budget: int,
     values differ never share a chunk.
     """
     chunks: list[list[int]] = []
-    for i in sorted(items, key=lambda i: (len(sources[i][0]), i)):
+    for i in sorted(items, key=lambda i: (len(sources[i]), i)):
         last = chunks[-1] if chunks else None
-        if (last and (len(last) + 1) * len(sources[i][0]) * d_model <= budget
+        if (last and (len(last) + 1) * len(sources[i]) * d_model <= budget
                 and (group is None or group(last[0]) == group(i))):
             last.append(i)
         else:
@@ -158,22 +157,15 @@ def chunk_by_length(sources, items, d_model: int, budget: int,
 
 
 def pad_sources(sources, chunk) -> tuple[np.ndarray, np.ndarray]:
-    """Source ids and mask [B, S] of `sources[i]` for each i in `chunk`,
-    right-padded to the longest. A source whose ids and mask differ in
-    length, or whose mask is all zero, raises a ValueError naming it."""
-    width = max(len(sources[i][0]) for i in chunk)
+    """Source ids and mask [B, S] of the id arrays `sources[i]` for each i
+    in `chunk`, right-padded to the longest; the mask is 1.0 over each
+    source's own length, 0.0 at padding."""
+    width = max(len(sources[i]) for i in chunk)
     ids = np.full((len(chunk), width), PAD, dtype=np.int64)
     mask = np.zeros((len(chunk), width), dtype=np.float32)
     for row, i in enumerate(chunk):
-        src_ids, src_mask = sources[i][:2]
-        if len(src_mask) != len(src_ids):
-            raise ValueError(
-                f"example {i}: source ids/mask lengths differ: {len(src_ids)} / {len(src_mask)}"
-            )
-        ids[row, : len(src_ids)] = src_ids
-        mask[row, : len(src_ids)] = src_mask
-        if not mask[row].any():
-            raise ValueError(f"example {i}: no attendable source positions: mask is all zero")
+        ids[row, : len(sources[i])] = sources[i]
+        mask[row, : len(sources[i])] = 1.0
     return ids, mask
 
 
@@ -181,8 +173,8 @@ def chunk_slots(examples, slots, d_model: int) -> list[list[int]]:
     """The chunks of a step's slots (:func:`chunk_by_length` within
     _ACTIVATION_BUDGET); examples with targets of different lengths never
     share a chunk."""
-    return chunk_by_length(examples, slots, d_model, _ACTIVATION_BUDGET,
-                           group=lambda s: len(examples[s][2]))
+    return chunk_by_length([src for src, _ in examples], slots, d_model, _ACTIVATION_BUDGET,
+                           group=lambda s: len(examples[s][1]))
 
 
 def step_gradients(
@@ -198,9 +190,10 @@ def step_gradients(
     A chunk whose loss is not finite raises NonFiniteError."""
     grad_sums = {name: np.zeros_like(t.data) for name, t in params.items()}
     loss_sum = 0.0
+    sources = [src for src, _ in examples]
     for chunk in chunk_slots(examples, slots, model_config.d_model):
-        src_ids, src_mask = pad_sources(examples, chunk)
-        tgt_ids = np.stack([examples[slot][2] for slot in chunk])
+        src_ids, src_mask = pad_sources(sources, chunk)
+        tgt_ids = np.stack([examples[slot][1] for slot in chunk])
         rngs = None if model_config.dropout == 0 else [
             np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
             for slot in chunk
@@ -234,7 +227,8 @@ def train(
 ) -> TrainResult:
     """Run (or continue) a training loop over encoded examples.
 
-    `examples` is a sequence of (src_ids, src_mask, target_ids) triples.
+    `examples` is a sequence of (src_ids, target_ids) pairs of 1-D id
+    arrays; :func:`pad_sources` pads and masks each chunk's sources.
     `start_step` > 0 continues an earlier run and requires the matching
     `optimizer` state. `on_epoch_end(epoch, params)` may return True to
     stop after that epoch. Parameters are updated in place. A step whose
@@ -274,13 +268,17 @@ def train(
             order_epoch = epoch
         slots = order[b * train_config.effective_batch : (b + 1) * train_config.effective_batch]
 
-        try:
-            loss, mean_grads = step_gradients(params, examples, slots, model_config, seed, epoch)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"step {s}, {exc}") from None
-        # one global gradient norm per step; the float32 sum overflows to
-        # inf only for a norm past 1e19
-        norm_sq = sum(float(np.vdot(g, g)) for g in mean_grads.values())
+        # an overflow surfaces as the NonFiniteError below, so numpy's
+        # warnings about it would only repeat that report
+        with np.errstate(all="ignore"):
+            try:
+                loss, mean_grads = step_gradients(params, examples, slots, model_config, seed,
+                                                  epoch)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"step {s}, {exc}") from None
+            # one global gradient norm per step; the float32 sum overflows to
+            # inf only for a norm past 1e19
+            norm_sq = sum(float(np.vdot(g, g)) for g in mean_grads.values())
         if not math.isfinite(norm_sq):
             raise NonFiniteError(f"step {s}, epoch {epoch}: gradient norm is not finite")
         lr = lr_at(s, total, train_config.warmup_ratio, train_config.peak_lr)
@@ -299,15 +297,3 @@ def train(
 def write_history(path, records: list[StepRecord]) -> None:
     lines = ["step,lr,loss", *(f"{r.step},{r.lr!r},{r.loss!r}" for r in records)]
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def read_history(path) -> list[StepRecord]:
-    records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["step", "lr", "loss"]:
-            raise ValueError(f"unexpected history header: {header!r}")
-        for row in reader:
-            records.append(StepRecord(step=int(row[0]), lr=float(row[1]), loss=float(row[2])))
-    return records

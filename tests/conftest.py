@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import crisisadapt.tensor as T
 from crisisadapt.corpus import CrisisRecord, EventDescriptor
+from crisisadapt.tokenizer import EOS, tokenize
 
 
 def make_record(i: int, event_id: str = "evt", text: str | None = None,
@@ -13,6 +15,12 @@ def make_record(i: int, event_id: str = "evt", text: str | None = None,
         event_id=event_id,
         unified_label=label if label in ("yes", "no") else None,
     )
+
+
+def encode_text(text: str, vocab) -> np.ndarray:
+    """`text` as an encoded source: its token ids (UNK for unknown words)
+    then EOS, as `encode_augmented` encodes an input that fits."""
+    return np.array([vocab.lookup(tok) for tok in tokenize(text)] + [EOS], dtype=np.int64)
 
 
 @pytest.fixture
@@ -43,3 +51,44 @@ def scripted_decoder(decode_logits, script, rows=None):
             logits.data[picked, t, tok] += 100.0
         return logits
     return scripted
+
+
+def finite_diff_check(f, x: T.Tensor, eps: float = 1e-5) -> float:
+    """Compare f's analytic gradient at x against central differences.
+
+    Returns the max over coordinates of |analytic - numeric| scaled by
+    max(|analytic|, |numeric|, 1e-12). f must be deterministic: two
+    baseline evaluations are compared bitwise first.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+
+    def evaluate(arr: np.ndarray) -> float:
+        out = f(T.Tensor(arr))
+        if out.data.shape != ():
+            raise ValueError(f"f must be scalar-valued, got shape {out.data.shape}")
+        return float(out.data)
+
+    base = evaluate(x.data.copy())
+    if evaluate(x.data.copy()) != base:
+        raise ValueError("f is non-deterministic: two baseline evaluations differ")
+
+    probe = T.Tensor(x.data.copy(), requires_grad=True)
+    with T.Tape() as tape:
+        loss = f(probe)
+    analytic = T.backward(tape, loss).of(probe)
+
+    flat = x.data.copy().reshape(-1)
+    numeric = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = evaluate(flat.reshape(x.data.shape))
+        flat[i] = orig - eps
+        lo = evaluate(flat.reshape(x.data.shape))
+        flat[i] = orig
+        numeric[i] = (hi - lo) / (2 * eps)
+    numeric = numeric.reshape(x.data.shape)
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    return float((np.abs(analytic - numeric) / denom).max())

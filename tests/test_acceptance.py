@@ -17,10 +17,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import finite_diff_check
 from test_eval import oracle_accuracy, oracle_pearson, oracle_weighted_f1
 from test_prompt import CASES, NEPAL_NOLOC
 
-from crisisadapt import tensor as T
 from crisisadapt.checkpoint import load_checkpoint, save_checkpoint
 from crisisadapt.corpus import (
     RELEVANCE_MAP,
@@ -57,7 +57,7 @@ from crisisadapt.prompt import construct
 from crisisadapt.rng import SplitMix64
 from crisisadapt.synth import DEFAULT_EVENTS, generate_corpus
 from crisisadapt.tokenizer import build_vocab, decode, encode_augmented, tokenize
-from crisisadapt.train import TrainConfig, chunk_slots, lr_at, train
+from crisisadapt.train import TrainConfig, chunk_slots, lr_at, pad_sources, train
 
 
 @contextmanager
@@ -117,7 +117,7 @@ def test_acceptance_01_gradient_integrity():
         params = grad_params()
         worst = 0.0
         for name in params.names():
-            err = T.finite_diff_check(grad_loss_fn(params, name),
+            err = finite_diff_check(grad_loss_fn(params, name),
                                       params[name], eps=3e-5)
             worst = max(worst, err)
         elapsed = time.monotonic() - start
@@ -161,8 +161,8 @@ def test_acceptance_02_init_loss_near_log_vocab():
         params = init_params(mcfg, 11)
         examples = encode_training_examples(records[:16], "standard",
                                             registry, vocab, mcfg)
-        losses = [float(example_loss(params, src[None], mask[None], tgt[None], mcfg).data)
-                  for src, mask, tgt in examples]
+        losses = [float(example_loss(params, *pad_sources([src], [0]), tgt[None], mcfg).data)
+                  for src, tgt in examples]
         mean = sum(losses) / len(losses)
         expected = math.log(vocab.size)
         assert abs(mean - expected) <= 0.10 * expected, (mean, expected)
@@ -281,7 +281,7 @@ def run_examples():
     for i in range(8):
         src = rng.integers(3, 12, size=5).astype(np.int64)
         tgt = np.array([3 + i % 9, EOS], dtype=np.int64)
-        examples.append((src, np.ones(5, dtype=np.float32), tgt))
+        examples.append((src, tgt))
     return examples
 
 
@@ -476,7 +476,7 @@ def test_acceptance_11_truncation_keeps_question_template():
         suffix_ids = [vocab.lookup(t) for t in suffix_tokens]
         for aug in augmented:
             assert len(tokenize(aug.text)) + 1 > max_len  # genuinely over-length
-            ids, mask = encode_augmented(aug, vocab, max_len)
+            ids = encode_augmented(aug, vocab, max_len)
             assert len(ids) == max_len and ids[-1] == EOS
-            assert ids[-1 - len(suffix_ids):-1] == suffix_ids
+            assert ids[-1 - len(suffix_ids):-1].tolist() == suffix_ids
             assert decode(ids, vocab).endswith(question)

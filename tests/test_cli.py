@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from crisisadapt.checkpoint import load_checkpoint
 from crisisadapt.errors import IncompleteExperimentError
 from crisisadapt.evaluation import AdaptationMatrix
 from crisisadapt.tokenizer import _digest, load_vocab, save_vocab
-from crisisadapt.train import read_history
 
 CONFIG = {
     "model": {"size": "tiny", "d_model": 16, "n_heads": 2, "d_ff": 32,
@@ -49,6 +49,11 @@ def ws(tmp_path_factory):
                      "--out", str(run)]) == 0
     return {"root": root, "data": data, "vocab": vocab_path,
             "config": config_path, "run": run}
+
+
+def history_steps(path):
+    """The step column of a history.csv."""
+    return [int(row.split(",")[0]) for row in path.read_text(encoding="utf-8").splitlines()[1:]]
 
 
 def base_args(ws, sub, **extra):
@@ -101,8 +106,7 @@ def test_train_run_artifacts(ws):
     report = json.loads((run / "report.json").read_text(encoding="utf-8"))
     assert 0.0 <= report["accuracy"] <= 1.0
     assert report["n"] == 4
-    history = read_history(run / "history.csv")
-    assert [h.step for h in history] == [0, 1]
+    assert history_steps(run / "history.csv") == [0, 1]
     ckpt = load_checkpoint(run / "checkpoint.castckpt")
     assert ckpt.step == 2
     assert ckpt.adam_t == 2
@@ -119,8 +123,7 @@ def test_train_resume_continues_step_count(ws, tmp_path):
                      out=out, resume=ws["run"] / "checkpoint.castckpt")
     args[args.index(str(ws["config"]))] = str(config_path)
     assert cli.main(args) == 0
-    history = read_history(out / "history.csv")
-    assert [h.step for h in history] == [2, 3]  # continued, not restarted
+    assert history_steps(out / "history.csv") == [2, 3]  # continued, not restarted
     assert load_checkpoint(out / "checkpoint.castckpt").step == 4
 
 
@@ -274,18 +277,56 @@ def test_bad_train_config_exits_2(ws, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
-def test_diverging_train_exits_5_and_writes_no_artifacts(ws, tmp_path, capsys):
+def test_diverging_train_exits_5_and_writes_no_artifacts(ws, tmp_path):
+    """Run as a program, so that a warning numpy printed on the way to the
+    non-finite loss would show on stderr next to the error line."""
     diverging = tmp_path / "diverging.json"
     doc = {**CONFIG, "train": {**CONFIG["train"], "peak_lr": 1e30, "epochs": 4}}
     diverging.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "run"
     args = base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood", out=out)
     args[args.index(str(ws["config"]))] = str(diverging)
-    assert cli.main(args) == 5
-    err = capsys.readouterr().err
-    assert err.startswith("error: step ") and "over the chunk of slots" in err
+    proc = subprocess.run([sys.executable, "-m", "crisisadapt.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 5
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: step ") and "over the chunk of slots" in line
     for name in ("checkpoint.castckpt", "history.csv", "report.json", "manifest.json"):
         assert not (out / name).exists(), name
+
+
+def _entry_not_an_object(raw: bytes) -> bytes:
+    return json.dumps({**json.loads(raw), "alpha_flood": 5}).encode("utf-8")
+
+
+def _crisis_name_not_a_string(raw: bytes) -> bytes:
+    doc = json.loads(raw)
+    doc["beta_flood"]["crisis_name"] = 7
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize("flag, corrupt, code, cause", [
+    ("registry", _entry_not_an_object, 3, "event 'alpha_flood' must be a JSON object, got int"),
+    ("registry", _crisis_name_not_a_string, 3,
+     "event 'beta_flood': crisis_name must be a string, got 7"),
+    ("registry", lambda raw: raw + b"\xff", 3, "malformed UTF-8"),
+    ("vocab", lambda raw: raw + b"\xff\n", 3, "malformed UTF-8"),
+    ("config", lambda raw: raw + b"\xff", 2, "malformed UTF-8"),
+    ("config", lambda raw: b'{"train": 5}', 2, "config section 'train' must be a JSON object"),
+    ("config", lambda raw: b'{"model": [1]}', 2, "config section 'model' must be a JSON object"),
+], ids=["registry_entry_not_object", "registry_name_not_string", "registry_utf8",
+        "vocab_utf8", "config_utf8", "config_train_not_object", "config_model_not_object"])
+def test_malformed_input_file_ends_in_one_error_line(ws, tmp_path, capsys, flag, corrupt, code,
+                                                     cause):
+    args = base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood",
+                     out=tmp_path / "x")
+    given = args.index(f"--{flag}") + 1
+    bad = tmp_path / Path(args[given]).name
+    bad.write_bytes(corrupt(Path(args[given]).read_bytes()))
+    args[given] = str(bad)
+    assert cli.main(args) == code
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {bad}: ") and cause in line
 
 
 @pytest.mark.parametrize("doc, field", [

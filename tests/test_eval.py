@@ -26,9 +26,10 @@ from crisisadapt.evaluation import (
 )
 from crisisadapt.model import ModelConfig, init_params, shift_right
 from crisisadapt.prompt import LABELS, parse_label
-from crisisadapt.tokenizer import EOS, PAD, UNK, build_vocab, decode, encode
+from crisisadapt.tokenizer import EOS, PAD, UNK, build_vocab, decode
+from crisisadapt.train import pad_sources
 
-from conftest import make_record, scripted_decoder
+from conftest import encode_text, make_record, scripted_decoder
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +180,7 @@ def rigged(favored: dict[str, float], max_tgt_len=6):
 
 
 def encode_query(text="water rain"):
-    ids, mask = encode(text, VOCAB, max_len=8)
-    return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.float32)
+    return encode_text(text, VOCAB)
 
 
 def predictions(params, encoded, cfg, vocab=VOCAB):
@@ -230,16 +230,6 @@ def test_predict_label_fallback_encodes_source_once(monkeypatch):
     """`evaluate` encodes each chunk of inputs once and reuses the states
     for greedy decoding and for scoring the fallbacks."""
     params, cfg = rigged({"water": 10.0, "yes": 2.0, "no": 1.0})
-    ids, mask = (a[None] for a in encode_query())
-    enc = model.encode_source(params, ids, mask, cfg)
-    # reused states give the same bits as states computed afresh
-    targets = [[VOCAB.lookup(lab), EOS] for lab in LABELS]
-    assert model.score_sequence(params, ids, mask, targets, cfg, enc_states=enc).tolist() == \
-        model.score_sequence(params, ids, mask, targets, cfg).tolist()
-    accept = [[VOCAB.lookup(lab)] for lab in LABELS]
-    assert model.generate_greedy(params, ids, mask, cfg, accept, enc_states=enc) == \
-        model.generate_greedy(params, ids, mask, cfg, accept)
-
     calls = []
     encode_source = model.encode_source
 
@@ -251,6 +241,15 @@ def test_predict_label_fallback_encodes_source_once(monkeypatch):
     encoded = [encode_query(text) for text in ("water rain", "storm flood go", "go")]
     assert predictions(params, encoded, cfg) == [("yes", True)] * 3
     assert len(calls) == 1  # the three inputs fit one chunk
+
+
+def greedy_and_scores(params, ids, mask, cfg, accept, targets):
+    """Greedy output, joint label scores and each label scored alone, for
+    sources ids/mask [B, S]."""
+    enc = model.encode_source(params, ids, mask, cfg)
+    return (model.generate_greedy(params, enc, mask, cfg, accept),
+            model.score_sequence(params, enc, mask, targets, cfg).tolist(),
+            [model.score_sequence(params, enc, mask, tgt[None], cfg).tolist() for tgt in targets])
 
 
 def test_right_padding_leaves_decode_score_and_label_unchanged():
@@ -266,27 +265,25 @@ def test_right_padding_leaves_decode_score_and_label_unchanged():
     targets = np.array([[VOCAB.lookup(lab), EOS] for lab in LABELS])
     accept = [[VOCAB.lookup(lab)] for lab in LABELS]
     for text in ("water rain", "storm flood go"):
-        ids, mask = (a[None] for a in encode_query(text))
-        want = (model.generate_greedy(params, ids, mask, cfg, accept),
-                model.score_sequence(params, ids, mask, targets, cfg).tolist(),
-                [model.score_sequence(params, ids, mask, tgt[None], cfg).tolist()
-                 for tgt in targets],
-                predictions(params, [(ids[0], mask[0])], cfg))
+        src = encode_query(text)
+        ids, mask = pad_sources([src], [0])
+        want = greedy_and_scores(params, ids, mask, cfg, accept, targets)
+        label = predictions(params, [src], cfg)
         for k in (1, 3, 8):
             ids_k = np.concatenate([ids, np.full((1, k), PAD, dtype=np.int64)], axis=1)
             mask_k = np.concatenate([mask, np.zeros((1, k), dtype=np.float32)], axis=1)
-            got = (model.generate_greedy(params, ids_k, mask_k, cfg, accept),
-                   model.score_sequence(params, ids_k, mask_k, targets, cfg).tolist(),
-                   [model.score_sequence(params, ids_k, mask_k, tgt[None], cfg).tolist()
-                    for tgt in targets],
-                   predictions(params, [(ids_k[0], mask_k[0])], cfg))
-            assert got == want, (text, k)
+            assert greedy_and_scores(params, ids_k, mask_k, cfg, accept, targets) == want, \
+                (text, k)
+            # the same source in a chunk padded to a longer one's width
+            assert predictions(params, [src, np.full(len(src) + k, EOS)], cfg)[:1] == label, \
+                (text, k)
 
 
-def reference_predict(params, ids, mask, vocab, cfg):
+def reference_predict(params, src, vocab, cfg):
     """predict_label without early stop or one-pass scoring: greedy decode
     to the end token or max_tgt_len, decode and parse the whole output,
     else score each label sequence in a pass of its own."""
+    ids, mask = pad_sources([src], [0])
     enc = model.encode_source(params, ids, mask, cfg)
     out, dec_input = [], [PAD]
     for _ in range(cfg.max_tgt_len):
@@ -328,8 +325,8 @@ def test_predict_label_matches_full_decode_reference_on_untrained_models():
             params, cfg = untrained(VOCAB, seed, weight_scale=scale)
             # the four inputs, of three lengths, run as one padded chunk
             got = predictions(params, encoded, cfg)
-            assert got == [reference_predict(params, ids[None], mask[None], VOCAB, cfg)
-                           for ids, mask in encoded], (seed, scale)
+            assert got == [reference_predict(params, src, VOCAB, cfg) for src in encoded], \
+                (seed, scale)
             outcomes.extend(got)
     # these models emit no label word, so every prediction falls back (the
     # scripted outputs below cover greedy labels); both labels win somewhere
@@ -357,13 +354,11 @@ def test_predict_label_matches_full_decode_reference_on_scripted_outputs(
     is no label and the prediction falls back to scoring."""
     ids = [vocab.lookup(tok) if isinstance(tok, str) else tok for tok in script]
     monkeypatch.setattr(model, "decode_logits", scripted_decoder(model.decode_logits, ids))
-    encoded = [(np.array(src), np.array(mask, dtype=np.float32))
-               for src, mask in (encode(text, vocab, max_len=8)
-                                 for text in ("water rain", "storm flood go", "go"))]
+    encoded = [encode_text(text, vocab) for text in ("water rain", "storm flood go", "go")]
     for seed in range(3):
         params, cfg = untrained(vocab, seed, max_tgt_len)
-        for got, (src, mask) in zip(predictions(params, encoded, cfg, vocab), encoded):
-            assert got == reference_predict(params, src[None], mask[None], vocab, cfg)
+        for got, src in zip(predictions(params, encoded, cfg, vocab), encoded):
+            assert got == reference_predict(params, src, vocab, cfg)
             assert got[1] == (want is None)
             if want is not None:
                 assert got == want
@@ -379,7 +374,7 @@ def test_evaluate_does_not_depend_on_batch_composition(monkeypatch):
     texts = ("water rain", "storm flood go water", "go", "flood storm", "rain go flood",
              "water water rain go storm flood", "storm")
     encoded = [encode_query(text) for text in texts]
-    assert len({len(ids) for ids, _ in encoded}) >= 4
+    assert len({len(ids) for ids in encoded}) >= 4
     outcomes = set()
     for seed in range(4):
         cfg = ModelConfig(vocab_size=VOCAB.size, d_model=16, n_heads=2, d_ff=32,
@@ -390,22 +385,11 @@ def test_evaluate_does_not_depend_on_batch_composition(monkeypatch):
             if name.endswith(".weight"):  # large enough that outputs depend on the source
                 params[name].data *= 30.0
         together = predictions(params, encoded, cfg)
-        assert together == [predictions(params, [pair], cfg)[0] for pair in encoded], seed
+        assert together == [predictions(params, [src], cfg)[0] for src in encoded], seed
         # and in reverse input order, which moves every row within the chunk
         assert predictions(params, encoded[::-1], cfg) == together[::-1], seed
         outcomes.update(together)
     assert {("yes", False), ("yes", True), ("no", True)} <= outcomes
-
-
-def test_evaluate_names_a_malformed_input():
-    params, cfg = rigged({"no": 10.0}, max_tgt_len=1)
-    ids, mask = encode_query("storm flood go")
-    with pytest.raises(ValueError, match="example 1: source ids/mask lengths differ: 4 / 3"):
-        evaluate(params, [encode_query(), (ids, mask[:3]), encode_query()], ["no"] * 3, VOCAB,
-                 cfg)
-    with pytest.raises(ValueError, match="example 2: no attendable source positions"):
-        evaluate(params, [encode_query(), encode_query("go"), (ids, np.zeros_like(mask))],
-                 ["no"] * 3, VOCAB, cfg)
 
 
 def test_evaluate_report_shape():

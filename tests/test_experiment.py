@@ -81,14 +81,14 @@ def test_augmented_texts_unknown_event():
 
 def test_training_examples_use_each_records_own_event():
     mixed = SPLITS["east_flood"].train[:2] + SPLITS["north_quake"].train[:2]
-    triples = encode_training_examples(mixed, "postq", REGISTRY, VOCAB, MCFG)
-    assert len(triples) == 4
-    for rec, (ids, mask, tgt) in zip(mixed, triples):
+    pairs = encode_training_examples(mixed, "postq", REGISTRY, VOCAB, MCFG)
+    assert len(pairs) == 4
+    for rec, (ids, tgt) in zip(mixed, pairs):
         text = decode(ids.tolist(), VOCAB)
         own = "easton flood" if rec.event_id == "east_flood" else "northam earthquake"
         assert own in text
-        assert PAD not in ids.tolist()  # unpadded for per-example training
-        assert mask.tolist() == [1.0] * len(ids)
+        assert ids.ndim == 1 and ids.dtype == np.int64
+        assert PAD not in ids.tolist() and ids[-1] == EOS  # padded only per chunk
         assert tgt.tolist() == [VOCAB.lookup(rec.unified_label), EOS]
 
 
@@ -112,7 +112,7 @@ def test_eval_inputs_use_target_descriptor():
     encoded, gold = encode_eval_inputs(records, "postq",
                                        REGISTRY["north_quake"], VOCAB, MCFG)
     assert gold == [r.unified_label for r in records]
-    for ids, mask in encoded:
+    for ids in encoded:
         text = decode(ids.tolist(), VOCAB)
         assert "northam earthquake" in text
         assert "easton" not in text

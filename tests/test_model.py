@@ -22,6 +22,8 @@ from crisisadapt.model import (
 from crisisadapt.tokenizer import EOS, PAD
 from crisisadapt.train import pad_sources
 
+from conftest import finite_diff_check
+
 
 def small_config(**overrides):
     base = dict(
@@ -232,12 +234,12 @@ def test_entry_points_reject_1d_inputs():
         example_loss(params, SRC[None], MASK[None], TGT, cfg)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
         shift_right(TGT)
-    with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
-        generate_greedy(params, SRC, MASK, cfg, [[12]])
-    with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
-        score_sequence(params, SRC, MASK, TGT[None], cfg)
+    with pytest.raises(ValueError, match=r"src_mask shape \(10,\)"):
+        generate_greedy(params, enc, MASK, cfg, [[12]])
+    with pytest.raises(ValueError, match=r"src_mask shape \(10,\)"):
+        score_sequence(params, enc, MASK, TGT[None], cfg)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
-        score_sequence(params, SRC[None], MASK[None], TGT, cfg)
+        score_sequence(params, enc, MASK[None], TGT, cfg)
 
 
 def test_logits_shape_and_finiteness():
@@ -265,6 +267,12 @@ def test_shift_right():
         shift_right([5, 6])
 
 
+def states(params, cfg, ids=SRC[None], mask=MASK[None]):
+    """The encoder states and mask of sources `ids`, the inputs of greedy
+    decoding and scoring."""
+    return encode_source(params, ids, mask, cfg), mask
+
+
 def rigged_params(cfg, favored: dict[int, float]):
     """Force out_proj logits so decoding is controlled by `favored` biases."""
     params = init_params(cfg, 0)
@@ -280,7 +288,7 @@ def rigged_params(cfg, favored: dict[int, float]):
 def test_greedy_stops_at_eos():
     cfg = small_config()
     params = rigged_params(cfg, {EOS: 10.0})
-    out = generate_greedy(params, SRC[None], MASK[None], cfg, [[12]])
+    out = generate_greedy(params, *states(params, cfg), cfg, [[12]])
     assert out == [[EOS]]
 
 
@@ -288,14 +296,14 @@ def test_greedy_stops_at_max_tgt_len():
     for limit in (3, 8):
         cfg = small_config(max_tgt_len=limit)
         params = rigged_params(cfg, {7: 10.0})
-        assert generate_greedy(params, SRC[None], MASK[None], cfg, [[7] * 9]) == [[7] * limit]
+        assert generate_greedy(params, *states(params, cfg), cfg, [[7] * 9]) == [[7] * limit]
 
 
 def test_greedy_tie_breaks_to_lowest_id():
     cfg = small_config(max_tgt_len=2)
     params = rigged_params(cfg, {6: 10.0, 5: 10.0})
     # identical weights and biases make the two logits bitwise equal
-    out = generate_greedy(params, SRC[None], MASK[None], cfg, [[5, 5]])
+    out = generate_greedy(params, *states(params, cfg), cfg, [[5, 5]])
     assert out == [[5, 5]]
 
 
@@ -303,10 +311,10 @@ def test_greedy_stops_once_output_cannot_be_accepted():
     cfg = small_config()
     params = rigged_params(cfg, {7: 10.0})
     # the first token already leaves every accepted sequence
-    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[12], [5, 7]]) == [[7]]
+    assert generate_greedy(params, *states(params, cfg), cfg, [[12], [5, 7]]) == [[7]]
     # the second token does: [7, 7] is no prefix of [7, 12]
-    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[7, 12]]) == [[7, 7]]
-    assert generate_greedy(params, SRC[None], MASK[None], cfg, []) == [[7]]
+    assert generate_greedy(params, *states(params, cfg), cfg, [[7, 12]]) == [[7, 7]]
+    assert generate_greedy(params, *states(params, cfg), cfg, []) == [[7]]
 
 
 def test_greedy_drops_pads_before_matching_accepted_sequences():
@@ -314,14 +322,14 @@ def test_greedy_drops_pads_before_matching_accepted_sequences():
     # to the length limit even when only [12] is accepted
     cfg = small_config(max_tgt_len=5)
     params = rigged_params(cfg, {PAD: 10.0})
-    assert generate_greedy(params, SRC[None], MASK[None], cfg, [[12]]) == [[PAD] * 5]
+    assert generate_greedy(params, *states(params, cfg), cfg, [[12]]) == [[PAD] * 5]
 
 
 def test_score_sequence_matches_log_softmax_sum():
     cfg = small_config()
     params = init_params(cfg, 13)
-    [[got]] = score_sequence(params, SRC[None], MASK[None], TGT[None], cfg).tolist()
     enc = encode_source(params, SRC[None], MASK[None], cfg)
+    [[got]] = score_sequence(params, enc, MASK[None], TGT[None], cfg).tolist()
     logits = decode_logits(params, enc, MASK[None], shift_right(TGT[None]), cfg).data[0]
     logz = np.logaddexp.reduce(logits.astype(np.float64), axis=1)
     want = sum(float(logits[i, t]) - float(logz[i]) for i, t in enumerate(TGT))
@@ -332,7 +340,7 @@ def test_score_sequence_matches_log_softmax_sum():
 
 def test_score_sequence_rows_match_scoring_each_target_alone():
     """L targets scored in one pass get the same bits as each target
-    scored on its own, with or without cached encoder states."""
+    scored on its own."""
     targets = np.array([[12, 7, EOS], [30, 30, EOS], [EOS, 5, EOS]], dtype=np.int64)
     for seed in range(4):
         cfg = small_config()
@@ -340,15 +348,12 @@ def test_score_sequence_rows_match_scoring_each_target_alone():
         for name in params.names():
             if name.endswith(".weight"):  # spread the logits, as a trained model does
                 params[name].data *= 20.0
-        src = np.roll(SRC, seed)[None]
-        enc = encode_source(params, src, MASK[None], cfg)
-        alone = [score_sequence(params, src, MASK[None], tgt[None], cfg)[0, 0]
-                 for tgt in targets]
-        together = score_sequence(params, src, MASK[None], targets, cfg)
-        cached = score_sequence(params, src, MASK[None], targets, cfg, enc_states=enc)
+        enc, mask = states(params, cfg, np.roll(SRC, seed)[None])
+        alone = [score_sequence(params, enc, mask, tgt[None], cfg)[0, 0] for tgt in targets]
+        together = score_sequence(params, enc, mask, targets, cfg)
         assert together.dtype == np.float64 and together.shape == (1, 3)
-        assert together.tolist() == [alone] == cached.tolist()
-        assert score_sequence(params, src, MASK[None], targets[:2], cfg).tolist() == [alone[:2]]
+        assert together.tolist() == [alone]
+        assert score_sequence(params, enc, mask, targets[:2], cfg).tolist() == [alone[:2]]
 
 
 def scaled_params(cfg, seed, factor):
@@ -365,25 +370,26 @@ def scaled_params(cfg, seed, factor):
 MIXED = [np.roll(SRC, i)[:n] for i, n in enumerate((3, 7, 5, 1, 4, 6, 2, 7))]
 
 
-def alone(src):
-    return src[None], np.ones((1, len(src)), dtype=np.float32)
+def alone(params, cfg, src):
+    """The states and mask of `src` encoded on its own, unpadded."""
+    return states(params, cfg, src[None], np.ones((1, len(src)), dtype=np.float32))
 
 
 def test_batched_greedy_rows_match_each_row_decoded_alone():
     """Each row of a batched greedy decode stops on its own rule and gets
     the tokens it gets when decoded alone, unpadded."""
     cfg = small_config()
-    ids, mask = pad_sources([(src, np.ones(len(src))) for src in MIXED], range(len(MIXED)))
+    ids, mask = pad_sources(MIXED, range(len(MIXED)))
     lengths = set()
     for seed in range(4):
         params = scaled_params(cfg, seed, 50.0)
-        firsts = [generate_greedy(params, *alone(src), cfg, [])[0][0] for src in MIXED]
+        firsts = [generate_greedy(params, *alone(params, cfg, src), cfg, [])[0][0]
+                  for src in MIXED]
         # rows whose first token starts no accepted sequence stop after it
         accept = [[tok, 12] for tok in firsts[::2] if tok != PAD]
-        want = [generate_greedy(params, *alone(src), cfg, accept)[0] for src in MIXED]
-        enc = encode_source(params, ids, mask, cfg)
-        assert generate_greedy(params, ids, mask, cfg, accept) == want, seed
-        assert generate_greedy(params, ids, mask, cfg, accept, enc_states=enc) == want, seed
+        want = [generate_greedy(params, *alone(params, cfg, src), cfg, accept)[0]
+                for src in MIXED]
+        assert generate_greedy(params, *states(params, cfg, ids, mask), cfg, accept) == want, seed
         lengths.update(len(out) for out in want)
     # rows stopped after one token, after two, and at the length limit
     assert {1, 2, cfg.max_tgt_len} <= lengths
@@ -391,21 +397,20 @@ def test_batched_greedy_rows_match_each_row_decoded_alone():
 
 def test_batched_scores_match_each_source_scored_alone():
     """[B, L] scores of a padded batch have the bits of each source scored
-    alone, with or without cached encoder states and for any subset of
-    the batch's rows."""
+    alone, also for any subset of the batch's rows."""
     cfg = small_config()
     targets = np.array([[12, 7, EOS], [30, 30, EOS], [EOS, 5, EOS]], dtype=np.int64)
-    ids, mask = pad_sources([(src, np.ones(len(src))) for src in MIXED], range(len(MIXED)))
+    ids, mask = pad_sources(MIXED, range(len(MIXED)))
     rows = [1, 4, 6]
     for seed in range(4):
         params = scaled_params(cfg, seed, 20.0)
-        want = [score_sequence(params, *alone(src), targets, cfg)[0].tolist() for src in MIXED]
-        got = score_sequence(params, ids, mask, targets, cfg)
+        want = [score_sequence(params, *alone(params, cfg, src), targets, cfg)[0].tolist()
+                for src in MIXED]
+        enc = encode_source(params, ids, mask, cfg)
+        got = score_sequence(params, enc, mask, targets, cfg)
         assert got.dtype == np.float64 and got.shape == (len(MIXED), len(targets))
         assert got.tolist() == want, seed
-        enc = encode_source(params, ids, mask, cfg)
-        subset = score_sequence(params, ids[rows], mask[rows], targets, cfg,
-                                enc_states=T.Tensor(enc.data[rows]))
+        subset = score_sequence(params, T.Tensor(enc.data[rows]), mask[rows], targets, cfg)
         assert subset.tolist() == [want[r] for r in rows], seed
 
 
@@ -413,11 +418,11 @@ def test_score_sequence_requires_eos():
     cfg = small_config()
     params = init_params(cfg, 13)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, SRC[None], MASK[None], [[12, 7]], cfg)
+        score_sequence(params, *states(params, cfg), [[12, 7]], cfg)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, SRC[None], MASK[None], [[5, EOS], [12, 7]], cfg)
+        score_sequence(params, *states(params, cfg), [[5, EOS], [12, 7]], cfg)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, SRC[None], MASK[None], [[]], cfg)
+        score_sequence(params, *states(params, cfg), [[]], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +499,7 @@ def test_full_model_gradient_fp64():
         worst = 0.0
         for name in params.names():
             f = micro_loss_fn(params, name, config, inputs)
-            worst = max(worst, T.finite_diff_check(f, params[name], eps=1e-5))
+            worst = max(worst, finite_diff_check(f, params[name], eps=1e-5))
         assert worst < 1e-6, (case, worst)
 
 

@@ -6,7 +6,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from crisisadapt import evaluation, experiment, model
@@ -14,10 +13,10 @@ from crisisadapt.checkpoint import load_checkpoint, save_checkpoint
 from crisisadapt.corpus import RELEVANCE_MAP, EventSplits, compose_plan, unify_labels
 from crisisadapt.model import ModelConfig, init_params
 from crisisadapt.synth import DEFAULT_EVENTS, generate_corpus
-from crisisadapt.tokenizer import EOS, build_vocab, encode
+from crisisadapt.tokenizer import EOS, build_vocab
 from crisisadapt.train import TrainConfig
 
-from conftest import scripted_decoder
+from conftest import encode_text, scripted_decoder
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -143,9 +142,7 @@ def test_prediction_costs_two_decoder_passes(monkeypatch, first, fallback):
                        n_dec_layers=1, dropout=0.0, max_src_len=8, max_tgt_len=10)
     monkeypatch.setattr(model, "decode_logits",
                         scripted_decoder(model.decode_logits, [vocab.lookup(first), EOS]))
-    encoded = [(np.array(ids), np.array(mask, dtype=np.float32))
-               for ids, mask in (encode(text, vocab, max_len=8)
-                                 for text in ("water rain", "storm flood go", "go"))]
+    encoded = [encode_text(text, vocab) for text in ("water rain", "storm flood go", "go")]
 
     tracer, patcher = spans.Tracer(), spans.Patcher()
     layers.install(tracer, patcher)

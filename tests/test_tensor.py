@@ -7,6 +7,8 @@ import pytest
 
 from crisisadapt import tensor as T
 
+from conftest import finite_diff_check
+
 FD_TOL = 1e-6
 # Per-coordinate relative error is noisy when a true gradient coordinate is
 # ~1e-5: central differences at eps=1e-5 bottom out near 1e-11 absolute. A
@@ -27,7 +29,7 @@ def random_shapes(rng, n=10, max_rank=3, max_dim=5):
 
 
 def check(f, x: np.ndarray, eps=1e-5) -> float:
-    return T.finite_diff_check(f, T.Tensor(x.astype(np.float64)), eps=eps)
+    return finite_diff_check(f, T.Tensor(x.astype(np.float64)), eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +498,14 @@ def test_finite_diff_check_flags_nondeterminism():
         return T.sum_all(T.dropout(t, 0.5, [rng, rng], [4, 4]))
 
     with pytest.raises(ValueError, match="non-deterministic"):
-        T.finite_diff_check(noisy, T.Tensor(np.ones((2, 4))), eps=1e-5)
+        finite_diff_check(noisy, T.Tensor(np.ones((2, 4))), eps=1e-5)
 
 
 def test_finite_diff_check_validates_inputs():
     with pytest.raises(ValueError):
-        T.finite_diff_check(lambda t: T.sum_all(t), T.Tensor(np.ones(2)), eps=0.0)
+        finite_diff_check(lambda t: T.sum_all(t), T.Tensor(np.ones(2)), eps=0.0)
     with pytest.raises(ValueError, match="scalar"):
-        T.finite_diff_check(lambda t: t, T.Tensor(np.ones(2)))
+        finite_diff_check(lambda t: t, T.Tensor(np.ones(2)))
 
 
 def test_matmul_shape_errors_name_shapes():

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crisisadapt.corpus import EventDescriptor
@@ -16,7 +17,6 @@ from crisisadapt.tokenizer import (
     _digest,
     build_vocab,
     decode,
-    encode,
     encode_augmented,
     load_vocab,
     save_vocab,
@@ -178,28 +178,45 @@ def vocab() -> Vocabulary:
     return build_vocab(corpus, min_freq=1)
 
 
-def test_encode_without_padding(vocab):
-    ids, mask = encode("alpha beta", vocab, max_len=6)
-    assert len(ids) == 3
-    assert ids[-1] == EOS
-    assert mask == [1, 1, 1]
+def aug_vocab_and_input(text: str, vocab_text: str | None = None):
+    """An augmented input of `text` and a vocabulary built over the
+    augmented text, or over `vocab_text` plus the template words."""
+    event = EventDescriptor("nq_flood", "Queensland", "Floods")
+    aug = construct(make_record(0, "nq_flood", text), "postq", event)
+    vocab = build_vocab([aug.text if vocab_text is None else vocab_text], min_freq=1)
+    return vocab, aug
 
 
-def test_encode_truncates_tail_and_keeps_eos(vocab):
-    ids, _ = encode("alpha beta gamma delta epsilon", vocab, max_len=4)
-    assert len(ids) == 4
-    assert ids[-1] == EOS
-    assert ids[:3] == [vocab.lookup(t) for t in ("alpha", "beta", "gamma")]
+def test_encode_without_padding():
+    vocab, aug = aug_vocab_and_input("water rising fast")
+    ids = encode_augmented(aug, vocab, 64)
+    # a 1-D id array ending in EOS; padding and mask come per batch
+    assert ids.dtype == np.int64 and ids.shape == (len(tokenize(aug.text)) + 1,)
+    assert ids[-1] == EOS and PAD not in ids.tolist()
 
 
-def test_encode_unknown_words_map_to_unk(vocab):
-    ids, _ = encode("alpha mystery", vocab, max_len=5)
-    assert ids[1] == UNK
+def test_encode_truncates_tail_and_keeps_eos():
+    """An over-long input keeps the head of its content: the content's
+    tail is dropped, and EOS still ends the ids."""
+    vocab, aug = aug_vocab_and_input("alpha beta gamma delta epsilon zeta")
+    prefix = len(tokenize(aug.text[: aug.content_span[0]]))
+    suffix = len(tokenize(aug.text[aug.content_span[1]:]))
+    ids = encode_augmented(aug, vocab, prefix + 3 + suffix + 1).tolist()
+    assert ids[prefix: prefix + 3] == [vocab.lookup(t) for t in ("alpha", "beta", "gamma")]
+    assert vocab.lookup("delta") not in ids and ids[-1] == EOS
 
 
-def test_encode_rejects_tiny_max_len(vocab):
-    with pytest.raises(ValueError):
-        encode("alpha", vocab, max_len=1)
+def test_encode_unknown_words_map_to_unk():
+    vocab, aug = aug_vocab_and_input("water mystery", vocab_text="water")
+    ids = encode_augmented(aug, vocab, 64).tolist()
+    content = ids[len(tokenize(aug.text[: aug.content_span[0]])):][:2]
+    assert content == [vocab.lookup("water"), UNK]
+
+
+def test_encode_rejects_tiny_max_len():
+    vocab, aug = aug_vocab_and_input("water")
+    with pytest.raises(ValueError, match="max_len must be >= 2"):
+        encode_augmented(aug, vocab, 1)
 
 
 def test_decode_stops_at_eos_and_skips_pad(vocab):
@@ -211,33 +228,28 @@ def test_decode_stops_at_eos_and_skips_pad(vocab):
         decode([vocab.size], vocab)
 
 
-def test_encode_decode_round_trip(vocab):
-    text = "alpha beta gamma"
-    ids, _ = encode(text, vocab, max_len=10)
-    assert decode(ids, vocab) == text
+def test_encode_decode_round_trip():
+    vocab, aug = aug_vocab_and_input("Water rising, fast!")
+    assert decode(encode_augmented(aug, vocab, 64), vocab) == " ".join(tokenize(aug.text))
 
 
 # ---------------------------------------------------------------------------
 # Augmented encoding: template survives truncation
 
 
-def aug_vocab_and_input(text: str):
-    event = EventDescriptor("nq_flood", "Queensland", "Floods")
-    aug = construct(make_record(0, "nq_flood", text), "postq", event)
-    vocab = build_vocab([aug.text], min_freq=1)
-    return vocab, aug
-
-
 def test_encode_augmented_matches_plain_encode_when_short():
+    """An input that fits encodes as its whole text would: every token's
+    id, then EOS."""
     vocab, aug = aug_vocab_and_input("water rising fast")
-    assert encode_augmented(aug, vocab, 64) == encode(aug.text, vocab, 64)
+    assert encode_augmented(aug, vocab, 64).tolist() == \
+        [vocab.lookup(t) for t in tokenize(aug.text)] + [EOS]
 
 
 def test_encode_augmented_truncates_content_only():
     long_text = " ".join(["water"] * 50)
     vocab, aug = aug_vocab_and_input(long_text)
     max_len = 24
-    ids, mask = encode_augmented(aug, vocab, max_len)
+    ids = encode_augmented(aug, vocab, max_len).tolist()
     assert len(ids) == max_len
     assert ids[-1] == EOS
     suffix_tokens = tokenize(aug.text[aug.content_span[1]:])
