@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CheckpointError, CompatibilityError, IntegrityError
 from .files import write_atomic
-from .model import ModelConfig, ParameterStore
+from .model import ModelConfig, ParameterStore, param_shapes
 from .train import AdamState
 
 MAGIC = b"CASTCKPT"
@@ -137,65 +137,67 @@ _TENSOR_FIELDS = {
 }
 
 
-def _check_manifest(manifest: dict) -> None:
-    """Raise IntegrityError unless every field the loader reads is present
-    with the type it needs."""
+def _check_manifest(manifest: dict, path) -> None:
+    """Raise IntegrityError, naming `path`, unless every field the loader
+    reads is present with the type it needs."""
     for key, ok in _MANIFEST_FIELDS.items():
         if key not in manifest and key not in _OPTIONAL_FIELDS:
-            raise IntegrityError(f"checkpoint manifest lacks {key!r}")
+            raise IntegrityError(f"{path}: checkpoint manifest lacks {key!r}")
         if key in manifest and not ok(manifest[key]):
             raise IntegrityError(
-                f"checkpoint manifest field {key!r} is malformed: {manifest[key]!r}"
+                f"{path}: checkpoint manifest field {key!r} is malformed: {manifest[key]!r}"
             )
     for i, entry in enumerate(manifest["tensors"]):
         if not isinstance(entry, dict):
-            raise IntegrityError(f"checkpoint manifest tensor entry {i} is not an object")
+            raise IntegrityError(f"{path}: checkpoint manifest tensor entry {i} is not an object")
         for key, ok in _TENSOR_FIELDS.items():
             if not ok(entry.get(key)):
                 raise IntegrityError(
-                    f"checkpoint manifest tensor entry {i}: field {key!r} missing or malformed"
+                    f"{path}: checkpoint manifest tensor entry {i}: field {key!r} missing or "
+                    "malformed"
                 )
 
 
 def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointData:
+    """Read and verify a checkpoint file; every CheckpointError names `path` first."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 8:
-        raise IntegrityError(f"checkpoint truncated: {len(blob)} bytes")
+        raise IntegrityError(f"{path}: checkpoint truncated: {len(blob)} bytes")
     if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"not a checkpoint file: bad magic {blob[:8]!r}")
+        raise CheckpointError(f"{path}: not a checkpoint file: bad magic {blob[:8]!r}")
     pos = len(MAGIC)
     (version,) = struct.unpack_from("<I", blob, pos)
     pos += 4
     if version != FORMAT_VERSION:
         raise CompatibilityError(
-            f"checkpoint format version {version}, this build reads {FORMAT_VERSION}"
+            f"{path}: checkpoint format version {version}, this build reads {FORMAT_VERSION}"
         )
     (mlen,) = struct.unpack_from("<I", blob, pos)
     pos += 4
     if pos + mlen > len(blob):
-        raise IntegrityError("checkpoint truncated inside the manifest")
+        raise IntegrityError(f"{path}: checkpoint truncated inside the manifest")
     try:
         manifest = json.loads(blob[pos : pos + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"checkpoint manifest unreadable: {exc}") from exc
+        raise IntegrityError(f"{path}: checkpoint manifest unreadable: {exc}") from exc
     pos += mlen
     payload = blob[pos:]
     if not isinstance(manifest, dict):
         raise IntegrityError(
-            f"checkpoint manifest is a JSON {type(manifest).__name__}, not an object"
+            f"{path}: checkpoint manifest is a JSON {type(manifest).__name__}, not an object"
         )
 
     digest = hashlib.sha256(payload).hexdigest()
     if digest != manifest.get("payload_sha256"):
         raise IntegrityError(
-            f"payload digest mismatch: file says {manifest.get('payload_sha256')}, "
+            f"{path}: payload digest mismatch: file says {manifest.get('payload_sha256')}, "
             f"content is {digest}"
         )
-    _check_manifest(manifest)
+    _check_manifest(manifest, path)
     if expected_vocab_hash is not None and manifest["vocab_hash"] != expected_vocab_hash:
         raise CompatibilityError(
-            f"checkpoint was built against vocabulary {manifest['vocab_hash']}, "
+            f"{path}: checkpoint was built against vocabulary {manifest['vocab_hash']}, "
             f"current vocabulary is {expected_vocab_hash}"
         )
 
@@ -203,15 +205,15 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
     for entry in manifest["tensors"]:
         dtype = entry["dtype"]
         if dtype not in _DTYPES:
-            raise CompatibilityError(f"tensor {entry['name']} has unknown dtype {dtype!r}")
+            raise CompatibilityError(f"{path}: tensor {entry['name']} has unknown dtype {dtype!r}")
         start, length = entry["offset"], entry["byte_length"]
         shape = tuple(entry["shape"])
         if start + length > len(payload):
-            raise IntegrityError(f"tensor {entry['name']} extends past the payload")
+            raise IntegrityError(f"{path}: tensor {entry['name']} extends past the payload")
         expected = int(np.prod(shape, dtype=np.int64)) * np.dtype(_DTYPES[dtype]).itemsize
         if expected != length:
             raise IntegrityError(
-                f"tensor {entry['name']}: shape {shape} implies {expected} bytes, "
+                f"{path}: tensor {entry['name']}: shape {shape} implies {expected} bytes, "
                 f"manifest says {length}"
             )
         arrays[entry["name"]] = (
@@ -223,7 +225,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
     try:
         config = ModelConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:
-        raise CompatibilityError(f"checkpoint model config is not usable: {exc}") from None
+        raise CompatibilityError(f"{path}: checkpoint model config is not usable: {exc}") from None
     adam_t = manifest.get("adam_t")
     adam_m = adam_v = None
     if adam_t is not None:
@@ -236,8 +238,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
                 adam_v[name[len("adam.v.") :]] = arrays.pop(name)
         if set(adam_m) != set(arrays) or set(adam_v) != set(arrays):
             raise IntegrityError(
-                "checkpoint optimizer moments do not cover exactly its parameters"
+                f"{path}: checkpoint optimizer moments do not cover exactly its parameters"
             )
+    if {name: arr.shape for name, arr in arrays.items()} != param_shapes(config):
+        raise IntegrityError(f"{path}: checkpoint tensors do not fit its model config")
 
     return CheckpointData(
         arrays=arrays,

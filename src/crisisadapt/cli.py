@@ -8,8 +8,8 @@ leave-one-out over events. Every run directory gets a manifest.json with
 input digests and the exact configuration.
 
 Exit codes: 0 success, 2 configuration or usage problems, 3 data or
-checkpoint problems, 4 incomplete experiments, 5 a training run whose loss
-or gradient norm stopped being finite.
+checkpoint problems, 5 a training run whose loss or gradient norm stopped
+being finite.
 
 Relative input paths that do not exist under the working directory are
 retried under $CRISISADAPT_DATA_DIR when it is set.
@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -41,11 +41,8 @@ from .corpus import (
     write_registry,
 )
 from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    IncompleteExperimentError,
-    NonFiniteError,
+    CheckpointError, ConfigError, DataError, LabelError, NonFiniteError, PlanError,
+    UnknownEventError,
 )
 from .evaluation import (
     DIAGONAL_MODES,
@@ -114,31 +111,29 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _train_config(cfg: dict, seed_flag: int | None) -> TrainConfig:
-    section = dict(cfg.get("train", {}))
-    if "seed" not in section and "seed" in cfg:
-        section["seed"] = cfg["seed"]
-    if seed_flag is not None:
-        section["seed"] = seed_flag
+def _configs(path: str | None, cfg: dict, vocab_size: int) -> tuple[TrainConfig, ModelConfig]:
+    """The train and model configs that `cfg`, read from the config file
+    `path`, asks for; an error names the file (no file, no error)."""
+    train = dict(cfg.get("train", {}))
+    if "seed" not in train and "seed" in cfg:
+        train["seed"] = cfg["seed"]
+    model = dict(cfg.get("model", {}))
     try:
-        return TrainConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad train config: {exc}") from None
+        return TrainConfig(**train), named_config(model.pop("size", "tiny"), vocab_size, **model)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{_resolve(path)}: {exc}") from None
 
 
-def _model_config(cfg: dict, vocab_size: int):
-    section = dict(cfg.get("model", {}))
-    size = section.pop("size", "tiny")
+def _load_records(args, registry, path: str):
+    """The records of the data file `path`, labels unified; an error names
+    the file, and an unknown event the registry too."""
+    path = _resolve(path)
     try:
-        return named_config(size, vocab_size, **section)
-    except TypeError as exc:
-        raise ConfigError(f"bad model config: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _load_records(path: str, registry, label_scheme: str):
-    return unify_labels(load_dataset(_resolve(path), registry), LABEL_SCHEMES[label_scheme])
+        return unify_labels(load_dataset(path, registry), LABEL_SCHEMES[args.label_scheme])
+    except LabelError as exc:
+        raise LabelError(f"{path}: {exc}") from None
+    except UnknownEventError as exc:
+        raise UnknownEventError(f"{exc} {_resolve(args.registry)}") from None
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -156,13 +151,8 @@ def _write_manifest(out: Path, command: str, payload: dict) -> None:
 
 
 def _input_digests(args, names) -> dict[str, str]:
-    digests = {}
-    for name in names:
-        raw = getattr(args, name, None)
-        if raw:
-            p = _resolve(raw)
-            digests[str(p)] = _sha256_file(p)
-    return digests
+    paths = [_resolve(getattr(args, name)) for name in names]
+    return {str(p): _sha256_file(p) for p in paths}
 
 
 @dataclass
@@ -180,21 +170,16 @@ class _Setup:
 
 
 def _setup(args) -> _Setup:
-    """Load config, registry, records and vocabulary. Without --vocab, build
-    one from the augmented training text and save it in the output dir."""
+    """Load config, registry, records and vocabulary."""
     cfg = _load_config_file(args.config)
     registry = load_registry(_resolve(args.registry))
-    train_records = _load_records(args.train_file, registry, args.label_scheme)
-    test_records = _load_records(args.test_file, registry, args.label_scheme)
+    train_records = _load_records(args, registry, args.train_file)
+    test_records = _load_records(args, registry, args.test_file)
     out = _out_dir(args.out)
-    if args.vocab:
-        vocab = load_vocab(_resolve(args.vocab))
-    else:
-        texts = augmented_texts(train_records, args.scenario, registry)
-        vocab = build_vocab(texts, min_freq=args.min_freq, max_size=args.max_size)
-        save_vocab(vocab, out / "vocab.txt")
-    tcfg = _train_config(cfg, args.seed)
-    mcfg = _model_config(cfg, vocab.size)
+    vocab = load_vocab(_resolve(args.vocab))
+    tcfg, mcfg = _configs(args.config, cfg, vocab.size)
+    if args.seed is not None:
+        tcfg = replace(tcfg, seed=args.seed)
     manifest = {
         "scenario": args.scenario,
         "seed": tcfg.seed,
@@ -237,7 +222,7 @@ def cmd_synth(args) -> None:
 
 def cmd_build_vocab(args) -> None:
     registry = load_registry(_resolve(args.registry))
-    records = _load_records(args.train_file, registry, args.label_scheme)
+    records = _load_records(args, registry, args.train_file)
     texts = augmented_texts(records, args.scenario, registry)
     vocab = build_vocab(texts, min_freq=args.min_freq, max_size=args.max_size)
     save_vocab(vocab, args.out)
@@ -251,12 +236,23 @@ def cmd_train(args) -> None:
         if args.source_events
         else {args.target_event}
     )
-    plan = compose_plan(sources, args.target_event, args.scenario, run.splits, run.tcfg.seed)
+    try:
+        plan = compose_plan(sources, args.target_event, args.scenario, run.splits, run.tcfg.seed)
+    except PlanError:
+        raise
+    except DataError as exc:  # the data files lack an event's records
+        raise type(exc)(f"{args.train_file}, {args.test_file}: {exc}") from None
     resume = (
         ckpt.load_checkpoint(_resolve(args.resume), expected_vocab_hash=run.vocab.content_hash)
         if args.resume else None
     )
-    outcome = run_plan(plan, run.registry, run.vocab, run.mcfg, run.tcfg, resume=resume)
+    try:
+        outcome = run_plan(plan, run.registry, run.vocab, run.mcfg, run.tcfg, resume=resume)
+    except (ConfigError, CheckpointError) as exc:
+        if resume is None:
+            raise
+        raise type(exc)(f"{args.resume} cannot resume under "
+                        f"{args.config or 'the default config'}: {exc}") from None
     result, report = outcome.train_result, outcome.report
 
     write_history(run.out / "history.csv", result.history)
@@ -312,10 +308,10 @@ def cmd_evaluate(args) -> None:
     params.load_arrays(loaded.arrays)
 
     registry = load_registry(_resolve(args.registry))
-    records = _load_records(args.test_file, registry, args.label_scheme)
+    records = _load_records(args, registry, args.test_file)
     records = [r for r in records if r.event_id == args.target_event]
     if not records:
-        raise DataError(f"no test records for event {args.target_event!r}")
+        raise DataError(f"{args.test_file}: no test records for event {args.target_event!r}")
     encoded, gold = encode_eval_inputs(
         records, args.scenario, registry[args.target_event], vocab, mcfg
     )
@@ -458,14 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--scenario", choices=SCENARIOS, required=True)
+    run.add_argument("--vocab", required=True, help="vocabulary file")
     run.add_argument("--config", help="JSON config with model/train sections")
     run.add_argument("--seed", type=int, default=None, help="override the run seed")
     run.add_argument("--out", required=True, help="output directory")
 
     grid = argparse.ArgumentParser(add_help=False)  # matrix and loo
-    grid.add_argument("--vocab", help="vocabulary file (default: build from training data)")
-    grid.add_argument("--min-freq", type=int, default=1, help="for a freshly built vocabulary")
-    grid.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
     grid.add_argument("--events", help="comma-separated subset (default: all in the data)")
     grid.add_argument("--jobs", type=int, default=1, help="worker processes")
 
@@ -487,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train", parents=[data, run], help="train one adaptation plan")
-    p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--target-event", required=True)
     p.add_argument(
         "--source-events",
@@ -528,9 +521,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IncompleteExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5

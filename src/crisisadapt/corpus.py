@@ -121,7 +121,11 @@ def load_registry(path: str | Path) -> dict[str, EventDescriptor]:
             if not isinstance(value, str):
                 raise SchemaError(f"{path}: event {event_id!r}: {key} must be a string, "
                                   f"got {value!r}")
-        registry[event_id] = EventDescriptor(event_id, **names, event_type=meta.get("event_type"))
+        try:
+            registry[event_id] = EventDescriptor(event_id, **names,
+                                                 event_type=meta.get("event_type"))
+        except DataError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
     return registry
 
 
@@ -339,6 +343,8 @@ def compose_plan(
         pooled.extend(train)
 
     test = splits[target_event].test
+    if not test:
+        raise DataError(f"target event {target_event!r} has no test data")
     bad = [r.id for r in test if r.event_id != target_event]
     if bad:
         raise DataError(

@@ -2,8 +2,8 @@
 that the config dataclasses raise through it.
 
 The CLI maps these onto exit codes: usage/config problems exit 2, data
-problems exit 3, incomplete experiments exit 4, a training run whose loss
-or gradients stop being finite exits 5.
+and checkpoint problems exit 3, a training run whose loss or gradients
+stop being finite exits 5.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ class IntegrityError(CheckpointError):
 
 class CompatibilityError(CheckpointError):
     """Checkpoint was produced against a different vocabulary or config."""
-
-
-class IncompleteExperimentError(CrisisAdaptError):
-    """An experiment finished with failing cells (exit code 4)."""
 
 
 class NonFiniteError(CrisisAdaptError):

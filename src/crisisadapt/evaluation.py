@@ -18,7 +18,6 @@ import numpy as np
 
 from . import model
 from .corpus import AdaptationPlan, EventSplits, compose_plan
-from .errors import IncompleteExperimentError
 from .files import write_atomic
 from .model import ModelConfig, ParameterStore, generate_greedy, score_sequence
 from .prompt import LABELS, parse_label
@@ -231,23 +230,11 @@ class AdaptationMatrix:
             entry.update(info)
         self.provenance[f"{source}->{target}"] = entry
 
-    def missing(self) -> list[tuple[str, str]]:
-        return [
-            (s, t)
-            for s in self.events
-            for t in self.events
-            if (s, t) not in self.cells
-        ]
-
     @property
     def complete(self) -> bool:
-        return not self.missing()
+        return len(self.cells) == len(self.events) ** 2
 
     def to_array(self) -> np.ndarray:
-        missing = self.missing()
-        if missing:
-            cells = ", ".join(f"{s}->{t}" for s, t in missing)
-            raise IncompleteExperimentError(f"matrix has unfilled cells: {cells}")
         out = np.empty((len(self.events), len(self.events)), dtype=np.float64)
         for i, s in enumerate(self.events):
             for j, t in enumerate(self.events):
@@ -294,15 +281,10 @@ def pearson_row_correlation(matrix, exclude_self: bool = False) -> np.ndarray:
 
 
 def write_matrix_csv(path, matrix: AdaptationMatrix) -> None:
-    """Rows are source events, columns target events, 4 decimal places.
-    Unfilled cells are left empty."""
+    """Rows are source events, columns target events, 4 decimal places."""
     lines = ["source\\target," + ",".join(matrix.events)]
     for s in matrix.events:
-        row = [s]
-        for t in matrix.events:
-            v = matrix.cells.get((s, t))
-            row.append("" if v is None else f"{v:.4f}")
-        lines.append(",".join(row))
+        lines.append(s + "," + ",".join(f"{matrix.cells[(s, t)]:.4f}" for t in matrix.events))
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 

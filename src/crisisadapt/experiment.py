@@ -9,7 +9,7 @@ of an experiment so checkpoints stay comparable.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import chain
 
@@ -127,7 +127,7 @@ def run_plan(
     """
     tcfg = replace(train_config, seed=plan.seed)
     params = init_params(model_config, mix_seed(plan.seed, "init"))
-    resumed = {} if resume is None else _resume(plan, model_config, resume, params)
+    resumed = {} if resume is None else _resume(plan, model_config, train_config, resume, params)
     examples = encode_training_examples(
         plan.source_dataset, plan.scenario, registry, vocab, model_config
     )
@@ -145,9 +145,10 @@ def _score(params, plan: AdaptationPlan, registry, vocab, model_config) -> EvalR
     return evaluate(params, encoded, gold, vocab, model_config)
 
 
-def _resume(plan, model_config, resume: CheckpointData, params: ParameterStore) -> dict:
+def _resume(plan, model_config, train_config, resume: CheckpointData, params) -> dict:
     """Load `resume` into `params` and return the `train` keywords that
-    continue it. Refuses a checkpoint of another model, task or seed."""
+    continue it. Refuses a checkpoint of another model, task, seed or
+    training config; only `epochs` may differ."""
     if resume.config != model_config:
         raise CompatibilityError(
             f"checkpoint model config {resume.config} differs from requested {model_config}"
@@ -157,6 +158,11 @@ def _resume(plan, model_config, resume: CheckpointData, params: ParameterStore) 
         raise ConfigError(f"checkpoint is of task {task_id!r}, not {plan.task_id!r}")
     if resume.seed != plan.seed:
         raise ConfigError(f"checkpoint seed {resume.seed} differs from run seed {plan.seed}")
+    trained = resume.extra.get("train", {})
+    for name, value in asdict(train_config).items():
+        if name != "epochs" and isinstance(trained, dict) and trained.get(name, value) != value:
+            raise ConfigError(f"checkpoint was trained with {name} {trained[name]!r}, "
+                              f"not the requested {value!r}")
     params.load_arrays(resume.arrays)
     optimizer = resume.restore_optimizer(params)
     if optimizer is None:

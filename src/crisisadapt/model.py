@@ -109,7 +109,8 @@ class ParameterStore:
             self._params[name] = T.Tensor(arr, requires_grad=True, name=name)
 
 
-def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter of a model with `config`, by name."""
     d, ff, v = config.d_model, config.d_ff, config.vocab_size
     shapes: dict[str, tuple[int, ...]] = {"embed.weight": (v, d)}
 
@@ -150,7 +151,7 @@ def init_params(config: ModelConfig, seed: int) -> ParameterStore:
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     params: dict[str, T.Tensor] = {}
-    for name, shape in _param_shapes(config).items():
+    for name, shape in param_shapes(config).items():
         if name.endswith(".gain"):
             arr = np.ones(shape, dtype=np.float32)
         elif name.endswith(".bias"):

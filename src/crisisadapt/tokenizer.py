@@ -70,7 +70,6 @@ class Vocabulary:
 
     id_to_token: tuple[str, ...]
     token_to_id: dict[str, int]
-    forced_tokens: frozenset[str]
     min_freq: int
     max_size: int
     content_hash: str  # 64-bit digest, 16 hex chars
@@ -148,7 +147,6 @@ def build_vocab(
     return Vocabulary(
         id_to_token=id_to_token,
         token_to_id=token_to_id,
-        forced_tokens=forced,
         min_freq=min_freq,
         max_size=max_size,
         content_hash=_digest(id_to_token, min_freq, max_size),
@@ -256,7 +254,6 @@ def load_vocab(path: str | Path) -> Vocabulary:
     return Vocabulary(
         id_to_token=id_to_token,
         token_to_id=token_to_id,
-        forced_tokens=frozenset(TEMPLATE_FORCED_TOKENS),
         min_freq=min_freq,
         max_size=max_size,
         content_hash=content_hash,

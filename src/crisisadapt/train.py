@@ -37,6 +37,9 @@ from .tokenizer import PAD
 # models (see CHANGES.md for the sweeps).
 _ACTIVATION_BUDGET = 256 * 128
 
+# Adam's moment decay rates and denominator epsilon, fixed for every run
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -45,10 +48,6 @@ class TrainConfig:
     effective_batch: int = 16
     epochs: int = 12
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
@@ -60,12 +59,6 @@ class TrainConfig:
             raise ConfigError(f"effective_batch must be positive, got {self.effective_batch}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
-            raise ConfigError("Adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
 def lr_at(step: int, total_steps: int, warmup_ratio: float = 0.1, peak_lr: float = 5e-5) -> float:
@@ -96,10 +89,9 @@ class AdamState:
         self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
 
-    def apply(self, params: ParameterStore, grads: dict[str, np.ndarray], lr: float,
-              config: TrainConfig) -> None:
+    def apply(self, params: ParameterStore, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        b1, b2 = config.beta1, config.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, tensor in params.items():
@@ -109,9 +101,7 @@ class AdamState:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            if config.weight_decay > 0:
-                tensor.data -= lr * config.weight_decay * tensor.data
-            tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+            tensor.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -282,7 +272,7 @@ def train(
         if not math.isfinite(norm_sq):
             raise NonFiniteError(f"step {s}, epoch {epoch}: gradient norm is not finite")
         lr = lr_at(s, total, train_config.warmup_ratio, train_config.peak_lr)
-        optimizer.apply(params, mean_grads, lr, train_config)
+        optimizer.apply(params, mean_grads, lr)
         result.history.append(StepRecord(step=s, lr=lr, loss=loss))
         result.final_step = s + 1
 

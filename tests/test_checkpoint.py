@@ -16,7 +16,7 @@ from crisisadapt.checkpoint import (
 )
 from crisisadapt.errors import CheckpointError, CompatibilityError, IntegrityError
 from crisisadapt.model import ModelConfig, init_params
-from crisisadapt.train import AdamState, TrainConfig
+from crisisadapt.train import AdamState
 
 CFG = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=16,
                   n_enc_layers=1, n_dec_layers=1, dropout=0.0,
@@ -29,8 +29,8 @@ def fresh(tmp_path, name="model.castckpt", optimizer=False, **kwargs):
     if optimizer:
         opt = AdamState(params)
         g = {n: np.full_like(t.data, 0.25) for n, t in params.items()}
-        opt.apply(params, g, 1e-3, TrainConfig())
-        opt.apply(params, g, 1e-3, TrainConfig())
+        opt.apply(params, g, 1e-3)
+        opt.apply(params, g, 1e-3)
     path = tmp_path / name
     save_checkpoint(path, params, CFG, vocab_hash="abcd1234", step=7, seed=42,
                     optimizer=opt, **kwargs)

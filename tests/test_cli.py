@@ -10,7 +10,6 @@ import pytest
 
 import crisisadapt.cli as cli
 from crisisadapt.checkpoint import load_checkpoint
-from crisisadapt.errors import IncompleteExperimentError
 from crisisadapt.evaluation import AdaptationMatrix
 from crisisadapt.tokenizer import _digest, load_vocab, save_vocab
 
@@ -148,6 +147,20 @@ def test_train_resume_refuses_other_seed(ws, tmp_path, capsys):
     assert f"seed {run_seed} " in err
     assert f"seed {run_seed + 5}" in err
     assert not (out / "checkpoint.castckpt").exists()
+
+
+def test_train_resume_refuses_changed_train_config(ws, tmp_path, capsys):
+    changed = tmp_path / "changed.json"
+    doc = {**CONFIG, "train": {"peak_lr": 0.5, "warmup_ratio": 0.5, "effective_batch": 4,
+                               "epochs": 3}}
+    changed.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "changed"
+    args = base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood", out=out,
+                     resume=ws["run"] / "checkpoint.castckpt")
+    args[args.index(str(ws["config"]))] = str(changed)
+    assert cli.main(args) == 2
+    assert "trained with peak_lr 0.001, not the requested 0.5" in capsys.readouterr().err
+    assert not [p for p in out.rglob("*") if p.is_file()]
 
 
 def test_train_cross_domain_sources(ws, tmp_path):
@@ -299,27 +312,41 @@ def _entry_not_an_object(raw: bytes) -> bytes:
     return json.dumps({**json.loads(raw), "alpha_flood": 5}).encode("utf-8")
 
 
-def _crisis_name_not_a_string(raw: bytes) -> bytes:
-    doc = json.loads(raw)
-    doc["beta_flood"]["crisis_name"] = 7
-    return json.dumps(doc).encode("utf-8")
+def _crisis_name(value):
+    def corrupt(raw: bytes) -> bytes:
+        doc = json.loads(raw)
+        doc["alpha_flood"]["crisis_name"] = value
+        return json.dumps(doc).encode("utf-8")
+    return corrupt
+
+
+def _first_label_unmapped(raw: bytes) -> bytes:
+    header, first, rest = raw.split(b"\n", 2)
+    cols = first.split(b"\t")
+    cols[2] = b"relevantX"
+    return b"\n".join([header, b"\t".join(cols), rest])
 
 
 @pytest.mark.parametrize("flag, corrupt, code, cause", [
     ("registry", _entry_not_an_object, 3, "event 'alpha_flood' must be a JSON object, got int"),
-    ("registry", _crisis_name_not_a_string, 3,
-     "event 'beta_flood': crisis_name must be a string, got 7"),
+    ("registry", _crisis_name(7), 3, "event 'alpha_flood': crisis_name must be a string, got 7"),
+    ("registry", _crisis_name(""), 3, "event 'alpha_flood' has an empty crisis_name"),
+    ("train-file", _first_label_unmapped, 3, "unmapped raw labels: 'relevantX' x1"),
+    ("resume", lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]), 3, "payload digest mismatch"),
+    ("resume", lambda raw: raw[:20], 3, "checkpoint truncated inside the manifest"),
     ("registry", lambda raw: raw + b"\xff", 3, "malformed UTF-8"),
     ("vocab", lambda raw: raw + b"\xff\n", 3, "malformed UTF-8"),
     ("config", lambda raw: raw + b"\xff", 2, "malformed UTF-8"),
     ("config", lambda raw: b'{"train": 5}', 2, "config section 'train' must be a JSON object"),
     ("config", lambda raw: b'{"model": [1]}', 2, "config section 'model' must be a JSON object"),
-], ids=["registry_entry_not_object", "registry_name_not_string", "registry_utf8",
+], ids=["registry_entry_not_object", "registry_name_not_string", "registry_name_empty",
+        "train_label_unmapped", "checkpoint_payload_flipped", "checkpoint_truncated",
+        "registry_utf8",
         "vocab_utf8", "config_utf8", "config_train_not_object", "config_model_not_object"])
 def test_malformed_input_file_ends_in_one_error_line(ws, tmp_path, capsys, flag, corrupt, code,
                                                      cause):
     args = base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood",
-                     out=tmp_path / "x")
+                     out=tmp_path / "x", resume=ws["run"] / "checkpoint.castckpt")
     given = args.index(f"--{flag}") + 1
     bad = tmp_path / Path(args[given]).name
     bad.write_bytes(corrupt(Path(args[given]).read_bytes()))
@@ -338,8 +365,13 @@ def test_malformed_input_file_ends_in_one_error_line(ws, tmp_path, capsys, flag,
     ({"train": {"peak_lr": float("nan")}}, "peak_lr"),  # json writes and reads NaN
     ({"train": {"micro_batch": 4}}, "micro_batch"),  # not a train field
     ({"train": {"epochs": 10**400}}, "epochs"),  # json reads it as a Python int
+    # Adam's constants are fixed; a config may not set them
+    ({"train": {"beta1": 0.9}}, "beta1"),
+    ({"train": {"beta2": 0.999}}, "beta2"),
+    ({"train": {"adam_eps": 1e-8}}, "adam_eps"),
+    ({"train": {"weight_decay": 0.0}}, "weight_decay"),
 ], ids=["epochs", "effective_batch", "seed", "d_model", "peak_lr", "peak_lr_nan", "unknown",
-        "epochs_overflow"])
+        "epochs_overflow", "beta1", "beta2", "adam_eps", "weight_decay"])
 def test_mistyped_config_value_exits_2(ws, tmp_path, capsys, doc, field):
     bad = tmp_path / "typed.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -451,16 +483,6 @@ def test_checkpoint_with_unusable_config_exits_3(ws, tmp_path, capsys):
 def test_checkpoint_with_mistyped_config_exits_3(ws, tmp_path, capsys):
     assert evaluate_with_config_entry(ws, tmp_path, "d_model", 16.0) == 3
     assert "d_model must be an integer, got 16.0" in capsys.readouterr().err
-
-
-def test_incomplete_experiment_exits_4(ws, tmp_path, monkeypatch, capsys):
-    def explode(args):
-        raise IncompleteExperimentError("matrix has unfilled cells: a->b")
-
-    monkeypatch.setattr(cli, "cmd_matrix", explode)
-    assert cli.main(base_args(ws, "matrix", vocab=ws["vocab"],
-                              out=tmp_path / "x")) == 4
-    assert "unfilled" in capsys.readouterr().err
 
 
 def test_unknown_scenario_rejected_by_parser(ws, tmp_path):

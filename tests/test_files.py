@@ -39,7 +39,8 @@ class FullDisk:
 
 def matrix(version: int) -> AdaptationMatrix:
     m = AdaptationMatrix(events=("a", "b"))
-    m.set_cell("a", "b", version / 10, info={"seed": version})
+    for source, target in [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]:
+        m.set_cell(source, target, version / 10, info={"seed": version})
     return m
 
 

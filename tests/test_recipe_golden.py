@@ -11,7 +11,8 @@ that claims to change no bytes is checked here.
 The float arithmetic goes through numpy and its BLAS, so the golden file
 also records the numpy version and BLAS build it was made with; a
 mismatch names both, so that a host difference can be told apart from a
-code change. Rewrite the golden file with
+code change. Rewrite the golden file, printing each artifact whose digest
+changed, with
 
     PYTHONPATH=src python tests/test_recipe_golden.py
 """
@@ -124,6 +125,10 @@ def test_recipe_artifacts_match_golden(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         artifacts = run_recipe(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["artifacts"] if GOLDEN.exists() else {}
+    for name in sorted(old.keys() | artifacts.keys()):
+        if old.get(name) != artifacts.get(name):
+            print(f"digest changed: {name}", file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     doc = {"host": host(), "artifacts": artifacts}
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
