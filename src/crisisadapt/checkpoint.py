@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -78,25 +79,27 @@ def save_checkpoint(
         for name in params.names():
             entries.append((f"adam.v.{name}", optimizer.v[name]))
 
-    chunks: list[bytes] = []
+    # each tensor's own buffer (a view into its arena), hashed and written
+    # without a copy
+    chunks: list[memoryview] = []
     digest = hashlib.sha256()
     manifest_tensors = []
     offset = 0
     for name, arr in entries:
         dtype = _dtype_name(arr)
-        raw = np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes()
+        raw = memoryview(np.ascontiguousarray(arr, dtype=_DTYPES[dtype])).cast("B")
         manifest_tensors.append(
             {
                 "name": name,
                 "dtype": dtype,
                 "shape": list(arr.shape),
                 "offset": offset,
-                "byte_length": len(raw),
+                "byte_length": raw.nbytes,
             }
         )
         chunks.append(raw)
         digest.update(raw)
-        offset += len(raw)
+        offset += raw.nbytes
 
     manifest = {
         "tensors": manifest_tensors,
@@ -159,13 +162,18 @@ def _check_manifest(manifest: dict, path) -> None:
 
 
 def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointData:
-    """Read and verify a checkpoint file; every CheckpointError names `path` first."""
+    """Read and verify a checkpoint file; every CheckpointError names `path` first.
+
+    The file is read once into one buffer, and the returned arrays are
+    writable views into it.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        buffer = bytearray(os.fstat(fh.fileno()).st_size)
+        blob = memoryview(buffer)[: fh.readinto(buffer)]
     if len(blob) < len(MAGIC) + 8:
         raise IntegrityError(f"{path}: checkpoint truncated: {len(blob)} bytes")
     if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file: bad magic {blob[:8]!r}")
+        raise CheckpointError(f"{path}: not a checkpoint file: bad magic {bytes(blob[:8])!r}")
     pos = len(MAGIC)
     (version,) = struct.unpack_from("<I", blob, pos)
     pos += 4
@@ -178,7 +186,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
     if pos + mlen > len(blob):
         raise IntegrityError(f"{path}: checkpoint truncated inside the manifest")
     try:
-        manifest = json.loads(blob[pos : pos + mlen].decode("utf-8"))
+        manifest = json.loads(str(blob[pos : pos + mlen], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path}: checkpoint manifest unreadable: {exc}") from exc
     pos += mlen
@@ -216,11 +224,9 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None) -> CheckpointD
                 f"{path}: tensor {entry['name']}: shape {shape} implies {expected} bytes, "
                 f"manifest says {length}"
             )
-        arrays[entry["name"]] = (
-            np.frombuffer(payload[start : start + length], dtype=_DTYPES[dtype])
-            .reshape(shape)
-            .copy()
-        )
+        arrays[entry["name"]] = np.frombuffer(
+            payload[start : start + length], dtype=_DTYPES[dtype]
+        ).reshape(shape)
 
     try:
         config = ModelConfig(**manifest["config"])

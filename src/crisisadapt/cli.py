@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .corpus import (
     write_registry,
 )
 from .errors import (
-    CheckpointError, ConfigError, DataError, LabelError, NonFiniteError, PlanError,
+    CheckpointError, ConfigError, DataError, LabelError, NonFiniteError, PlanError, SplitError,
     UnknownEventError,
 )
 from .evaluation import (
@@ -200,6 +201,16 @@ def _events(args, splits) -> list[str]:
     return sorted(args.events.split(",")) if args.events else sorted(splits)
 
 
+@contextmanager
+def _naming_data_files(args):
+    """Prefix a SplitError, raised when a plan's event has no records in
+    the data files, with the names of those files."""
+    try:
+        yield
+    except SplitError as exc:
+        raise SplitError(f"{args.train_file}, {args.test_file}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -237,11 +248,12 @@ def cmd_train(args) -> None:
         else {args.target_event}
     )
     try:
-        plan = compose_plan(sources, args.target_event, args.scenario, run.splits, run.tcfg.seed)
-    except PlanError:
-        raise
-    except DataError as exc:  # the data files lack an event's records
-        raise type(exc)(f"{args.train_file}, {args.test_file}: {exc}") from None
+        with _naming_data_files(args):
+            plan = compose_plan(sources, args.target_event, args.scenario, run.splits,
+                                run.tcfg.seed)
+    except PlanError as exc:  # the flags ask for a plan that cannot exist
+        raise ConfigError(f"--source-events {args.source_events!r} with --target-event "
+                          f"{args.target_event!r}: {exc}") from None
     resume = (
         ckpt.load_checkpoint(_resolve(args.resume), expected_vocab_hash=run.vocab.content_hash)
         if args.resume else None
@@ -344,19 +356,20 @@ def cmd_evaluate(args) -> None:
 def cmd_matrix(args) -> None:
     _check_jobs(args)
     run = _setup(args)
-    matrix = run_matrix(
-        run.splits,
-        run.registry,
-        _events(args, run.splits),
-        args.scenario,
-        run.vocab,
-        run.mcfg,
-        run.tcfg,
-        diagonal_mode=args.diagonal,
-        k=args.k,
-        seed=run.tcfg.seed,
-        jobs=args.jobs,
-    )
+    with _naming_data_files(args):
+        matrix = run_matrix(
+            run.splits,
+            run.registry,
+            _events(args, run.splits),
+            args.scenario,
+            run.vocab,
+            run.mcfg,
+            run.tcfg,
+            diagonal_mode=args.diagonal,
+            k=args.k,
+            seed=run.tcfg.seed,
+            jobs=args.jobs,
+        )
     write_matrix_csv(run.out / "matrix.csv", matrix)
     write_matrix_provenance(run.out / "provenance.json", matrix)
     # Pearson needs at least 3 paired columns per row pair
@@ -396,10 +409,11 @@ def cmd_loo(args) -> None:
     _check_jobs(args)
     run = _setup(args)
     events = _events(args, run.splits)
-    plans, results, table = run_loo(
-        run.splits, run.registry, events, args.scenario, run.vocab, run.mcfg, run.tcfg,
-        seed=run.tcfg.seed, jobs=args.jobs,
-    )
+    with _naming_data_files(args):
+        plans, results, table = run_loo(
+            run.splits, run.registry, events, args.scenario, run.vocab, run.mcfg, run.tcfg,
+            seed=run.tcfg.seed, jobs=args.jobs,
+        )
     doc = {
         "scenario": args.scenario,
         "plans": [

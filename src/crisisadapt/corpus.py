@@ -23,6 +23,7 @@ from .errors import (
     LabelError,
     PlanError,
     SchemaError,
+    SplitError,
     UnknownEventError,
 )
 from .files import write_atomic
@@ -328,26 +329,26 @@ def compose_plan(
         )
     for event_id in sorted(sources | {target_event}):
         if event_id not in splits:
-            raise DataError(f"no splits available for event {event_id!r}")
+            raise SplitError(f"no splits available for event {event_id!r}")
 
     pooled: list[CrisisRecord] = []
     for event_id in sorted(sources):
         train = splits[event_id].train
         if not train:
-            raise DataError(f"source event {event_id!r} has no training data")
+            raise SplitError(f"source event {event_id!r} has no training data")
         bad = [r.id for r in train if r.event_id != event_id]
         if bad:
-            raise DataError(
+            raise SplitError(
                 f"split for {event_id!r} contains foreign record {bad[0]!r}"
             )
         pooled.extend(train)
 
     test = splits[target_event].test
     if not test:
-        raise DataError(f"target event {target_event!r} has no test data")
+        raise SplitError(f"target event {target_event!r} has no test data")
     bad = [r.id for r in test if r.event_id != target_event]
     if bad:
-        raise DataError(
+        raise SplitError(
             f"test split for {target_event!r} contains foreign record {bad[0]!r}"
         )
 

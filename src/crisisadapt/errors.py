@@ -41,6 +41,11 @@ class PlanError(DataError):
     """Invalid adaptation plan (e.g. target inside a multi-event source set)."""
 
 
+class SplitError(DataError):
+    """An event's training or test split, needed by a plan, is absent,
+    empty, or holds another event's record."""
+
+
 class VocabError(DataError):
     """Vocabulary construction or lookup failure."""
 

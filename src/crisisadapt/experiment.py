@@ -8,7 +8,6 @@ of an experiment so checkpoints stay comparable.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import chain
@@ -199,6 +198,9 @@ def _run_jobs(jobs: list[list[AdaptationPlan]], workers: int, **context) -> list
     processes when workers > 1."""
     fn = partial(_train_and_score, **context)
     if workers > 1:
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]

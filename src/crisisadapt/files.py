@@ -7,10 +7,10 @@ import os
 from pathlib import Path
 
 
-def write_atomic(path, *chunks: bytes) -> None:
-    """Write the chunks in order to a temporary file beside `path`, flush
-    it to disk, then rename it over `path`. On failure the temporary file
-    is removed and `path` is left as it was."""
+def write_atomic(path, *chunks) -> None:
+    """Write the chunks (bytes-like objects) in order to a temporary file
+    beside `path`, flush it to disk, then rename it over `path`. On failure
+    the temporary file is removed and `path` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

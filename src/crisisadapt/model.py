@@ -75,10 +75,26 @@ def named_config(name: str, vocab_size: int, **overrides) -> ModelConfig:
 
 
 class ParameterStore:
-    """Named parameter tensors in a fixed order."""
+    """Named parameter tensors in a fixed order, held in one flat vector.
+
+    `flat` holds every parameter's values back to back in `names()` order,
+    and each tensor's data is a view into it, so an optimizer can update
+    them all in one pass over `flat`. The tensors must share one dtype.
+    """
 
     def __init__(self, params: dict[str, T.Tensor]):
         self._params = dict(params)
+        by_dtype: dict[np.dtype, list[str]] = {}
+        for name, t in self._params.items():
+            by_dtype.setdefault(t.data.dtype, []).append(name)
+        if len(by_dtype) > 1:
+            raise ValueError("parameters mix dtypes: " + "; ".join(
+                f"{dtype} ({', '.join(names)})" for dtype, names in by_dtype.items()))
+        dtype = next(iter(by_dtype), np.dtype(np.float32))
+        self.flat = np.empty(sum(t.data.size for t in self._params.values()), dtype=dtype)
+        for t, view in zip(self._params.values(), self.views(self.flat).values()):
+            view[...] = t.data
+            t.data = view
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self._params[name]
@@ -92,8 +108,19 @@ class ParameterStore:
     def arrays(self) -> dict[str, np.ndarray]:
         return {n: t.data for n, t in self._params.items()}
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views into `flat`, a vector laid out like `self.flat`, shaped
+        and named like the parameters."""
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"flat buffer of shape {flat.shape}, expected {self.flat.shape}")
+        out, start = {}, 0
+        for name, t in self._params.items():
+            out[name] = flat[start : start + t.data.size].reshape(t.data.shape)
+            start += t.data.size
+        return out
+
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite parameter values in place; names and shapes must match."""
+        """Copy `arrays` into the parameters; names and shapes must match."""
         missing = set(self._params) - set(arrays)
         extra = set(arrays) - set(self._params)
         if missing or extra:
@@ -101,12 +128,12 @@ class ParameterStore:
                 f"parameter names differ: missing={sorted(missing)}, extra={sorted(extra)}"
             )
         for name, t in self._params.items():
-            arr = np.asarray(arrays[name], dtype=t.data.dtype)
-            if arr.shape != t.data.shape:
+            if np.shape(arrays[name]) != t.data.shape:
                 raise ValueError(
-                    f"shape mismatch for {name}: {arr.shape} vs {t.data.shape}"
+                    f"shape mismatch for {name}: {np.shape(arrays[name])} vs {t.data.shape}"
                 )
-            self._params[name] = T.Tensor(arr, requires_grad=True, name=name)
+        for name, t in self._params.items():
+            t.data[...] = arrays[name]
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -138,14 +138,17 @@ class Gradients:
         return g if g is not None else np.zeros_like(t.data)
 
 
-def backward(tape: Tape, loss: Tensor) -> Gradients:
+def backward(tape: Tape, loss: Tensor,
+             into: dict[Tensor, np.ndarray] | None = None) -> Gradients:
     """Walk the tape in reverse from a scalar loss, accumulating gradients
     for every requires_grad tensor (fan-out contributions sum).
 
     The walk consumes the tape: each op is popped, run, and dropped along
     with the gradient of its output, so the activations it held are freed
     as the walk goes. Only the gradients of leaf tensors (those no op on
-    this tape produced, such as parameters) are returned.
+    this tape produced, such as parameters) are returned. A leaf that is a
+    key of `into` has its gradient added in place to that array instead,
+    once the walk is done.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
@@ -162,6 +165,10 @@ def backward(tape: Tape, loss: Tensor) -> Gradients:
         g = grads.pop(out)
         if g is not None:
             bw(g, grads)
+    for leaf, acc in (into or {}).items():
+        g = grads.pop(leaf)
+        if g is not None:
+            acc += g
     return grads
 
 

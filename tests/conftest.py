@@ -23,6 +23,18 @@ def encode_text(text: str, vocab) -> np.ndarray:
     return np.array([vocab.lookup(tok) for tok in tokenize(text)] + [EOS], dtype=np.int64)
 
 
+def assert_views_of(arrays: dict, flat: np.ndarray, names: list) -> None:
+    """Each named array is the slice of `flat` that follows those named
+    before it, and together they cover `flat`."""
+    start = 0
+    for name in names:
+        arr = arrays[name]
+        assert arr.base is flat, name
+        assert arr.__array_interface__["data"][0] == flat.ctypes.data + start * flat.itemsize
+        start += arr.size
+    assert start == flat.size
+
+
 @pytest.fixture
 def flood_event() -> EventDescriptor:
     return EventDescriptor("nq_flood", "Queensland", "Floods")

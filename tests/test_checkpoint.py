@@ -3,10 +3,12 @@
 import errno
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import crisisadapt.tensor as T
 from crisisadapt import files
 from crisisadapt.checkpoint import (
     FORMAT_VERSION,
@@ -15,8 +17,10 @@ from crisisadapt.checkpoint import (
     save_checkpoint,
 )
 from crisisadapt.errors import CheckpointError, CompatibilityError, IntegrityError
-from crisisadapt.model import ModelConfig, init_params
+from crisisadapt.model import ModelConfig, ParameterStore, init_params, named_config
 from crisisadapt.train import AdamState
+
+from conftest import assert_views_of
 
 CFG = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=16,
                   n_enc_layers=1, n_dec_layers=1, dropout=0.0,
@@ -28,7 +32,7 @@ def fresh(tmp_path, name="model.castckpt", optimizer=False, **kwargs):
     opt = None
     if optimizer:
         opt = AdamState(params)
-        g = {n: np.full_like(t.data, 0.25) for n, t in params.items()}
+        g = np.full_like(params.flat, 0.25)
         opt.apply(params, g, 1e-3)
         opt.apply(params, g, 1e-3)
     path = tmp_path / name
@@ -76,6 +80,76 @@ def test_optimizer_state_round_trip(tmp_path):
         assert np.array_equal(restored.v[name], opt.v[name])
 
 
+def address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+def read_manifest(path) -> dict:
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+    start = len(MAGIC) + 8
+    return json.loads(blob[start : start + mlen])
+
+
+def test_loaded_tensors_are_writable_views_into_one_buffer(tmp_path):
+    path, params, _ = fresh(tmp_path, optimizer=True)
+    data = load_checkpoint(path)
+    loaded = {**data.arrays, **{f"adam.m.{n}": a for n, a in data.adam_m.items()},
+              **{f"adam.v.{n}": a for n, a in data.adam_v.items()}}
+    manifest = read_manifest(path)
+    first = manifest["tensors"][0]
+    payload = address(loaded[first["name"]]) - first["offset"]
+    for entry in manifest["tensors"]:
+        arr = loaded[entry["name"]]
+        assert address(arr) == payload + entry["offset"], entry["name"]
+        assert arr.flags.writeable, entry["name"]
+
+
+def test_restored_state_lives_in_the_flat_vectors(tmp_path):
+    path, params, opt = fresh(tmp_path, optimizer=True)
+    data = load_checkpoint(path)
+    copy = init_params(CFG, 0)
+    copy.load_arrays(data.arrays)
+    restored = data.restore_optimizer(copy)
+    assert np.array_equal(copy.flat, params.flat)
+    assert np.array_equal(restored.m_flat, opt.m_flat)
+    assert np.array_equal(restored.v_flat, opt.v_flat)
+    names = params.names()
+    assert_views_of(copy.arrays(), copy.flat, names)
+    assert_views_of(restored.m, restored.m_flat, names)
+    assert_views_of(restored.v, restored.v_flat, names)
+
+
+def traced_peak(fn) -> int:
+    """Most bytes live at once while fn() runs, above those live before."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_copy_no_payload(tmp_path):
+    """A save writes the tensors' own buffers, and a load holds the file
+    once: a copy of the payload on either side breaks these bounds."""
+    cfg = named_config("tiny", vocab_size=300)
+    params = init_params(cfg, 0)
+    opt = AdamState(params)
+    opt.apply(params, np.full_like(params.flat, 0.01), 1e-3)
+    path = tmp_path / "tiny.castckpt"
+
+    def save():
+        save_checkpoint(path, params, cfg, vocab_hash="abcd1234", step=1, seed=0, optimizer=opt)
+
+    save()
+    size = path.stat().st_size
+    assert size > 3 * 2**20  # weights and both moments of 271k parameters
+    assert traced_peak(save) <= 0.25 * size
+    assert traced_peak(lambda: load_checkpoint(path)) <= 1.25 * size
+
+
 def test_restore_optimizer_absent_returns_none(tmp_path):
     path, params, _ = fresh(tmp_path)
     assert load_checkpoint(path).restore_optimizer(params) is None
@@ -87,9 +161,8 @@ def test_extra_payload_round_trip(tmp_path):
 
 
 def test_fp64_arrays_round_trip(tmp_path):
-    params = init_params(CFG, 0)
-    for _, t in params.items():
-        t.data = t.data.astype(np.float64)
+    params = ParameterStore({n: T.Tensor(a.astype(np.float64), requires_grad=True, name=n)
+                             for n, a in init_params(CFG, 0).arrays().items()})
     path = tmp_path / "wide.castckpt"
     save_checkpoint(path, params, CFG, vocab_hash="x", step=0, seed=0)
     data = load_checkpoint(path)

@@ -251,8 +251,25 @@ def test_matrix_event_without_training_records_exits_3_before_training(ws, tmp_p
     args = base_args(ws, "matrix", vocab=ws["vocab"], out=tmp_path / "m")
     args[args.index(str(ws["data"] / "train.tsv"))] = str(train_file)
     assert cli.main(args) == 3
-    assert "'gamma_quake' has no training data" in capsys.readouterr().err
+    test_file = ws["data"] / "test.tsv"
+    assert capsys.readouterr().err == (
+        f"error: {train_file}, {test_file}: source event 'gamma_quake' has no training data\n")
     assert not (tmp_path / "m" / "matrix.csv").exists()
+
+
+def test_loo_event_without_test_records_names_the_data_files(ws, tmp_path, capsys):
+    test_file = tmp_path / "test.tsv"
+    lines = (ws["data"] / "test.tsv").read_text(encoding="utf-8").splitlines()
+    test_file.write_text("\n".join(line for line in lines if not line.endswith("\tbeta_flood"))
+                         + "\n", encoding="utf-8")
+    args = base_args(ws, "loo", vocab=ws["vocab"], events="alpha_flood,beta_flood",
+                     out=tmp_path / "l")
+    args[args.index(str(ws["data"] / "test.tsv"))] = str(test_file)
+    assert cli.main(args) == 3
+    train_file = ws["data"] / "train.tsv"
+    assert capsys.readouterr().err == (
+        f"error: {train_file}, {test_file}: target event 'beta_flood' has no test data\n")
+    assert not (tmp_path / "l" / "loo.json").exists()
 
 
 def test_loo_artifacts(ws, tmp_path):
@@ -497,3 +514,20 @@ def test_unknown_target_event_exits_3(ws, tmp_path, capsys):
     assert cli.main(base_args(ws, "train", vocab=ws["vocab"],
                               target_event="zeta_storm",
                               out=tmp_path / "x")) == 3
+
+
+def test_empty_source_event_set_exits_2(ws, tmp_path, capsys):
+    assert cli.main(base_args(ws, "train", vocab=ws["vocab"], source_events=",",
+                              target_event="alpha_flood", out=tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert "--source-events ','" in err and "source event set is empty" in err
+    assert not (tmp_path / "x" / "checkpoint.castckpt").exists()
+
+
+def test_target_inside_multi_event_sources_exits_2(ws, tmp_path, capsys):
+    assert cli.main(base_args(ws, "train", vocab=ws["vocab"],
+                              source_events="alpha_flood,beta_flood",
+                              target_event="alpha_flood", out=tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert "--target-event 'alpha_flood'" in err and "inside multi-event source set" in err
+    assert not (tmp_path / "x" / "checkpoint.castckpt").exists()

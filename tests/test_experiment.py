@@ -1,5 +1,10 @@
 """End-to-end harness: encoding pipelines, single plans, matrix, LOO."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -285,6 +290,16 @@ def test_run_matrix_jobs_change_nothing_but_wall_time():
             for jobs in (1, 2)]
     assert runs[0].cells == runs[1].cells
     assert runs[0].provenance == runs[1].provenance
+
+
+def test_serial_runs_never_import_multiprocessing():
+    """The process pool is imported only for jobs > 1, so importing the
+    harness leaves multiprocessing out of a serial run."""
+    src = Path(experiment.__file__).resolve().parents[1]
+    code = "import sys, crisisadapt.experiment; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_loo_micro():

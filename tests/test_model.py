@@ -22,7 +22,7 @@ from crisisadapt.model import (
 from crisisadapt.tokenizer import EOS, PAD
 from crisisadapt.train import pad_sources
 
-from conftest import finite_diff_check
+from conftest import assert_views_of, finite_diff_check
 
 
 def small_config(**overrides):
@@ -139,6 +139,38 @@ def test_load_arrays_shape_check():
     arrays["embed.weight"] = arrays["embed.weight"][:, :4]
     with pytest.raises(ValueError):
         params.load_arrays(arrays)
+
+
+def test_parameters_are_views_into_one_flat_vector():
+    params = init_params(small_config(), 4)
+    assert params.flat.dtype == np.float32
+    assert_views_of(params.arrays(), params.flat, params.names())
+    params.flat[0] = 7.0
+    assert params["embed.weight"].data[0, 0] == 7.0
+
+
+def test_load_arrays_copies_into_the_flat_vector():
+    params = init_params(small_config(), 1)
+    other = init_params(small_config(), 2)
+    params.load_arrays({n: a.astype(np.float64) for n, a in other.arrays().items()})
+    assert_views_of(params.arrays(), params.flat, params.names())
+    assert np.array_equal(params.flat, other.flat)
+
+
+def test_mixed_dtype_store_raises_naming_the_tensors():
+    tensors = {"a": T.Tensor(np.zeros(2, np.float32)), "b": T.Tensor(np.zeros(3, np.float64)),
+               "c": T.Tensor(np.zeros(1, np.float32))}
+    with pytest.raises(ValueError, match=r"float32 \(a, c\); float64 \(b\)"):
+        ParameterStore(tensors)
+
+
+def test_fp64_store_holds_one_fp64_vector():
+    wide = ParameterStore({n: T.Tensor(a.astype(np.float64), requires_grad=True, name=n)
+                           for n, a in init_params(small_config(), 5).arrays().items()})
+    assert wide.flat.dtype == np.float64
+    assert_views_of(wide.arrays(), wide.flat, wide.names())
+    with pytest.raises(ValueError, match="flat buffer"):
+        wide.views(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

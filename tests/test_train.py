@@ -7,10 +7,12 @@ import pytest
 
 import crisisadapt.tensor as T
 from crisisadapt.errors import ConfigError, NonFiniteError
-from crisisadapt.model import ModelConfig, ParameterStore, example_loss, init_params
+from crisisadapt.model import ModelConfig, ParameterStore, example_loss, init_params, named_config
 from crisisadapt.rng import mix_seed
 from crisisadapt.tokenizer import EOS
 from crisisadapt.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     AdamState,
     StepRecord,
@@ -22,6 +24,8 @@ from crisisadapt.train import (
     train,
     write_history,
 )
+
+from conftest import assert_views_of
 
 MICRO = ModelConfig(vocab_size=8, d_model=4, n_heads=1, d_ff=8,
                     n_enc_layers=1, n_dec_layers=1, dropout=0.0,
@@ -122,7 +126,7 @@ def test_adam_first_step_hand_formula():
     state = AdamState(params)
     g = np.array([0.3, -0.1, 0.02], dtype=np.float32)
     lr = 1e-3
-    state.apply(params, {"w": g}, lr)
+    state.apply(params, g, lr)
     # at t=1 the bias corrections cancel the moment decay exactly:
     # m/c1 = g and v/c2 = g^2, so the update is lr * g / (|g| + eps)
     want = w - lr * g / (np.abs(g) + ADAM_EPS)
@@ -135,11 +139,55 @@ def test_adam_moments_update_in_place():
                                            requires_grad=True, name="w")})
     state = AdamState(params)
     m0, v0 = state.m["w"], state.v["w"]
-    state.apply(params, {"w": np.ones(2, np.float32)}, 1e-4)
-    state.apply(params, {"w": np.ones(2, np.float32)}, 1e-4)
+    state.apply(params, np.ones(2, np.float32), 1e-4)
+    state.apply(params, np.ones(2, np.float32), 1e-4)
     assert state.m["w"] is m0 and state.v["w"] is v0
+    assert np.shares_memory(m0, state.m_flat) and np.shares_memory(v0, state.v_flat)
     assert state.t == 2
     np.testing.assert_allclose(m0, 1.0 - 0.9 ** 2, rtol=1e-6)
+
+
+def reference_adam(arrays, m, v, grads, t, lr):
+    """Adam as one numpy expression per tensor, the form the blocked step
+    must round exactly like."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, p in arrays.items():
+        g = grads[name]
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+        p -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+
+
+def test_blocked_adam_matches_per_tensor_reference_bitwise(monkeypatch):
+    # 1000-element blocks split the 64 x 64 projections and the embedding
+    monkeypatch.setattr("crisisadapt.train.ADAM_BLOCK", 1000)
+    params = init_params(named_config("tiny", vocab_size=40), 8)
+    ref = snapshot(params)
+    ref_m = {n: np.zeros_like(a) for n, a in ref.items()}
+    ref_v = {n: np.zeros_like(a) for n, a in ref.items()}
+    state = AdamState(params)
+    rng = np.random.Generator(np.random.PCG64(4))
+    for lr in (1e-3, 3e-3, 2e-4):
+        grad = rng.normal(0.0, 0.05, size=params.flat.shape).astype(np.float32)
+        state.apply(params, grad, lr)
+        reference_adam(ref, ref_m, ref_v, params.views(grad), state.t, lr)
+    assert state.t == 3
+    for name, want in ref.items():
+        assert np.array_equal(params[name].data, want), name
+        assert np.array_equal(state.m[name], ref_m[name]), name
+        assert np.array_equal(state.v[name], ref_v[name]), name
+
+
+def test_adam_moments_are_views_into_flat_vectors():
+    params = init_params(MICRO, 0)
+    state = AdamState(params)
+    for moments, flat in ((state.m, state.m_flat), (state.v, state.v_flat)):
+        assert list(moments) == params.names()
+        assert_views_of(moments, flat, params.names())
+    with pytest.raises(ValueError, match="gradient of shape"):
+        state.apply(params, np.zeros(3, np.float32), 1e-3)
+    assert state.t == 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +282,10 @@ def test_non_finite_gradient_fails_fast_before_the_update(monkeypatch):
     before = snapshot(params)
 
     def inf_gradients(params, *args):
-        grads = {name: np.zeros_like(t.data) for name, t in params.items()}
-        grads["embed.weight"][3, 1] = np.inf
-        return 1.5, grads
+        grad = args[-1]
+        grad.fill(0)
+        params.views(grad)["embed.weight"][3, 1] = np.inf
+        return 1.5
 
     monkeypatch.setattr("crisisadapt.train.step_gradients", inf_gradients)
     tcfg = TrainConfig(peak_lr=1e-3, effective_batch=4, epochs=2)
@@ -274,9 +323,9 @@ def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
     cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=16,
                       n_enc_layers=1, n_dec_layers=1, dropout=0.3,
                       max_src_len=64, max_tgt_len=4)
-    params = init_params(cfg, 3)
-    for _, t in params.items():
-        t.data = t.data.astype(np.float64)
+    params = ParameterStore({name: T.Tensor(t.data.astype(np.float64), requires_grad=True,
+                                            name=name)
+                             for name, t in init_params(cfg, 3).items()})
     rng = np.random.Generator(np.random.PCG64(9))
     examples = []
     for n in (40, 17, 55, 23, 60, 31, 48, 12, 64, 36):
@@ -291,7 +340,9 @@ def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
     assert len(chunk_slots(examples, slots, cfg.d_model)) >= 3
     seed, epoch = 11, 2
 
-    loss, grads = step_gradients(params, examples, slots, cfg, seed, epoch)
+    flat = np.full_like(params.flat, np.nan)  # every element is overwritten
+    loss = step_gradients(params, examples, slots, cfg, seed, epoch, flat)
+    grads = params.views(flat)
 
     ref_loss = 0.0
     ref_grads = {name: np.zeros_like(t.data) for name, t in params.items()}
