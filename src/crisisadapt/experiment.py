@@ -194,9 +194,10 @@ def _train_and_score(plans, *, registry, vocab, model_config, train_config) -> l
 
 
 def _run_jobs(jobs: list[list[AdaptationPlan]], workers: int, **context) -> list[list[EvalReport]]:
-    """`_train_and_score` over `jobs` in order, in `workers` worker
-    processes when workers > 1."""
+    """`_train_and_score` over `jobs` in order, in up to `workers` worker
+    processes; never more processes than jobs, and none for a single one."""
     fn = partial(_train_and_score, **context)
+    workers = min(workers, len(jobs))
     if workers > 1:
         # imported here, so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -108,16 +108,13 @@ class ParameterStore:
     def arrays(self) -> dict[str, np.ndarray]:
         return {n: t.data for n, t in self._params.items()}
 
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {n: t.data.shape for n, t in self._params.items()}
+
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Views into `flat`, a vector laid out like `self.flat`, shaped
         and named like the parameters."""
-        if flat.shape != self.flat.shape:
-            raise ValueError(f"flat buffer of shape {flat.shape}, expected {self.flat.shape}")
-        out, start = {}, 0
-        for name, t in self._params.items():
-            out[name] = flat[start : start + t.data.size].reshape(t.data.shape)
-            start += t.data.size
-        return out
+        return flat_views(flat, self.shapes())
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy `arrays` into the parameters; names and shapes must match."""
@@ -134,6 +131,20 @@ class ParameterStore:
                 )
         for name, t in self._params.items():
             t.data[...] = arrays[name]
+
+
+def flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views into the vector `flat` that hold arrays of `shapes` back to
+    back in its order, by name; `flat` must hold exactly that many values."""
+    total = sum(math.prod(shape) for shape in shapes.values())
+    if flat.shape != (total,):
+        raise ValueError(f"flat buffer of shape {flat.shape}, expected {(total,)}")
+    out, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return out
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -133,10 +133,6 @@ class Gradients:
     def pop(self, t: Tensor) -> np.ndarray | None:
         return self.by_id.pop(id(t), None)
 
-    def of(self, t: Tensor) -> np.ndarray:
-        g = self.by_id.get(id(t))
-        return g if g is not None else np.zeros_like(t.data)
-
 
 def backward(tape: Tape, loss: Tensor,
              into: dict[Tensor, np.ndarray] | None = None) -> Gradients:

@@ -79,7 +79,10 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK)
+        """The id of `token`; UNK for a word outside the vocabulary and for
+        the special strings, so that no text can encode to PAD or EOS."""
+        i = self.token_to_id.get(token, UNK)
+        return i if i >= len(SPECIAL_TOKENS) else UNK
 
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id

@@ -145,7 +145,6 @@ class TrainResult:
     steps_per_epoch: int = 0
     total_steps: int = 0
     final_step: int = 0
-    stopped_early: bool = False
     optimizer: AdamState | None = None
 
 
@@ -249,8 +248,8 @@ def train(
     `examples` is a sequence of (src_ids, target_ids) pairs of 1-D id
     arrays; :func:`pad_sources` pads and masks each chunk's sources.
     `start_step` > 0 continues an earlier run and requires the matching
-    `optimizer` state. `on_epoch_end(epoch, params)` may return True to
-    stop after that epoch. Parameters are updated in place. A step whose
+    `optimizer` state. `on_epoch_end(epoch, params)`, if given, is called
+    after each completed epoch. Parameters are updated in place. A step whose
     chunk loss or global gradient norm is not finite raises NonFiniteError
     naming the step and epoch, before that step updates any parameter.
     """
@@ -306,9 +305,7 @@ def train(
         result.final_step = s + 1
 
         if b == spe - 1 and on_epoch_end is not None:
-            if on_epoch_end(epoch, params):
-                result.stopped_early = True
-                break
+            on_epoch_end(epoch, params)
 
     return result
 

@@ -23,6 +23,13 @@ def encode_text(text: str, vocab) -> np.ndarray:
     return np.array([vocab.lookup(tok) for tok in tokenize(text)] + [EOS], dtype=np.int64)
 
 
+def grad_of(grads: T.Gradients, t: T.Tensor) -> np.ndarray:
+    """The gradient a backward pass accumulated for `t`, or zeros shaped
+    like it when the pass reached no op that used `t`."""
+    g = grads.by_id.get(id(t))
+    return g if g is not None else np.zeros_like(t.data)
+
+
 def assert_views_of(arrays: dict, flat: np.ndarray, names: list) -> None:
     """Each named array is the slice of `flat` that follows those named
     before it, and together they cover `flat`."""
@@ -88,7 +95,7 @@ def finite_diff_check(f, x: T.Tensor, eps: float = 1e-5) -> float:
     probe = T.Tensor(x.data.copy(), requires_grad=True)
     with T.Tape() as tape:
         loss = f(probe)
-    analytic = T.backward(tape, loss).of(probe)
+    analytic = grad_of(T.backward(tape, loss), probe)
 
     flat = x.data.copy().reshape(-1)
     numeric = np.zeros_like(flat)

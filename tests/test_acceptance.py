@@ -57,7 +57,14 @@ from crisisadapt.prompt import construct
 from crisisadapt.rng import SplitMix64
 from crisisadapt.synth import DEFAULT_EVENTS, generate_corpus
 from crisisadapt.tokenizer import build_vocab, decode, encode_augmented, tokenize
-from crisisadapt.train import TrainConfig, chunk_slots, lr_at, pad_sources, train
+from crisisadapt.train import (
+    TrainConfig,
+    chunk_slots,
+    lr_at,
+    pad_sources,
+    steps_per_epoch,
+    train,
+)
 
 
 @contextmanager
@@ -181,18 +188,21 @@ def test_acceptance_03_memorization_within_budget():
         encoded, gold = encode_eval_inputs(records, "standard",
                                            registry["evt"], vocab, mcfg)
 
+        # train 10 epochs at a time, resuming, and probe after each block;
+        # stop at the first probe that reads accuracy 1.0
         probes = {}
-
-        def probe(epoch, ps):
-            if (epoch + 1) % 10:
-                return False
-            report = evaluate(ps, encoded, gold, vocab, mcfg)
-            probes[epoch + 1] = report.accuracy
-            return report.accuracy == 1.0
-
-        result = train(params, examples, mcfg, tcfg, on_epoch_end=probe)
+        block = 10 * steps_per_epoch(len(examples), tcfg.effective_batch)
+        step, optimizer = 0, None
+        while True:
+            result = train(params, examples, mcfg, tcfg, start_step=step, max_steps=block,
+                           optimizer=optimizer)
+            step, optimizer = result.final_step, result.optimizer
+            accuracy = evaluate(params, encoded, gold, vocab, mcfg).accuracy
+            probes[step // result.steps_per_epoch] = accuracy
+            if accuracy == 1.0 or step == result.total_steps:
+                break
         elapsed = time.monotonic() - start
-        epochs_used = result.final_step // result.steps_per_epoch
+        epochs_used = step // result.steps_per_epoch
         assert probes and max(probes.values()) == 1.0, probes
         assert epochs_used <= 200, epochs_used
         assert elapsed < 300.0, f"memorization took {elapsed:.1f}s"

@@ -1,9 +1,11 @@
 """Checkpoint container: byte-exact round trips and tamper detection."""
 
 import errno
+import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import crisisadapt.tensor as T
 from crisisadapt import files
 from crisisadapt.checkpoint import (
+    DIGEST_BYTES,
     FORMAT_VERSION,
     MAGIC,
     load_checkpoint,
@@ -84,25 +87,20 @@ def address(arr: np.ndarray) -> int:
     return arr.__array_interface__["data"][0]
 
 
-def read_manifest(path) -> dict:
-    blob = path.read_bytes()
-    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
-    start = len(MAGIC) + 8
-    return json.loads(blob[start : start + mlen])
-
-
 def test_loaded_tensors_are_writable_views_into_one_buffer(tmp_path):
+    """The parameters, then Adam's m and v, each in parameter order, lie
+    back to back in one buffer and fill the payload."""
     path, params, _ = fresh(tmp_path, optimizer=True)
     data = load_checkpoint(path)
-    loaded = {**data.arrays, **{f"adam.m.{n}": a for n, a in data.adam_m.items()},
-              **{f"adam.v.{n}": a for n, a in data.adam_v.items()}}
-    manifest = read_manifest(path)
-    first = manifest["tensors"][0]
-    payload = address(loaded[first["name"]]) - first["offset"]
-    for entry in manifest["tensors"]:
-        arr = loaded[entry["name"]]
-        assert address(arr) == payload + entry["offset"], entry["name"]
-        assert arr.flags.writeable, entry["name"]
+    loaded = [*data.arrays.values(), *data.adam_m.values(), *data.adam_v.values()]
+    assert len(loaded) == 3 * len(params.names())
+    end = address(loaded[0])
+    for arr in loaded:
+        assert address(arr) == end and arr.flags.writeable
+        end += arr.nbytes
+    (mlen,) = struct.unpack_from("<I", path.read_bytes(), len(MAGIC) + 4)
+    payload = path.stat().st_size - (len(MAGIC) + 8 + mlen) - DIGEST_BYTES
+    assert end - address(loaded[0]) == payload == 3 * params.flat.nbytes
 
 
 def test_restored_state_lives_in_the_flat_vectors(tmp_path):
@@ -214,10 +212,16 @@ def test_vocab_hash_gate(tmp_path):
         load_checkpoint(path, expected_vocab_hash="ffff0000")
 
 
+def resign(blob) -> bytes:
+    """`blob` with its trailing digest recomputed over its other bytes."""
+    body = bytes(blob[:-DIGEST_BYTES])
+    return body + hashlib.sha256(body).digest()
+
+
 def test_payload_corruption_detected(tmp_path):
     path, _, _ = fresh(tmp_path)
     blob = bytearray(path.read_bytes())
-    blob[-3] ^= 0xFF  # flip one payload byte
+    blob[-DIGEST_BYTES - 3] ^= 0xFF  # flip one payload byte
     path.write_bytes(bytes(blob))
     with pytest.raises(IntegrityError, match="digest mismatch"):
         load_checkpoint(path)
@@ -243,6 +247,16 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_v1_file_is_compatibility_error(tmp_path):
+    path, _, _ = fresh(tmp_path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, len(MAGIC), 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CompatibilityError, match=f"^{path}: checkpoint format version 1, "
+                                                 f"this build reads {FORMAT_VERSION}$"):
+        load_checkpoint(path)
+
+
 def test_future_version_rejected(tmp_path):
     path, _, _ = fresh(tmp_path)
     blob = bytearray(path.read_bytes())
@@ -259,20 +273,34 @@ def test_manifest_corruption_detected(tmp_path):
     start = len(MAGIC) + 8
     blob[start : start + 2] = b"\xff\xfe"  # manifest no longer valid JSON
     path.write_bytes(bytes(blob))
+    with pytest.raises(IntegrityError, match="digest mismatch"):
+        load_checkpoint(path)
+    path.write_bytes(resign(blob))
     with pytest.raises(IntegrityError, match="unreadable"):
         load_checkpoint(path)
 
 
+def test_manifest_edit_is_integrity_error(tmp_path):
+    path, _, _ = fresh(tmp_path)
+    blob = path.read_bytes()
+    assert blob.count(b'"step":7') == 1
+    path.write_bytes(blob.replace(b'"step":7', b'"step":8'))
+    with pytest.raises(IntegrityError, match=f"^{path}: checkpoint digest mismatch"):
+        load_checkpoint(path)
+    path.write_bytes(resign(path.read_bytes()))
+    assert load_checkpoint(path).step == 8
+
+
 def rewrite_manifest(path, edit):
-    """Replace the manifest with edit(manifest), keeping the payload (and
-    so its digest) as it was."""
+    """Replace the manifest with edit(manifest), keeping the payload as it
+    was, and sign the new file with its own digest."""
     blob = path.read_bytes()
     (mlen,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
     start = len(MAGIC) + 8
     manifest = edit(json.loads(blob[start : start + mlen]))
     body = json.dumps(manifest).encode("utf-8")
-    path.write_bytes(blob[:start - 4] + struct.pack("<I", len(body)) + body
-                     + blob[start + mlen :])
+    path.write_bytes(resign(blob[:start - 4] + struct.pack("<I", len(body)) + body
+                            + blob[start + mlen :]))
 
 
 def without(key):
@@ -287,13 +315,6 @@ def with_config(**changes):
         manifest["config"].update(changes)
         return manifest
     return edit
-
-
-def test_manifest_without_tensors_is_integrity_error(tmp_path):
-    path, _, _ = fresh(tmp_path)
-    rewrite_manifest(path, without("tensors"))
-    with pytest.raises(IntegrityError, match="lacks 'tensors'"):
-        load_checkpoint(path)
 
 
 def test_manifest_that_is_a_list_is_integrity_error(tmp_path):
@@ -317,44 +338,45 @@ def test_invalid_config_is_compatibility_error(tmp_path):
         load_checkpoint(path)
 
 
-def test_malformed_tensor_entry_is_integrity_error(tmp_path):
+def test_manifest_without_a_field_is_integrity_error(tmp_path):
     path, _, _ = fresh(tmp_path)
-
-    def edit(manifest):
-        manifest["tensors"][2]["shape"] = "8x8"
-        return manifest
-
-    rewrite_manifest(path, edit)
-    with pytest.raises(IntegrityError, match="entry 2: field 'shape'"):
+    rewrite_manifest(path, without("adam_t"))
+    with pytest.raises(IntegrityError, match="lacks 'adam_t'"):
         load_checkpoint(path)
 
 
-def test_missing_optimizer_moment_is_integrity_error(tmp_path):
-    path, _, _ = fresh(tmp_path, optimizer=True)
-
-    def edit(manifest):
-        manifest["tensors"] = [t for t in manifest["tensors"]
-                               if t["name"] != "adam.v.embed.weight"]
-        return manifest
-
-    rewrite_manifest(path, edit)
-    with pytest.raises(IntegrityError, match="optimizer moments"):
+@pytest.mark.parametrize("optimizer, changes", [
+    (False, {"adam_t": 2}),  # a payload of parameters only, read as three vectors
+    (True, {"adam_t": None}),
+    (False, {"config": asdict(replace(CFG, d_ff=24))}),
+    (False, {"dtype": "float64"}),
+], ids=["adam_t_added", "adam_t_dropped", "config_resized", "dtype_widened"])
+def test_payload_that_does_not_fit_is_integrity_error(tmp_path, optimizer, changes):
+    path, _, _ = fresh(tmp_path, optimizer=optimizer)
+    rewrite_manifest(path, lambda manifest: manifest | changes)
+    with pytest.raises(IntegrityError, match=f"^{path}: checkpoint payload of .* does not fit"):
         load_checkpoint(path)
 
 
 def test_vocab_hash_checked_before_any_tensor(tmp_path):
     path, _, _ = fresh(tmp_path)
-
-    def edit(manifest):
-        manifest["vocab_hash"] = "ffff0000"
-        manifest["tensors"][0]["offset"] = 10**9
-        return manifest
-
-    rewrite_manifest(path, edit)
+    rewrite_manifest(path, lambda manifest: manifest | {"vocab_hash": "ffff0000", "adam_t": 5})
     with pytest.raises(CompatibilityError, match="vocabulary ffff0000"):
         load_checkpoint(path, expected_vocab_hash="abcd1234")
-    with pytest.raises(IntegrityError, match="extends past the payload"):
+    with pytest.raises(IntegrityError, match="does not fit"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("store", [
+    lambda: init_params(replace(CFG, d_ff=24), 0),
+    lambda: ParameterStore(dict(reversed(init_params(CFG, 0).items()))),
+    lambda: ParameterStore(dict(list(init_params(CFG, 0).items())[:-1])),
+], ids=["other_config", "other_order", "missing_tensor"])
+def test_save_of_a_store_unlike_its_config_is_value_error(tmp_path, store):
+    path = tmp_path / "model.castckpt"
+    with pytest.raises(ValueError, match="does not match its model config"):
+        save_checkpoint(path, store(), CFG, vocab_hash="x", step=0, seed=0)
+    assert not path.exists()
 
 
 def test_untouched_manifest_rewrite_still_loads(tmp_path):

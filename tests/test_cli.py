@@ -1,5 +1,6 @@
 """Command-line interface: happy paths, exit codes, artifact layout."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import crisisadapt.cli as cli
-from crisisadapt.checkpoint import load_checkpoint
+from crisisadapt.checkpoint import DIGEST_BYTES, load_checkpoint
 from crisisadapt.evaluation import AdaptationMatrix
 from crisisadapt.tokenizer import _digest, load_vocab, save_vocab
 
@@ -349,7 +350,8 @@ def _first_label_unmapped(raw: bytes) -> bytes:
     ("registry", _crisis_name(7), 3, "event 'alpha_flood': crisis_name must be a string, got 7"),
     ("registry", _crisis_name(""), 3, "event 'alpha_flood' has an empty crisis_name"),
     ("train-file", _first_label_unmapped, 3, "unmapped raw labels: 'relevantX' x1"),
-    ("resume", lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]), 3, "payload digest mismatch"),
+    ("resume", lambda raw: raw[:-40] + bytes([raw[-40] ^ 1]) + raw[-39:], 3,
+     "checkpoint digest mismatch"),
     ("resume", lambda raw: raw[:20], 3, "checkpoint truncated inside the manifest"),
     ("registry", lambda raw: raw + b"\xff", 3, "malformed UTF-8"),
     ("vocab", lambda raw: raw + b"\xff\n", 3, "malformed UTF-8"),
@@ -470,18 +472,11 @@ def test_bad_vocab_file_exits_3(ws, tmp_path, capsys, case):
     assert str(bad) in err and named in err
 
 
-def evaluate_with_config_entry(ws, tmp_path, key, value) -> int:
-    """Exit code of `evaluate` on the trained checkpoint with one entry of
-    its manifest's model config replaced."""
-    blob = (ws["run"] / "checkpoint.castckpt").read_bytes()
-    head = len(b"CASTCKPT") + 4
-    mlen = int.from_bytes(blob[head : head + 4], "little")
-    manifest = json.loads(blob[head + 4 : head + 4 + mlen])
-    manifest["config"][key] = value
-    body = json.dumps(manifest).encode("utf-8")
+def evaluate_checkpoint(ws, tmp_path, blob: bytes) -> int:
+    """Exit code of `evaluate` on a checkpoint file `bad.castckpt` that
+    holds `blob`."""
     bad = tmp_path / "bad.castckpt"
-    bad.write_bytes(blob[:head] + len(body).to_bytes(4, "little") + body
-                    + blob[head + 4 + mlen :])
+    bad.write_bytes(blob)
     return cli.main(["evaluate",
                      "--checkpoint", str(bad),
                      "--vocab", str(ws["vocab"]),
@@ -490,6 +485,33 @@ def evaluate_with_config_entry(ws, tmp_path, key, value) -> int:
                      "--scenario", "postq",
                      "--target-event", "alpha_flood",
                      "--out", str(tmp_path / "x")])
+
+
+def evaluate_with_config_entry(ws, tmp_path, key, value) -> int:
+    """Exit code of `evaluate` on the trained checkpoint with one entry of
+    its manifest's model config replaced, signed with the digest of its
+    new content."""
+    blob = (ws["run"] / "checkpoint.castckpt").read_bytes()
+    head = len(b"CASTCKPT") + 4
+    mlen = int.from_bytes(blob[head : head + 4], "little")
+    manifest = json.loads(blob[head + 4 : head + 4 + mlen])
+    manifest["config"][key] = value
+    body = json.dumps(manifest).encode("utf-8")
+    edited = (blob[:head] + len(body).to_bytes(4, "little") + body
+              + blob[head + 4 + mlen : -DIGEST_BYTES])
+    return evaluate_checkpoint(ws, tmp_path, edited + hashlib.sha256(edited).digest())
+
+
+def test_checkpoint_with_edited_step_exits_3(ws, tmp_path, capsys):
+    path = ws["run"] / "checkpoint.castckpt"
+    step = load_checkpoint(path).step
+    blob = path.read_bytes()
+    old, new = (f'"step":{n},'.encode() for n in (step, step + 1))
+    assert blob.count(old) == 1
+    assert evaluate_checkpoint(ws, tmp_path, blob.replace(old, new)) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {tmp_path / 'bad.castckpt'}: checkpoint digest mismatch")
+    assert not (tmp_path / "x").exists()
 
 
 def test_checkpoint_with_unusable_config_exits_3(ws, tmp_path, capsys):

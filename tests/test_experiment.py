@@ -1,5 +1,6 @@
 """End-to-end harness: encoding pipelines, single plans, matrix, LOO."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -300,6 +301,33 @@ def test_serial_runs_never_import_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_jobs_start_no_more_workers_than_jobs(monkeypatch):
+    """A pool starts all its workers at once, so `--jobs 64` over three
+    jobs asks for three, and a single job runs without a pool."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment, "_train_and_score", lambda plans: [len(plans)])
+    assert experiment._run_jobs([["a"], ["b", "c"], ["d"]], 64) == [[1], [2], [1]]
+    assert experiment._run_jobs([["a"], ["b"]], 2) == [[1], [1]]
+    assert experiment._run_jobs([["a", "b"]], 64) == [[2]]
+    assert experiment._run_jobs([["a"], ["b"]], 1) == [[1], [1]]
+    assert asked == [3, 2]
 
 
 def test_run_loo_micro():

@@ -22,7 +22,7 @@ from crisisadapt.model import (
 from crisisadapt.tokenizer import EOS, PAD
 from crisisadapt.train import pad_sources
 
-from conftest import assert_views_of, finite_diff_check
+from conftest import assert_views_of, finite_diff_check, grad_of
 
 
 def small_config(**overrides):
@@ -543,7 +543,7 @@ def test_full_model_gradient_fp32():
     grads = T.backward(tape, loss)
     worst = 0.0
     for name in p32.names():
-        analytic = grads.of(p32[name]).astype(np.float64)
+        analytic = grad_of(grads, p32[name]).astype(np.float64)
         numeric = numeric_gradient(p64, name, eps=3e-5)
         rel = np.abs(analytic - numeric) / np.maximum(
             np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)

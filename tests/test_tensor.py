@@ -7,7 +7,7 @@ import pytest
 
 from crisisadapt import tensor as T
 
-from conftest import finite_diff_check
+from conftest import finite_diff_check, grad_of
 
 FD_TOL = 1e-6
 # Per-coordinate relative error is noisy when a true gradient coordinate is
@@ -217,7 +217,7 @@ def test_attention_matches_unfused_reference_fp64(bias_kind):
             out = op(q, k, v, bias, ATT_H)
             loss = T.sum_all(T.mul(out, r))
         grads = T.backward(tape, loss)
-        results.append([out.data] + [grads.of(t) for t in (q, k, v)])
+        results.append([out.data] + [grad_of(grads, t) for t in (q, k, v)])
     for fused, reference in zip(*results):
         np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
 
@@ -298,7 +298,7 @@ def test_grad_sum_is_ones():
     x = T.Tensor(np.arange(12, dtype=np.float64).reshape(3, 4), requires_grad=True)
     with T.Tape() as tape:
         loss = T.sum_all(x)
-    g = T.backward(tape, loss).of(x)
+    g = grad_of(T.backward(tape, loss), x)
     assert np.array_equal(g, np.ones((3, 4)))
 
 
@@ -307,7 +307,7 @@ def test_grad_sum_square_is_2x_exact():
     x = T.Tensor(x_data, requires_grad=True)
     with T.Tape() as tape:
         loss = T.sum_all(T.mul(x, x))
-    g = T.backward(tape, loss).of(x)
+    g = grad_of(T.backward(tape, loss), x)
     assert np.array_equal(g, 2 * x_data)
 
 
@@ -321,15 +321,15 @@ def test_grad_matmul_closed_form():
         loss = T.sum_all(T.matmul(a, b))
     grads = T.backward(tape, loss)
     ones = np.ones((3, 2))
-    np.testing.assert_allclose(grads.of(a), ones @ b_data.T, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(grads.of(b), a_data.T @ ones, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad_of(grads, a), ones @ b_data.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad_of(grads, b), a_data.T @ ones, rtol=1e-12, atol=1e-12)
 
 
 def test_grad_fanout_accumulates():
     x = T.Tensor(np.array([2.0, 3.0]), requires_grad=True)
     with T.Tape() as tape:
         loss = T.sum_all(T.add(T.mul(x, x), x))  # x^2 + x -> grad 2x + 1
-    g = T.backward(tape, loss).of(x)
+    g = grad_of(T.backward(tape, loss), x)
     assert np.array_equal(g, np.array([5.0, 7.0]))
 
 
@@ -422,7 +422,7 @@ def test_second_backward_on_consumed_tape_raises():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with T.Tape() as tape:
         loss = T.sum_all(T.mul(x, x))
-    assert np.array_equal(T.backward(tape, loss).of(x), 2 * np.ones(3))
+    assert np.array_equal(grad_of(T.backward(tape, loss), x), 2 * np.ones(3))
     assert tape.ops == []
     with pytest.raises(ValueError, match="already consumed"):
         T.backward(tape, loss)
@@ -434,7 +434,7 @@ def test_no_tracking_outside_tape():
     with T.Tape() as tape:
         z = T.sum_all(x)
     assert len(tape.ops) == 1
-    g = T.backward(tape, z).of(x)
+    g = grad_of(T.backward(tape, z), x)
     assert np.array_equal(g, np.ones(3))
 
 
@@ -444,7 +444,7 @@ def test_gradients_default_to_zeros_for_untouched_tensors():
     with T.Tape() as tape:
         loss = T.sum_all(x)
     grads = T.backward(tape, loss)
-    assert np.array_equal(grads.of(unused), np.zeros(2))
+    assert np.array_equal(grad_of(grads, unused), np.zeros(2))
 
 
 def test_backward_twice_is_bitwise_identical():
@@ -456,7 +456,7 @@ def test_backward_twice_is_bitwise_identical():
         with T.Tape() as tape:
             h = T.relu(T.matmul(x, w))
             loss = T.mean_all(T.mul(h, h))
-        return T.backward(tape, loss).of(w).copy()
+        return grad_of(T.backward(tape, loss), w).copy()
 
     assert np.array_equal(run(), run())
 

@@ -213,6 +213,17 @@ def test_encode_unknown_words_map_to_unk():
     assert content == [vocab.lookup("water"), UNK]
 
 
+def test_special_token_text_encodes_as_unk():
+    """Message text that spells a special token is an unknown word: it
+    can neither pad a source nor end it early."""
+    vocab, aug = aug_vocab_and_input("help <pad> <eos> now")
+    ids = encode_augmented(aug, vocab, 64).tolist()
+    assert PAD not in ids and ids.count(EOS) == 1 and ids[-1] == EOS
+    content = ids[len(tokenize(aug.text[: aug.content_span[0]])):][:4]
+    assert content == [vocab.lookup("help"), UNK, UNK, vocab.lookup("now")]
+    assert [vocab.lookup(tok) for tok in ("<pad>", "<eos>", "<unk>")] == [UNK] * 3
+
+
 def test_encode_rejects_tiny_max_len():
     vocab, aug = aug_vocab_and_input("water")
     with pytest.raises(ValueError, match="max_len must be >= 2"):
