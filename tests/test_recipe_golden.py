@@ -1,9 +1,13 @@
 """The CLI recipe's artifacts, byte for byte.
 
-The recipe runs every subcommand once on a small synthetic corpus and a
-16-dim model with dropout: `synth`, `build-vocab`, an in-domain `train`,
-`train --resume`, a many-to-one `train`, `evaluate`, `matrix`,
-`matrix --diagonal five_fold_mean --k 2 --jobs 2` and `loo`. Each artifact's
+The recipe runs every subcommand on a small synthetic corpus and 16-dim
+models: `synth`, `build-vocab`, then, with dropout (config.json), an
+in-domain `train`, `train --resume`, a many-to-one `train` and `evaluate`.
+A second config (signal.json: no dropout, a higher learning rate, more
+epochs) trains models that tell the two labels apart, so that the
+per-input numerics of a second `train` and `evaluate`, `matrix`,
+`matrix --diagonal five_fold_mean --k 2 --jobs 2` and `loo` show in their
+reports; with config.json every test input gets the same label. Each artifact's
 sha256 must equal the one in tests/golden/recipe.json. `manifest.json`
 files are compared with `created_utc` and `run_id` blanked, so a refactor
 that claims to change no bytes is checked here.
@@ -41,6 +45,10 @@ CONFIG = {
               "max_src_len": 48, "max_tgt_len": 4},
     "train": {"peak_lr": 0.001, "effective_batch": 8, "epochs": 2},
 }
+SIGNAL = {
+    "model": dict(CONFIG["model"], dropout=0.0),
+    "train": dict(CONFIG["train"], peak_lr=0.025, epochs=15),
+}
 DATA = ["--train-file", "data/train.tsv", "--test-file", "data/test.tsv",
         "--registry", "data/registry.json", "--scenario", "postq"]
 RECIPE = [
@@ -58,10 +66,15 @@ RECIPE = [
     ["evaluate", "--checkpoint", "train/checkpoint.castckpt", "--vocab", "vocab.txt",
      "--test-file", "data/test.tsv", "--registry", "data/registry.json",
      "--scenario", "postq", "--target-event", "beta_flood", "--out", "evaluate"],
-    ["matrix", *DATA, "--config", "config.json", "--vocab", "vocab.txt", "--out", "matrix"],
-    ["matrix", *DATA, "--config", "config.json", "--vocab", "vocab.txt",
+    ["train", *DATA, "--config", "signal.json", "--vocab", "vocab.txt",
+     "--target-event", "beta_flood", "--out", "signal"],
+    ["evaluate", "--checkpoint", "signal/checkpoint.castckpt", "--vocab", "vocab.txt",
+     "--test-file", "data/test.tsv", "--registry", "data/registry.json",
+     "--scenario", "postq", "--target-event", "alpha_flood", "--out", "signal_evaluate"],
+    ["matrix", *DATA, "--config", "signal.json", "--vocab", "vocab.txt", "--out", "matrix"],
+    ["matrix", *DATA, "--config", "signal.json", "--vocab", "vocab.txt",
      "--diagonal", "five_fold_mean", "--k", "2", "--jobs", "2", "--out", "folds"],
-    ["loo", *DATA, "--config", "config.json", "--vocab", "vocab.txt", "--out", "loo"],
+    ["loo", *DATA, "--config", "signal.json", "--vocab", "vocab.txt", "--out", "loo"],
 ]
 
 
@@ -91,7 +104,8 @@ def run_recipe(root: Path) -> dict[str, str]:
     (root / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
     longer = dict(CONFIG, train=dict(CONFIG["train"], epochs=CONFIG["train"]["epochs"] + 1))
     (root / "longer.json").write_text(json.dumps(longer), encoding="utf-8")
-    inputs = {"config.json", "longer.json"}
+    (root / "signal.json").write_text(json.dumps(SIGNAL), encoding="utf-8")
+    inputs = {"config.json", "longer.json", "signal.json"}
     cwd = os.getcwd()
     os.chdir(root)
     try:
