@@ -22,7 +22,6 @@ from .files import write_atomic
 from .model import ModelConfig, ParameterStore, generate_greedy, score_sequence
 from .prompt import LABELS, parse_label
 from .rng import mix_seed
-from .tensor import Tensor
 from .tokenizer import EOS, UNK, Vocabulary, decode
 from .train import chunk_by_length, pad_sources
 
@@ -165,11 +164,11 @@ def evaluate(
         # looked up on the module, so that a wrapper installed there (a
         # profiler or a call counter) sees this call
         enc = model.encode_source(params, ids, mask, config)
-        outs = generate_greedy(params, enc, mask, config, accept)
+        mem = model.memory(params, enc, mask, config)
+        outs = generate_greedy(params, mem, config, accept)
         rows = [r for r, out in enumerate(outs) if parse_label(decode(out, vocab)) is None]
         if rows:
-            row_scores = score_sequence(params, Tensor(enc.data[rows]), mask[rows], targets,
-                                        config)
+            row_scores = score_sequence(params, mem.rows(rows), targets, config)
             for r, s in zip(rows, row_scores):
                 scores[chunk[r]] = s
         for i, out in zip(chunk, outs):

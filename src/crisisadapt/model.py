@@ -225,10 +225,17 @@ def _linear(params, name: str, x: T.Tensor) -> T.Tensor:
     return T.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
 
 
-def _attention(params, prefix, q_in, kv_in, score_bias, config) -> T.Tensor:
+def _keys_values(params, prefix: str, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
+    return T.linear(x, params[f"{prefix}.wk.weight"]), T.linear(x, params[f"{prefix}.wv.weight"])
+
+
+def _attention(params, prefix: str, q_in: T.Tensor, kv: tuple[T.Tensor, T.Tensor] | None,
+               score_bias, config) -> T.Tensor:
+    """The attention block `prefix` with queries from q_in, over the
+    projected keys and values `kv`, or over q_in's own when it is None;
+    q_in's projections are taken in the order q, k, v."""
     q = T.linear(q_in, params[f"{prefix}.wq.weight"])
-    k = T.linear(kv_in, params[f"{prefix}.wk.weight"])
-    v = T.linear(kv_in, params[f"{prefix}.wv.weight"])
+    k, v = _keys_values(params, prefix, q_in) if kv is None else kv
     ctx = T.attention(q, k, v, score_bias, config.n_heads)
     return T.linear(ctx, params[f"{prefix}.wo.weight"])
 
@@ -238,7 +245,8 @@ def _ln(params, prefix: str, x: T.Tensor) -> T.Tensor:
 
 
 def _ff(params, prefix: str, x: T.Tensor) -> T.Tensor:
-    return _linear(params, f"{prefix}.w2", T.relu(_linear(params, f"{prefix}.w1", x)))
+    return T.feed_forward(x, params[f"{prefix}.w1.weight"], params[f"{prefix}.w1.bias"],
+                          params[f"{prefix}.w2.weight"], params[f"{prefix}.w2.bias"])
 
 
 def _residual(x: T.Tensor, sub: T.Tensor, config: ModelConfig, rngs, lengths) -> T.Tensor:
@@ -294,23 +302,67 @@ def encode_source(
     for i in range(config.n_enc_layers):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.self_attn.ln", x)
-        x = _residual(x, _attention(params, f"{p}.self_attn", normed, normed, bias, config),
+        x = _residual(x, _attention(params, f"{p}.self_attn", normed, None, bias, config),
                       config, rng, lengths)
         x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)),
                       config, rng, lengths)
     return _ln(params, "enc.final_ln", x)
 
 
+@dataclass(frozen=True)
+class Memory:
+    """What every decoder layer's cross-attention reads of B encoded
+    sources: each layer's projected keys and values [B, S, d_model], in
+    layer order, the source mask [B, S] and its score bias [B, 1, 1, S].
+
+    :func:`memory` builds it from encoder states. `rows` and `repeat`
+    select and copy whole sources; their tensors are constants, for
+    decoding and scoring, which take no gradient."""
+
+    kv: tuple[tuple[T.Tensor, T.Tensor], ...]
+    mask: np.ndarray
+    bias: np.ndarray
+
+    def _map(self, f) -> "Memory":
+        kv = tuple((T.Tensor(f(k.data)), T.Tensor(f(v.data))) for k, v in self.kv)
+        return Memory(kv, f(self.mask), f(self.bias))
+
+    def rows(self, index) -> "Memory":
+        """The memory of the sources at `index` (row indices or a mask)."""
+        return self._map(lambda a: a[index])
+
+    def repeat(self, n: int) -> "Memory":
+        """Each source n times in a row: row b * n + i holds source b."""
+        return self._map(lambda a: np.repeat(a, n, axis=0))
+
+
+def memory(params: ParameterStore, enc_states: T.Tensor, src_mask,
+           config: ModelConfig) -> Memory:
+    """The decoder's :class:`Memory` of encoder states [B, S, d_model] with
+    src_mask [B, S] (1.0 at real positions). Each layer's keys are
+    projected before its values, and the layers in order, so that under a
+    tape the gradient of `enc_states` sums in a fixed order."""
+    mask = np.asarray(src_mask, dtype=np.float32)
+    if mask.ndim != 2 or mask.shape != enc_states.shape[:-1]:
+        raise ValueError(
+            f"src_mask shape {mask.shape} does not match encoder states {enc_states.shape}"
+        )
+    if mask.size == 0 or (mask.sum(axis=1) == 0).any():
+        raise ValueError("no attendable source positions: mask is all zero")
+    kv = tuple(_keys_values(params, f"dec.{i}.cross_attn", enc_states)
+               for i in range(config.n_dec_layers))
+    return Memory(kv, mask, _key_bias(mask))
+
+
 def decode_logits(
     params: ParameterStore,
-    enc_states: T.Tensor,
-    src_mask,
+    mem: Memory,
     dec_input,
     config: ModelConfig,
     rng: Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
-    """Teacher-forced decoder pass over dec_input [B, T], with encoder
-    states [B, S, d_model] and src_mask [B, S]; returns logits
+    """Teacher-forced decoder pass over dec_input [B, T], attending to the
+    B sources of `mem` (see :func:`memory`); returns logits
     [B, T, vocab_size].
 
     `dec_input` is the shifted target (pad first). Position t may look at
@@ -318,36 +370,29 @@ def decode_logits(
     is as for :func:`encode_source`, and continues its streams.
     """
     ids = np.asarray(dec_input, dtype=np.int64)
-    mask = np.asarray(src_mask, dtype=np.float32)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise ValueError(
             f"decoder input must be a non-empty [batch, length] array, got shape {ids.shape}"
         )
     if ids.shape[1] > config.max_tgt_len + 1:
         raise ValueError(f"decoder length {ids.shape[1]} exceeds limit {config.max_tgt_len + 1}")
-    if mask.ndim != 2 or mask.shape != enc_states.shape[:-1]:
+    if len(mem.mask) != len(ids):
         raise ValueError(
-            f"src_mask shape {mask.shape} does not match encoder states {enc_states.shape}"
-        )
-    if len(mask) != len(ids):
-        raise ValueError(f"decoder input {ids.shape} and src_mask {mask.shape} differ in batch")
-    if mask.size == 0 or (mask.sum(axis=1) == 0).any():
-        raise ValueError("no attendable source positions: mask is all zero")
+            f"decoder input {ids.shape} and src_mask {mem.mask.shape} differ in batch")
 
     batch, t = ids.shape
     lengths = [t] * batch
     causal = np.triu(np.full((t, t), MASK_PENALTY, dtype=np.float32), k=1)
-    cross_bias = _key_bias(mask)
     x = _embed(params, ids, config, rng, lengths)
-    for i in range(config.n_dec_layers):
+    for i, kv in enumerate(mem.kv):
         p = f"dec.{i}"
         normed = _ln(params, f"{p}.self_attn.ln", x)
-        x = _residual(x, _attention(params, f"{p}.self_attn", normed, normed, causal, config),
+        x = _residual(x, _attention(params, f"{p}.self_attn", normed, None, causal, config),
                       config, rng, lengths)
         x = _residual(
             x,
             _attention(params, f"{p}.cross_attn", _ln(params, f"{p}.cross_attn.ln", x),
-                       enc_states, cross_bias, config),
+                       kv, mem.bias, config),
             config, rng, lengths,
         )
         x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)),
@@ -366,14 +411,13 @@ def shift_right(target_ids) -> np.ndarray:
 
 def generate_greedy(
     params: ParameterStore,
-    enc_states: T.Tensor,
-    src_mask,
+    mem: Memory,
     config: ModelConfig,
     accept: Sequence[Sequence[int]],
 ) -> list[list[int]]:
-    """Greedy decode from encoder states [B, S, d_model] with src_mask
-    [B, S], as for :func:`decode_logits`: argmax at each step (ties break
-    to the lowest id); returns one token list per row. `accept`
+    """Greedy decode for the sources of `mem`, as for
+    :func:`decode_logits`: argmax at each step (ties break to the lowest
+    id); returns one token list per row. `accept`
     lists the PAD-free id sequences the caller can use. A row stops at the
     end token, after `config.max_tgt_len` tokens, or as soon as its tokens
     so far, with PADs dropped, are no longer a prefix of an accepted
@@ -382,17 +426,14 @@ def generate_greedy(
     runs the rows that have not stopped, and the loop ends when every row
     has.
 
-    A row's tokens do not depend on the other rows: padding and batch size
-    change its logits by float32 rounding only, as for
-    :func:`encode_source` (bitwise on the 16-dim test model below a padded
-    width of 8 keys)."""
+    A row's tokens do not depend on the other rows, nor on how far its
+    source is padded (see :func:`encode_source`)."""
     accepted = [tuple(seq) for seq in accept]
-    mask = np.asarray(src_mask, dtype=np.float32)
-    outs: list[list[int]] = [[] for _ in range(len(mask))]
-    live = np.arange(len(mask))  # the rows still decoding
-    dec_input = np.full((len(mask), 1), PAD, dtype=np.int64)
+    outs: list[list[int]] = [[] for _ in range(len(mem.mask))]
+    live = np.arange(len(mem.mask))  # the rows still decoding
+    dec_input = np.full((len(mem.mask), 1), PAD, dtype=np.int64)
     for _ in range(config.max_tgt_len):
-        logits = decode_logits(params, enc_states, mask, dec_input, config)
+        logits = decode_logits(params, mem, dec_input, config)
         next_ids = np.argmax(logits.data[:, -1], axis=1)
         going = []
         for pos, (row, tok) in enumerate(zip(live.tolist(), next_ids.tolist())):
@@ -406,35 +447,29 @@ def generate_greedy(
         if not going:
             break
         if len(going) < len(live):
-            live, mask, dec_input, next_ids = (a[going] for a in (live, mask, dec_input, next_ids))
-            enc_states = T.Tensor(enc_states.data[going])
+            live, dec_input, next_ids = (a[going] for a in (live, dec_input, next_ids))
+            mem = mem.rows(going)
         dec_input = np.concatenate((dec_input, next_ids[:, None]), axis=1)
     return outs
 
 
-def score_sequence(params: ParameterStore, enc_states: T.Tensor, src_mask, target_ids,
+def score_sequence(params: ParameterStore, mem: Memory, target_ids,
                    config: ModelConfig) -> np.ndarray:
     """Sums of log-probabilities of the L targets `target_ids` [L, T],
     each ending with the end token, under teacher forcing, for each of the
-    B sources whose encoder states and mask are given as for
-    :func:`decode_logits`; returns the [B, L] sums as float64. All B·L
+    B sources of `mem`; returns the [B, L] sums as float64. All B·L
     (source, target) pairs are scored in one decoder pass over L copies of
-    each source's encoder states. Each sum has the bits of its target
-    scored alone for its source alone, unpadded, as long as padding leaves
-    the source's encoder states unchanged (see :func:`encode_source`)."""
+    each source's memory rows. Each sum has the bits of its target scored
+    alone for its source alone, unpadded (see :func:`encode_source`)."""
     tgt = np.asarray(target_ids, dtype=np.int64)
     if tgt.ndim != 2 or tgt.size == 0 or (tgt[:, -1] != EOS).any():
         raise ValueError(
             f"targets must be a non-empty [L, T] array, each ending with the end token, "
             f"got shape {tgt.shape}"
         )
-    batch, copies = len(enc_states.data), len(tgt)
+    batch, copies = len(mem.mask), len(tgt)
     pairs = np.tile(tgt, (batch, 1))  # row b * L + l holds target l for source b
-    logits = decode_logits(
-        params, T.Tensor(np.repeat(enc_states.data, copies, axis=0)),
-        np.repeat(np.asarray(src_mask, dtype=np.float32), copies, axis=0),
-        shift_right(pairs), config,
-    ).data
+    logits = decode_logits(params, mem.repeat(copies), shift_right(pairs), config).data
     shifted = logits - logits.max(axis=2, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     picked = np.take_along_axis(logp, pairs[:, :, None], axis=2)[:, :, 0]
@@ -455,5 +490,6 @@ def example_loss(
     position of the batch."""
     tgt = np.asarray(target_ids, dtype=np.int64)
     enc = encode_source(params, src_ids, src_mask, config, rng=rng)
-    logits = decode_logits(params, enc, src_mask, shift_right(tgt), config, rng=rng)
+    logits = decode_logits(params, memory(params, enc, src_mask, config), shift_right(tgt),
+                           config, rng=rng)
     return T.cross_entropy(T.reshape(logits, (tgt.size, config.vocab_size)), tgt.reshape(-1))

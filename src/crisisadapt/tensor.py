@@ -32,6 +32,7 @@ __all__ = [
     "scale",
     "matmul",
     "linear",
+    "feed_forward",
     "attention",
     "relu",
     "softmax",
@@ -266,6 +267,42 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     inputs = (x, w) if b is None else (x, w, b)
     return _apply(data.reshape(*x.data.shape[:-1], n), inputs, bw)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 for x [..., k], w1 [k, h], b1 [h],
+    w2 [h, n] and b2 [n], as one op over the stacked rows of x. The ReLU
+    runs in place on the hidden array, and the backward masks with
+    hidden > 0, so it keeps no mask of its own."""
+    x, w1, b1, w2, b2 = (as_tensor(a) for a in (x, w1, b1, w2, b2))
+    if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.shape[-1:] != w1.data.shape[:1]
+            or b1.data.shape != w1.data.shape[1:] or w2.data.shape[:1] != w1.data.shape[1:]
+            or b2.data.shape != w2.data.shape[1:]):
+        raise ValueError(
+            f"feed_forward needs x [..., k], w1 [k, h], b1 [h], w2 [h, n] and b2 [n], got "
+            f"{x.data.shape} / {w1.data.shape} / {b1.data.shape} / {w2.data.shape} / "
+            f"{b2.data.shape}"
+        )
+    k, n = w1.data.shape[0], w2.data.shape[1]
+    rows = x.data.reshape(-1, k)
+    h = rows @ w1.data
+    h += b1.data
+    np.maximum(h, 0, out=h)
+    out = h @ w2.data
+    out += b2.data
+
+    def bw(g, acc):
+        g = g.reshape(-1, n)
+        dh = g @ w2.data.T
+        acc.add(w2, h.T @ g)
+        acc.add(b2, g.sum(axis=0))
+        dh *= h > 0
+        if x.requires_grad:
+            acc.add(x, (dh @ w1.data.T).reshape(x.data.shape))
+        acc.add(w1, rows.T @ dh)
+        acc.add(b1, dh.sum(axis=0))
+
+    return _apply(out.reshape(*x.data.shape[:-1], n), (x, w1, b1, w2, b2), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:

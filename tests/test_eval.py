@@ -245,10 +245,10 @@ def test_predict_label_fallback_encodes_source_once(monkeypatch):
 def greedy_and_scores(params, ids, mask, cfg, accept, targets):
     """Greedy output, joint label scores and each label scored alone, for
     sources ids/mask [B, S]."""
-    enc = model.encode_source(params, ids, mask, cfg)
-    return (model.generate_greedy(params, enc, mask, cfg, accept),
-            model.score_sequence(params, enc, mask, targets, cfg).tolist(),
-            [model.score_sequence(params, enc, mask, tgt[None], cfg).tolist() for tgt in targets])
+    mem = model.memory(params, model.encode_source(params, ids, mask, cfg), mask, cfg)
+    return (model.generate_greedy(params, mem, cfg, accept),
+            model.score_sequence(params, mem, targets, cfg).tolist(),
+            [model.score_sequence(params, mem, tgt[None], cfg).tolist() for tgt in targets])
 
 
 def test_right_padding_leaves_decode_score_and_label_unchanged():
@@ -283,10 +283,10 @@ def reference_predict(params, src, vocab, cfg):
     to the end token or max_tgt_len, decode and parse the whole output,
     else score each label sequence in a pass of its own."""
     ids, mask = pad_sources([src], [0])
-    enc = model.encode_source(params, ids, mask, cfg)
+    mem = model.memory(params, model.encode_source(params, ids, mask, cfg), mask, cfg)
     out, dec_input = [], [PAD]
     for _ in range(cfg.max_tgt_len):
-        logits = model.decode_logits(params, enc, mask, [dec_input], cfg).data
+        logits = model.decode_logits(params, mem, [dec_input], cfg).data
         out.append(int(np.argmax(logits[0, -1])))
         if out[-1] == EOS:
             break
@@ -297,7 +297,7 @@ def reference_predict(params, src, vocab, cfg):
     scores = {}
     for lab in LABELS:
         tgt = np.array([vocab.lookup(lab), EOS])
-        logits = model.decode_logits(params, enc, mask, shift_right(tgt[None]), cfg).data[0]
+        logits = model.decode_logits(params, mem, shift_right(tgt[None]), cfg).data[0]
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         scores[lab] = float(logp[np.arange(len(tgt)), tgt].sum())

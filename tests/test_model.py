@@ -15,6 +15,7 @@ from crisisadapt.model import (
     example_loss,
     generate_greedy,
     init_params,
+    memory,
     named_config,
     score_sequence,
     shift_right,
@@ -181,12 +182,11 @@ def test_pad_extension_leaves_logits_bitwise_identical():
     cfg = small_config()
     params = init_params(cfg, 7)
     dec_in = [[PAD, 12, 7]]
-    base = decode_logits(params, encode_source(params, SRC[None, :5], MASK[None, :5], cfg),
-                         MASK[None, :5], dec_in, cfg).data
+    base = decode_logits(params, states(params, cfg, SRC[None, :5], MASK[None, :5]), dec_in,
+                         cfg).data
     src2 = np.concatenate([SRC[:5], [PAD, PAD, PAD]])[None]
     mask2 = np.concatenate([MASK[:5], np.zeros(3, dtype=np.float32)])[None]
-    ext = decode_logits(params, encode_source(params, src2, mask2, cfg),
-                        mask2, dec_in, cfg).data
+    ext = decode_logits(params, states(params, cfg, src2, mask2), dec_in, cfg).data
     assert np.array_equal(base, ext)
 
 
@@ -219,9 +219,9 @@ def test_padding_by_8_changes_states_by_rounding_only():
 def test_causal_mask_is_bitwise():
     cfg = small_config()
     params = init_params(cfg, 7)
-    enc = encode_source(params, SRC[None], MASK[None], cfg)
-    a = decode_logits(params, enc, MASK[None], [[PAD, 12, 7]], cfg).data[0]
-    b = decode_logits(params, enc, MASK[None], [[PAD, 12, 40]], cfg).data[0]
+    mem = states(params, cfg)
+    a = decode_logits(params, mem, [[PAD, 12, 7]], cfg).data[0]
+    b = decode_logits(params, mem, [[PAD, 12, 40]], cfg).data[0]
     assert np.array_equal(a[:2], b[:2])
     assert not np.array_equal(a[2], b[2])
 
@@ -242,43 +242,43 @@ def test_decoder_input_validation():
     cfg = small_config()
     params = init_params(cfg, 0)
     enc = encode_source(params, SRC[None], MASK[None], cfg)
+    mem = memory(params, enc, MASK[None], cfg)
     with pytest.raises(ValueError, match="non-empty"):
-        decode_logits(params, enc, MASK[None], [[]], cfg)
+        decode_logits(params, mem, [[]], cfg)
     with pytest.raises(ValueError, match="exceeds limit"):
-        decode_logits(params, enc, MASK[None], [[PAD] * (cfg.max_tgt_len + 2)], cfg)
+        decode_logits(params, mem, [[PAD] * (cfg.max_tgt_len + 2)], cfg)
     with pytest.raises(ValueError, match=r"src_mask shape \(1, 1\) .* \(1, 10, 16\)"):
-        decode_logits(params, enc, MASK[None, :1], [[PAD]], cfg)
+        memory(params, enc, MASK[None, :1], cfg)
+    with pytest.raises(ValueError, match="no attendable source positions"):
+        memory(params, enc, np.zeros_like(MASK)[None], cfg)
     with pytest.raises(ValueError, match="differ in batch"):
-        decode_logits(params, enc, MASK[None], [[PAD], [PAD]], cfg)
+        decode_logits(params, mem, [[PAD], [PAD]], cfg)
 
 
 def test_entry_points_reject_1d_inputs():
     cfg = small_config()
     params = init_params(cfg, 0)
     enc = encode_source(params, SRC[None], MASK[None], cfg)
+    mem = memory(params, enc, MASK[None], cfg)
     with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
         encode_source(params, SRC, MASK, cfg)
     with pytest.raises(ValueError, match=r"decoder input .* got shape \(2,\)"):
-        decode_logits(params, enc, MASK[None], [PAD, 12], cfg)
+        decode_logits(params, mem, [PAD, 12], cfg)
     with pytest.raises(ValueError, match=r"src_mask shape \(10,\)"):
-        decode_logits(params, enc, MASK, [[PAD, 12]], cfg)
+        memory(params, enc, MASK, cfg)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
         example_loss(params, SRC[None], MASK[None], TGT, cfg)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
         shift_right(TGT)
-    with pytest.raises(ValueError, match=r"src_mask shape \(10,\)"):
-        generate_greedy(params, enc, MASK, cfg, [[12]])
-    with pytest.raises(ValueError, match=r"src_mask shape \(10,\)"):
-        score_sequence(params, enc, MASK, TGT[None], cfg)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
-        score_sequence(params, enc, MASK[None], TGT, cfg)
+        score_sequence(params, mem, TGT, cfg)
 
 
 def test_logits_shape_and_finiteness():
     cfg = small_config()
     params = init_params(cfg, 5)
     enc = encode_source(params, SRC[None], MASK[None], cfg)
-    logits = decode_logits(params, enc, MASK[None], [[PAD, 12, 7]], cfg).data
+    logits = decode_logits(params, memory(params, enc, MASK[None], cfg), [[PAD, 12, 7]], cfg).data
     assert logits.shape == (1, 3, cfg.vocab_size)
     assert np.isfinite(logits).all()
     assert np.isfinite(enc.data).all()
@@ -300,9 +300,9 @@ def test_shift_right():
 
 
 def states(params, cfg, ids=SRC[None], mask=MASK[None]):
-    """The encoder states and mask of sources `ids`, the inputs of greedy
-    decoding and scoring."""
-    return encode_source(params, ids, mask, cfg), mask
+    """The decoder memory of sources `ids`, the input of greedy decoding
+    and scoring."""
+    return memory(params, encode_source(params, ids, mask, cfg), mask, cfg)
 
 
 def rigged_params(cfg, favored: dict[int, float]):
@@ -320,7 +320,7 @@ def rigged_params(cfg, favored: dict[int, float]):
 def test_greedy_stops_at_eos():
     cfg = small_config()
     params = rigged_params(cfg, {EOS: 10.0})
-    out = generate_greedy(params, *states(params, cfg), cfg, [[12]])
+    out = generate_greedy(params, states(params, cfg), cfg, [[12]])
     assert out == [[EOS]]
 
 
@@ -328,14 +328,14 @@ def test_greedy_stops_at_max_tgt_len():
     for limit in (3, 8):
         cfg = small_config(max_tgt_len=limit)
         params = rigged_params(cfg, {7: 10.0})
-        assert generate_greedy(params, *states(params, cfg), cfg, [[7] * 9]) == [[7] * limit]
+        assert generate_greedy(params, states(params, cfg), cfg, [[7] * 9]) == [[7] * limit]
 
 
 def test_greedy_tie_breaks_to_lowest_id():
     cfg = small_config(max_tgt_len=2)
     params = rigged_params(cfg, {6: 10.0, 5: 10.0})
     # identical weights and biases make the two logits bitwise equal
-    out = generate_greedy(params, *states(params, cfg), cfg, [[5, 5]])
+    out = generate_greedy(params, states(params, cfg), cfg, [[5, 5]])
     assert out == [[5, 5]]
 
 
@@ -343,10 +343,10 @@ def test_greedy_stops_once_output_cannot_be_accepted():
     cfg = small_config()
     params = rigged_params(cfg, {7: 10.0})
     # the first token already leaves every accepted sequence
-    assert generate_greedy(params, *states(params, cfg), cfg, [[12], [5, 7]]) == [[7]]
+    assert generate_greedy(params, states(params, cfg), cfg, [[12], [5, 7]]) == [[7]]
     # the second token does: [7, 7] is no prefix of [7, 12]
-    assert generate_greedy(params, *states(params, cfg), cfg, [[7, 12]]) == [[7, 7]]
-    assert generate_greedy(params, *states(params, cfg), cfg, []) == [[7]]
+    assert generate_greedy(params, states(params, cfg), cfg, [[7, 12]]) == [[7, 7]]
+    assert generate_greedy(params, states(params, cfg), cfg, []) == [[7]]
 
 
 def test_greedy_drops_pads_before_matching_accepted_sequences():
@@ -354,15 +354,15 @@ def test_greedy_drops_pads_before_matching_accepted_sequences():
     # to the length limit even when only [12] is accepted
     cfg = small_config(max_tgt_len=5)
     params = rigged_params(cfg, {PAD: 10.0})
-    assert generate_greedy(params, *states(params, cfg), cfg, [[12]]) == [[PAD] * 5]
+    assert generate_greedy(params, states(params, cfg), cfg, [[12]]) == [[PAD] * 5]
 
 
 def test_score_sequence_matches_log_softmax_sum():
     cfg = small_config()
     params = init_params(cfg, 13)
-    enc = encode_source(params, SRC[None], MASK[None], cfg)
-    [[got]] = score_sequence(params, enc, MASK[None], TGT[None], cfg).tolist()
-    logits = decode_logits(params, enc, MASK[None], shift_right(TGT[None]), cfg).data[0]
+    mem = states(params, cfg)
+    [[got]] = score_sequence(params, mem, TGT[None], cfg).tolist()
+    logits = decode_logits(params, mem, shift_right(TGT[None]), cfg).data[0]
     logz = np.logaddexp.reduce(logits.astype(np.float64), axis=1)
     want = sum(float(logits[i, t]) - float(logz[i]) for i, t in enumerate(TGT))
     # the model sums log-probs in fp32, the oracle in fp64
@@ -380,12 +380,12 @@ def test_score_sequence_rows_match_scoring_each_target_alone():
         for name in params.names():
             if name.endswith(".weight"):  # spread the logits, as a trained model does
                 params[name].data *= 20.0
-        enc, mask = states(params, cfg, np.roll(SRC, seed)[None])
-        alone = [score_sequence(params, enc, mask, tgt[None], cfg)[0, 0] for tgt in targets]
-        together = score_sequence(params, enc, mask, targets, cfg)
+        mem = states(params, cfg, np.roll(SRC, seed)[None])
+        alone = [score_sequence(params, mem, tgt[None], cfg)[0, 0] for tgt in targets]
+        together = score_sequence(params, mem, targets, cfg)
         assert together.dtype == np.float64 and together.shape == (1, 3)
         assert together.tolist() == [alone]
-        assert score_sequence(params, enc, mask, targets[:2], cfg).tolist() == [alone[:2]]
+        assert score_sequence(params, mem, targets[:2], cfg).tolist() == [alone[:2]]
 
 
 def scaled_params(cfg, seed, factor):
@@ -403,7 +403,7 @@ MIXED = [np.roll(SRC, i)[:n] for i, n in enumerate((3, 7, 5, 1, 4, 6, 2, 7))]
 
 
 def alone(params, cfg, src):
-    """The states and mask of `src` encoded on its own, unpadded."""
+    """The memory of `src` encoded on its own, unpadded."""
     return states(params, cfg, src[None], np.ones((1, len(src)), dtype=np.float32))
 
 
@@ -415,13 +415,13 @@ def test_batched_greedy_rows_match_each_row_decoded_alone():
     lengths = set()
     for seed in range(4):
         params = scaled_params(cfg, seed, 50.0)
-        firsts = [generate_greedy(params, *alone(params, cfg, src), cfg, [])[0][0]
+        firsts = [generate_greedy(params, alone(params, cfg, src), cfg, [])[0][0]
                   for src in MIXED]
         # rows whose first token starts no accepted sequence stop after it
         accept = [[tok, 12] for tok in firsts[::2] if tok != PAD]
-        want = [generate_greedy(params, *alone(params, cfg, src), cfg, accept)[0]
+        want = [generate_greedy(params, alone(params, cfg, src), cfg, accept)[0]
                 for src in MIXED]
-        assert generate_greedy(params, *states(params, cfg, ids, mask), cfg, accept) == want, seed
+        assert generate_greedy(params, states(params, cfg, ids, mask), cfg, accept) == want, seed
         lengths.update(len(out) for out in want)
     # rows stopped after one token, after two, and at the length limit
     assert {1, 2, cfg.max_tgt_len} <= lengths
@@ -436,13 +436,13 @@ def test_batched_scores_match_each_source_scored_alone():
     rows = [1, 4, 6]
     for seed in range(4):
         params = scaled_params(cfg, seed, 20.0)
-        want = [score_sequence(params, *alone(params, cfg, src), targets, cfg)[0].tolist()
+        want = [score_sequence(params, alone(params, cfg, src), targets, cfg)[0].tolist()
                 for src in MIXED]
-        enc = encode_source(params, ids, mask, cfg)
-        got = score_sequence(params, enc, mask, targets, cfg)
+        mem = states(params, cfg, ids, mask)
+        got = score_sequence(params, mem, targets, cfg)
         assert got.dtype == np.float64 and got.shape == (len(MIXED), len(targets))
         assert got.tolist() == want, seed
-        subset = score_sequence(params, T.Tensor(enc.data[rows]), mask[rows], targets, cfg)
+        subset = score_sequence(params, mem.rows(rows), targets, cfg)
         assert subset.tolist() == [want[r] for r in rows], seed
 
 
@@ -450,11 +450,11 @@ def test_score_sequence_requires_eos():
     cfg = small_config()
     params = init_params(cfg, 13)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, *states(params, cfg), [[12, 7]], cfg)
+        score_sequence(params, states(params, cfg), [[12, 7]], cfg)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, *states(params, cfg), [[5, EOS], [12, 7]], cfg)
+        score_sequence(params, states(params, cfg), [[5, EOS], [12, 7]], cfg)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, *states(params, cfg), [[]], cfg)
+        score_sequence(params, states(params, cfg), [[]], cfg)
 
 
 # ---------------------------------------------------------------------------
