@@ -144,8 +144,9 @@ def evaluate(
     be a label word.
     The rows whose output is not exactly a label word are scored for both
     label sequences in one more decoder pass. :func:`predict_label` then
-    decides each input, in input order. A prediction does not depend on
-    the other inputs of its chunk, beyond float32 rounding (see
+    decides each input, in input order. Each chunk's decoder memory
+    (:func:`model.memory`) is built once and serves both. A prediction
+    does not depend on the other inputs of its chunk (see
     :func:`model.generate_greedy`)."""
     if len(encoded) != len(gold):
         raise ValueError(f"{len(encoded)} inputs but {len(gold)} gold labels")

@@ -284,12 +284,12 @@ def encode_source(
     """Run the encoder stack over ids [B, S]; returns states [B, S, d_model].
 
     `src_mask` is 1.0 at real positions, 0.0 at padding. Padded positions
-    are never attended to, so extending a source with extra padding changes
-    the states at real positions by float32 rounding only: attention's sums
-    run over the padded width, where numpy and BLAS may add in another
-    order. On the 16-dim test model the states stay bitwise equal below a
-    padded width of 8 keys and differ by up to about 1e-6 from 8 keys on;
-    wider models can differ at smaller widths too. Dropout runs only when
+    are never attended to: their attention probabilities are exactly 0.0,
+    and attention's sums run in key order, so they add zeros at the end.
+    Extending a source with extra padding therefore leaves the states at
+    real positions bitwise equal on the 16-dim test model, at every padded
+    width up to `max_src_len`, as long as BLAS rounds each row of a
+    product the same whatever the other rows. Dropout runs only when
     `rng` is given, one generator per example. Each example draws its masks
     over its own length up to its last real position, so the draws do not
     depend on how examples are batched.

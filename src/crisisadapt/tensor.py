@@ -337,32 +337,50 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
     if not fits:
         raise ValueError(f"bias {bias.shape} does not broadcast to scores {scores_shape}")
 
-    def heads(a: np.ndarray, t: int) -> np.ndarray:  # [B, t, d] -> [B, H, t, dh]
+    dtype = np.result_type(q.data, k.data, v.data)
+
+    def heads(a: np.ndarray, t: int) -> np.ndarray:  # [B, t, d] -> [B, H, t, dh] view
         return a.reshape(batch, t, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merged(a: np.ndarray, t: int) -> np.ndarray:  # [B, H, t, dh] -> [B, t, d]
-        return a.transpose(0, 2, 1, 3).reshape(batch, t, d)
+    def heads_last(a: np.ndarray, t: int) -> np.ndarray:  # [B, t, d] -> [B, H, dh, t] copy
+        return np.ascontiguousarray(a.reshape(batch, t, n_heads, dh).transpose(0, 2, 3, 1))
 
+    def product(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
+        """a @ b per head, [B, H, t, dh], written into a [B, t, d] array."""
+        out = np.empty((batch, t, n_heads, dh), dtype=dtype)
+        np.matmul(a, b, out=out.transpose(0, 2, 1, 3))
+        return out.reshape(batch, t, d)
+
+    def keys_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b per head, [B, H, Tk, Tq], written into a [Tk, B, H, Tq] array."""
+        out = np.empty((tk, batch, n_heads, tq), dtype=dtype)
+        np.matmul(a, b, out=out.transpose(1, 2, 0, 3))
+        return out
+
+    # scores keys first, p[j, b, h, i] = k_j . q_i, so that the softmax
+    # reduces over axis 0 and sums in key order: masked keys, whose
+    # probabilities are exactly 0.0, add nothing at the end of each sum
     qh, kh, vh = heads(q.data, tq), heads(k.data, tk), heads(v.data, tk)
-    p = np.matmul(qh, kh.swapaxes(-1, -2))
+    p = keys_first(kh, heads_last(q.data, tq))
     p *= c
-    p += bias
+    p += bias.reshape((1,) * (4 - bias.ndim) + bias.shape).transpose(3, 0, 1, 2)
     # max-subtracted softmax in place; masked keys underflow to exactly 0.0
-    p -= p.max(axis=-1, keepdims=True)
+    p -= p.max(axis=0)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= p.sum(axis=0)
+    pt = p.transpose(1, 2, 3, 0)  # [B, H, Tq, Tk]
 
     def bw(g, acc):
-        g = heads(g, tq)
-        acc.add(v, merged(np.matmul(p.swapaxes(-1, -2), g), tk))
-        ds = np.matmul(g, vh.swapaxes(-1, -2))
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        acc.add(v, product(pt.swapaxes(-1, -2), heads(g, tq), tk))
+        ds = keys_first(vh, heads_last(g, tq))
+        ds -= (ds * p).sum(axis=0)
         ds *= p
         ds *= c
-        acc.add(q, merged(np.matmul(ds, kh), tq))
-        acc.add(k, merged(np.matmul(ds.swapaxes(-1, -2), qh), tk))
+        dst = ds.transpose(1, 2, 3, 0)
+        acc.add(q, product(dst, kh, tq))
+        acc.add(k, product(dst.swapaxes(-1, -2), qh, tk))
 
-    return _apply(merged(np.matmul(p, vh), tq), (q, k, v), bw)
+    return _apply(product(pt, vh, tq), (q, k, v), bw)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -190,30 +190,33 @@ def test_pad_extension_leaves_logits_bitwise_identical():
     assert np.array_equal(base, ext)
 
 
-def test_padding_by_8_changes_states_by_rounding_only():
-    """Padded below 8 keys, the states at real positions stay bitwise
-    equal; padded by 8, attention sums over the wider key axis in another
-    order, and they differ by float32 rounding only (measured at most
-    4.8e-7 over these seeds and lengths)."""
-    cfg = small_config()
-    worst = 0.0
+@pytest.mark.parametrize("layers", [1, 2])
+def test_padding_leaves_states_and_logits_bitwise_identical(layers):
+    """Right-padding a source to any width up to max_src_len leaves the
+    encoder states at its real positions and the decoder logits bitwise
+    equal: attention's softmax sums run in key order, and the masked keys
+    add exact zeros at the end."""
+    cfg = small_config(n_enc_layers=layers, n_dec_layers=layers)
+    dec_in = [[PAD, 12, 7]]
+    cases = 0
     for seed in range(8):
         params = init_params(cfg, seed)
         for name in params.names():
             if name.endswith(".weight"):  # large enough that states depend on the source
                 params[name].data *= 50.0
-        for n in range(1, 9):
-            base = encode_source(params, SRC[None, :n], MASK[None, :n], cfg).data
-
-            def padded(k):
-                ids = np.concatenate([SRC[:n], np.full(k, PAD)])[None]
-                mask = np.concatenate([MASK[:n], np.zeros(k, dtype=np.float32)])[None]
-                return encode_source(params, ids, mask, cfg).data[:, :n]
-
-            if n < 7:
-                assert np.array_equal(padded(7 - n), base), (seed, n)
-            worst = max(worst, float(np.abs(padded(8) - base).max()))
-    assert worst <= 1e-6, worst
+        for n in range(1, len(SRC) + 1):
+            ids, mask = SRC[None, :n], MASK[None, :n]
+            enc = encode_source(params, ids, mask, cfg)
+            logits = decode_logits(params, memory(params, enc, mask, cfg), dec_in, cfg).data
+            for width in range(n + 1, cfg.max_src_len + 1):
+                ids_w = np.concatenate([SRC[:n], np.full(width - n, PAD)])[None]
+                mask_w = np.concatenate([MASK[:n], np.zeros(width - n, dtype=np.float32)])[None]
+                enc_w = encode_source(params, ids_w, mask_w, cfg)
+                assert np.array_equal(enc_w.data[:, :n], enc.data), (seed, n, width)
+                got = decode_logits(params, memory(params, enc_w, mask_w, cfg), dec_in, cfg)
+                assert np.array_equal(got.data, logits), (seed, n, width)
+                cases += 1
+    assert cases == 840
 
 
 def test_causal_mask_is_bitwise():
@@ -396,9 +399,8 @@ def scaled_params(cfg, seed, factor):
     return params
 
 
-# sources of 1-7 tokens: padded to the longest, the width stays under 8
-# keys, so each row's encoder states keep their bits (see the padding
-# test above)
+# sources of 1-7 tokens: padded to the longest, each row's encoder states
+# keep their bits (see the padding test above)
 MIXED = [np.roll(SRC, i)[:n] for i, n in enumerate((3, 7, 5, 1, 4, 6, 2, 7))]
 
 
