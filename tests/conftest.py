@@ -72,11 +72,11 @@ def scripted_decoder(decode_logits, script, rows=None):
     return scripted
 
 
-def finite_diff_check(f, x: T.Tensor, eps: float = 1e-5) -> float:
+def finite_diff_check(f, x: T.Tensor, eps: float = 1e-5, floor: float = 1e-12) -> float:
     """Compare f's analytic gradient at x against central differences.
 
     Returns the max over coordinates of |analytic - numeric| scaled by
-    max(|analytic|, |numeric|, 1e-12). f must be deterministic: two
+    max(|analytic|, |numeric|, floor). f must be deterministic: two
     baseline evaluations are compared bitwise first.
     """
     if eps <= 0:
@@ -109,5 +109,5 @@ def finite_diff_check(f, x: T.Tensor, eps: float = 1e-5) -> float:
         numeric[i] = (hi - lo) / (2 * eps)
     numeric = numeric.reshape(x.data.shape)
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float((np.abs(analytic - numeric) / denom).max())

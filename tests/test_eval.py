@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crisisadapt import evaluation, model
+from crisisadapt import tensor as T
 from crisisadapt.corpus import EventSplits
 from crisisadapt.evaluation import (
     AdaptationMatrix,
@@ -361,6 +362,48 @@ def test_predict_label_matches_full_decode_reference_on_scripted_outputs(
             assert got[1] == (want is None)
             if want is not None:
                 assert got == want
+
+
+def test_evaluate_projects_the_decoder_memory_once_per_chunk(monkeypatch):
+    """One chunk whose greedy decode takes two passes ("yes", then a word
+    that rules every label out) and then falls back to scoring: each
+    decoder layer's cross-attention keys and values are projected once,
+    from the chunk's encoder states. Greedy decoding reuses them, and
+    scoring repeats their rows instead of projecting L copies of each
+    source."""
+    passes = []
+    decode_logits = model.decode_logits
+
+    def counted(params, mem, dec_input, *args, **kwargs):
+        passes.append(len(mem.mask))
+        return decode_logits(params, mem, dec_input, *args, **kwargs)
+
+    monkeypatch.setattr(model, "decode_logits", scripted_decoder(
+        counted, [VOCAB.lookup("yes"), VOCAB.lookup("water")]))
+    products = []
+    linear = T.linear
+
+    def recorded(x, w, b=None):
+        products.append((w, x.data.shape))
+        return linear(x, w, b)
+
+    monkeypatch.setattr(T, "linear", recorded)
+    cfg = ModelConfig(vocab_size=VOCAB.size, d_model=8, n_heads=2, d_ff=16,
+                      n_enc_layers=1, n_dec_layers=2, dropout=0.0,
+                      max_src_len=8, max_tgt_len=4)
+    params = init_params(cfg, 0)
+    encoded = [encode_query(text) for text in ("water rain", "storm flood go", "go")]
+    assert all(fell_back for _, fell_back in predictions(params, encoded, cfg))
+    n = len(encoded)
+    # two greedy passes over the chunk, then one scoring pass over both
+    # labels of each input
+    assert passes == [n, n, 2 * n]
+    width = max(len(src) for src in encoded)
+    for layer in range(cfg.n_dec_layers):
+        for proj in ("wk", "wv"):
+            w = params[f"dec.{layer}.cross_attn.{proj}.weight"]
+            shapes = [shape for weight, shape in products if weight is w]
+            assert shapes == [(n, width, cfg.d_model)], (layer, proj)
 
 
 def test_evaluate_does_not_depend_on_batch_composition(monkeypatch):
