@@ -9,14 +9,18 @@ argmax with lowest-id tie-break.
 Every entry point takes batches only: sources [B, S] with a mask that
 is 0.0 at padding, and targets [B, T]; a 1-D input raises a ValueError.
 Padded keys get a -1e9 score bias [B, 1, 1, S] and so are never
-attended to. Greedy decoding and sequence scoring start from encoder
-states and take any number of sources, each row as if it ran alone.
+attended to. The decoder reads encoded sources through a :class:`Memory`:
+each layer's cross-attention keys and values, projected once per batch
+by :func:`memory`, with the mask and its bias. Greedy decoding and
+sequence scoring take a memory of any number of sources, each row as if
+it ran alone, and select or repeat its rows without projecting again.
 
 Each attention block is three bias-free projections, one
 :func:`tensor.attention` op (head split, scaled scores, bias, softmax,
 weighted values and head merge, with a hand-written backward) and the
-output projection. Every projection, feed-forward and output layer is a
-:func:`tensor.linear` op.
+output projection. Every projection and output layer is a
+:func:`tensor.linear` op, and each feed-forward sublayer one
+:func:`tensor.feed_forward` op.
 """
 
 from __future__ import annotations

@@ -9,10 +9,13 @@ Attention masking works with a finite -1e9 additive penalty: after the
 max-subtracted softmax the masked probabilities underflow to exactly 0.0,
 so masked positions contribute nothing, without NaN/Inf in any tensor.
 
-Multi-head attention and linear layers (a weight product over the
-stacked rows, plus an optional bias) are each one op with a hand-written
-backward, so a transformer block records a few tape entries instead of
-one per elementary step.
+Multi-head attention, linear layers (a weight product over the stacked
+rows, plus an optional bias) and the feed-forward sublayer (linear, ReLU,
+linear) are each one op with a hand-written backward, so a transformer
+block records a few tape entries instead of one per elementary step.
+Attention lays its scores out keys first, [Tk, B, H, Tq]: the softmax
+then reduces over axis 0, in key order, rather than over many short rows,
+and every batched product reads operands BLAS takes as they are.
 """
 
 from __future__ import annotations

@@ -252,6 +252,14 @@ def test_attention_and_linear_shape_errors_name_shapes():
         T.linear(x, w, T.Tensor(np.ones(4)))
     with pytest.raises(ValueError, match=r"\(2, 3, 5\) / \(4, 5\) / None"):
         T.linear(T.Tensor(np.ones((2, 3, 5))), w)
+    w2, b2 = T.Tensor(np.ones((5, 4))), T.Tensor(np.ones(4))
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\) / \(4, 5\) / \(5,\) / \(4, 4\) / \(4,\)"):
+        T.feed_forward(x, w, b, T.Tensor(np.ones((4, 4))), b2)
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\) / \(4, 5\) / \(4,\) / \(5, 4\) / \(4,\)"):
+        T.feed_forward(x, w, T.Tensor(np.ones(4)), w2, b2)
+    with pytest.raises(ValueError, match=r"\(2, 3, 5\) / \(4, 5\) / \(5,\) / \(5, 4\) / \(5,\)"):
+        T.feed_forward(T.Tensor(np.ones((2, 3, 5))), w, b, w2, T.Tensor(np.ones(5)))
+    assert T.feed_forward(x, w, b, w2, b2).shape == (2, 3, 4)
 
 
 def test_fd_embedding_with_repeated_ids():
