@@ -55,9 +55,10 @@ from .evaluation import (
 )
 from .experiment import augmented_texts, encode_eval_inputs, run_loo, run_matrix, run_plan
 from .files import write_atomic
-from .model import ModelConfig, init_params, named_config
+from .model import ModelConfig, ParameterStore, named_config
 from .prompt import SCENARIOS
 from .synth import DEFAULT_EVENTS, generate_corpus
+from .tensor import Tensor
 from .tokenizer import (
     DEFAULT_MAX_SIZE, DEFAULT_MIN_FREQ, Vocabulary, build_vocab, load_vocab, save_vocab
 )
@@ -316,8 +317,8 @@ def cmd_evaluate(args) -> None:
         _resolve(args.checkpoint), expected_vocab_hash=vocab.content_hash
     )
     mcfg = loaded.config
-    params = init_params(mcfg, 0)
-    params.load_arrays(loaded.arrays)
+    # the store keeps the checkpoint's dtype
+    params = ParameterStore({n: Tensor(a, name=n) for n, a in loaded.arrays.items()})
 
     registry = load_registry(_resolve(args.registry))
     records = _load_records(args, registry, args.test_file)

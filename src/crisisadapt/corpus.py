@@ -66,7 +66,6 @@ class FoldPlan:
     """Deterministic k-fold assignment: record id -> fold index in [0, k)."""
 
     k: int
-    seed: int
     assignments: dict[str, int]
 
 
@@ -286,7 +285,7 @@ def make_folds(records: list[CrisisRecord], k: int, seed: int) -> FoldPlan:
         for rec_id in ids:
             assignments[rec_id] = counter % k
             counter += 1
-    return FoldPlan(k=k, seed=seed, assignments=assignments)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def fold_split(

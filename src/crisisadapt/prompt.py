@@ -36,12 +36,6 @@ class AugmentedInput:
 
     text: str
     content_span: tuple[int, int]  # [start, end) of the original message
-    scenario: str
-    event_id: str
-
-    @property
-    def content(self) -> str:
-        return self.text[self.content_span[0] : self.content_span[1]]
 
 
 def parse_scenario(name: str) -> str:
@@ -98,7 +92,7 @@ def construct(
     scenario = parse_scenario(scenario)
     text = record.text
     if scenario == STANDARD:
-        return AugmentedInput(text, (0, len(text)), scenario, event.event_id)
+        return AugmentedInput(text, (0, len(text)))
 
     phrase = event_phrase(event, scenario)
     if scenario in (POSTQ, VARIANT1, VARIANT2):
@@ -107,9 +101,7 @@ def construct(
         question = f"{phrase}?"
     prefix = "Content: "
     built = f"{prefix}{text}. Question: {question}"
-    return AugmentedInput(
-        built, (len(prefix), len(prefix) + len(text)), scenario, event.event_id
-    )
+    return AugmentedInput(built, (len(prefix), len(prefix) + len(text)))
 
 
 def target_text(unified_label: str) -> str:

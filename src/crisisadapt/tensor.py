@@ -1,9 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Ops recorded while a :class:`Tape` is active can be replayed backwards to
-produce gradients. Reductions are plain sequential numpy reductions, so
-two identical backward passes give bitwise-identical gradients. fp32 is
-the training dtype; fp64 is used for finite-difference gradient checks.
+Ops recorded while a :class:`Tape` is active can be replayed backwards by
+:func:`backward`, which adds each requested leaf's gradient into an array
+the caller passes; gradients are delivered nowhere else. Reductions are
+plain sequential numpy reductions, so two identical backward passes give
+bitwise-identical gradients. fp32 is the training dtype; fp64 is used for
+finite-difference gradient checks.
 
 Attention masking works with a finite -1e9 additive penalty: after the
 max-subtracted softmax the masked probabilities underflow to exactly 0.0,
@@ -27,8 +29,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "Gradients",
-    "as_tensor",
     "add",
     "sub",
     "mul",
@@ -80,7 +80,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
 
-def as_tensor(x) -> Tensor:
+def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -119,36 +119,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-class Gradients:
-    """Gradients keyed by tensor identity, accumulated by a backward pass."""
+def backward(tape: Tape, loss: Tensor, into: dict[Tensor, np.ndarray]) -> None:
+    """Walk the tape in reverse from a scalar loss and add the gradient of
+    each leaf that is a key of `into` (a tensor no op on this tape
+    produced, such as a parameter) in place to its array.
 
-    def __init__(self):
-        self.by_id: dict[int, np.ndarray] = {}
-
-    def add(self, t: Tensor, g: np.ndarray) -> None:
-        if not t.requires_grad:
-            return
-        tid = id(t)
-        if tid in self.by_id:
-            self.by_id[tid] = self.by_id[tid] + g
-        else:
-            self.by_id[tid] = g
-
-    def pop(self, t: Tensor) -> np.ndarray | None:
-        return self.by_id.pop(id(t), None)
-
-
-def backward(tape: Tape, loss: Tensor,
-             into: dict[Tensor, np.ndarray] | None = None) -> Gradients:
-    """Walk the tape in reverse from a scalar loss, accumulating gradients
-    for every requires_grad tensor (fan-out contributions sum).
-
+    Nothing else receives a gradient. Each op's backward receives its
+    output's gradient and `acc(tensor, grad)`, which sums the
+    contributions to a tensor in walk order (fan-out contributions sum).
     The walk consumes the tape: each op is popped, run, and dropped along
     with the gradient of its output, so the activations it held are freed
-    as the walk goes. Only the gradients of leaf tensors (those no op on
-    this tape produced, such as parameters) are returned. A leaf that is a
-    key of `into` has its gradient added in place to that array instead,
-    once the walk is done.
+    as the walk goes. A leaf's summed gradient reaches its `into` array
+    once, when the walk is done; a leaf the walk never reached leaves its
+    array untouched.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
@@ -157,19 +140,24 @@ def backward(tape: Tape, loss: Tensor,
     if not any(out is loss for out, _ in reversed(tape.ops)):
         raise ValueError("loss was not produced under this tape")
     tape.consumed = True
-    grads = Gradients()
-    grads.add(loss, np.ones((), dtype=loss.data.dtype))
+    grads: dict[int, np.ndarray] = {}
+
+    def acc(t: Tensor, g: np.ndarray) -> None:
+        if t.requires_grad:
+            tid = id(t)
+            grads[tid] = grads[tid] + g if tid in grads else g
+
+    acc(loss, np.ones((), dtype=loss.data.dtype))
     ops = tape.ops
     while ops:
         out, bw = ops.pop()
-        g = grads.pop(out)
+        g = grads.pop(id(out), None)
         if g is not None:
-            bw(g, grads)
-    for leaf, acc in (into or {}).items():
-        g = grads.pop(leaf)
+            bw(g, acc)
+    for leaf, arr in into.items():
+        g = grads.pop(id(leaf), None)
         if g is not None:
-            acc += g
-    return grads
+            arr += g
 
 
 # ---------------------------------------------------------------------------
@@ -177,49 +165,49 @@ def backward(tape: Tape, loss: Tensor,
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def bw(g, acc):
         # constant operands (positions, attention biases) need no reduction
         if a.requires_grad:
-            acc.add(a, _unbroadcast(g, a.data.shape))
+            acc(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            acc.add(b, _unbroadcast(g, b.data.shape))
+            acc(b, _unbroadcast(g, b.data.shape))
 
     return _apply(a.data + b.data, (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def bw(g, acc):
-        acc.add(a, _unbroadcast(g, a.data.shape))
-        acc.add(b, _unbroadcast(-g, b.data.shape))
+        acc(a, _unbroadcast(g, a.data.shape))
+        acc(b, _unbroadcast(-g, b.data.shape))
 
     return _apply(a.data - b.data, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
 
     def bw(g, acc):
-        acc.add(a, _unbroadcast(g * b.data, a.data.shape))
-        acc.add(b, _unbroadcast(g * a.data, b.data.shape))
+        acc(a, _unbroadcast(g * b.data, a.data.shape))
+        acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _apply(a.data * b.data, (a, b), bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
 
     def bw(g, acc):
-        acc.add(a, g * c)
+        acc(a, g * c)
 
     return _apply(a.data * c, (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(
             f"matmul operands must be at least 2-D, got {a.data.shape} x {b.data.shape}"
@@ -236,8 +224,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ) from None
 
     def bw(g, acc):
-        acc.add(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
-        acc.add(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
+        acc(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
+        acc(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
 
     return _apply(data, (a, b), bw)
 
@@ -246,8 +234,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w (+ b) for x [..., k], w [k, n] and an optional bias b [n], as
     one product over the stacked rows of x; the backward forms every
     gradient from those rows too."""
-    x, w = as_tensor(x), as_tensor(w)
-    b = None if b is None else as_tensor(b)
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
     if (w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1]
             or (b is not None and b.data.shape != w.data.shape[1:])):
         raise ValueError(
@@ -263,10 +251,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def bw(g, acc):
         g = g.reshape(-1, n)
         if x.requires_grad:
-            acc.add(x, (g @ w.data.T).reshape(x.data.shape))
-        acc.add(w, rows.T @ g)
+            acc(x, (g @ w.data.T).reshape(x.data.shape))
+        acc(w, rows.T @ g)
         if b is not None:
-            acc.add(b, g.sum(axis=0))
+            acc(b, g.sum(axis=0))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _apply(data.reshape(*x.data.shape[:-1], n), inputs, bw)
@@ -277,7 +265,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     w2 [h, n] and b2 [n], as one op over the stacked rows of x. The ReLU
     runs in place on the hidden array, and the backward masks with
     hidden > 0, so it keeps no mask of its own."""
-    x, w1, b1, w2, b2 = (as_tensor(a) for a in (x, w1, b1, w2, b2))
+    x, w1, b1, w2, b2 = (_as_tensor(a) for a in (x, w1, b1, w2, b2))
     if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.shape[-1:] != w1.data.shape[:1]
             or b1.data.shape != w1.data.shape[1:] or w2.data.shape[:1] != w1.data.shape[1:]
             or b2.data.shape != w2.data.shape[1:]):
@@ -297,13 +285,13 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     def bw(g, acc):
         g = g.reshape(-1, n)
         dh = g @ w2.data.T
-        acc.add(w2, h.T @ g)
-        acc.add(b2, g.sum(axis=0))
+        acc(w2, h.T @ g)
+        acc(b2, g.sum(axis=0))
         dh *= h > 0
         if x.requires_grad:
-            acc.add(x, (dh @ w1.data.T).reshape(x.data.shape))
-        acc.add(w1, rows.T @ dh)
-        acc.add(b1, dh.sum(axis=0))
+            acc(x, (dh @ w1.data.T).reshape(x.data.shape))
+        acc(w1, rows.T @ dh)
+        acc(b1, dh.sum(axis=0))
 
     return _apply(out.reshape(*x.data.shape[:-1], n), (x, w1, b1, w2, b2), bw)
 
@@ -318,7 +306,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
     1 / sqrt(d / n_heads); the heads' outputs are concatenated to
     [B, Tq, d].
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     bias = np.asarray(bias)
     if (q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape
             or q.data.shape[::2] != k.data.shape[::2]):
@@ -374,30 +362,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
     pt = p.transpose(1, 2, 3, 0)  # [B, H, Tq, Tk]
 
     def bw(g, acc):
-        acc.add(v, product(pt.swapaxes(-1, -2), heads(g, tq), tk))
+        acc(v, product(pt.swapaxes(-1, -2), heads(g, tq), tk))
         ds = keys_first(vh, heads_last(g, tq))
         ds -= (ds * p).sum(axis=0)
         ds *= p
         ds *= c
         dst = ds.transpose(1, 2, 3, 0)
-        acc.add(q, product(dst, kh, tq))
-        acc.add(k, product(dst.swapaxes(-1, -2), qh, tk))
+        acc(q, product(dst, kh, tq))
+        acc(k, product(dst.swapaxes(-1, -2), qh, tk))
 
     return _apply(product(pt, vh, tq), (q, k, v), bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     keep = a.data > 0
 
     def bw(g, acc):
-        acc.add(a, g * keep)
+        acc(a, g * keep)
 
     return _apply(np.maximum(a.data, 0), (a,), bw)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"axis {axis} invalid for shape {a.data.shape}")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -406,14 +394,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def bw(g, acc):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        acc.add(a, y * (g - inner))
+        acc(a, y * (g - inner))
 
     return _apply(y, (a,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean unit-variance over the last axis (1/N variance plus 1e-5), then affine."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     dim = x.data.shape[-1]
     if gain.data.shape != (dim,) or bias.data.shape != (dim,):
         raise ValueError(
@@ -430,8 +418,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def bw(g, acc):
         rows = g.reshape(-1, dim)
-        acc.add(gain, (rows * xhat.reshape(-1, dim)).sum(axis=0))
-        acc.add(bias, rows.sum(axis=0))
+        acc(gain, (rows * xhat.reshape(-1, dim)).sum(axis=0))
+        acc(bias, rows.sum(axis=0))
         dx = g * gain.data
         m1 = dx.sum(axis=-1, keepdims=True)
         m1 /= dim
@@ -440,7 +428,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dx -= m1
         dx -= xhat * m2
         dx *= inv
-        acc.add(x, dx)
+        acc(x, dx)
 
     out = xhat * gain.data
     out += bias.data
@@ -449,7 +437,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup: out[i] = table[ids[i]]. Gradient scatter-adds rows."""
-    table = as_tensor(table)
+    table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
@@ -459,52 +447,52 @@ def embedding(table: Tensor, ids) -> Tensor:
     def bw(g, acc):
         dt = np.zeros_like(table.data)
         np.add.at(dt, ids, g)
-        acc.add(table, dt)
+        acc(table, dt)
 
     return _apply(table.data[ids], (table,), bw)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
 
     def bw(g, acc):
-        acc.add(a, g.reshape(a.data.shape))
+        acc(a, g.reshape(a.data.shape))
 
     return _apply(a.data.reshape(shape), (a,), bw)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     inverse = np.argsort(axes)
 
     def bw(g, acc):
-        acc.add(a, g.transpose(inverse))
+        acc(a, g.transpose(inverse))
 
     return _apply(a.data.transpose(axes), (a,), bw)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
 
     def bw(g, acc):
-        acc.add(a, np.full_like(a.data, g))
+        acc(a, np.full_like(a.data, g))
 
     return _apply(a.data.sum(), (a,), bw)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     n = a.data.size
 
     def bw(g, acc):
-        acc.add(a, np.full_like(a.data, g / n))
+        acc(a, np.full_like(a.data, g / n))
 
     return _apply(a.data.mean(), (a,), bw)
 
 
 def cross_entropy(logits: Tensor, target_ids) -> Tensor:
     """Mean over positions of -log softmax(logits)[target]."""
-    logits = as_tensor(logits)
+    logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise ValueError(f"logits must be [positions, V], got {logits.data.shape}")
     targets = np.asarray(target_ids, dtype=np.int64)
@@ -529,7 +517,7 @@ def cross_entropy(logits: Tensor, target_ids) -> Tensor:
     def bw(g, acc):
         dlogits = np.exp(logp)
         dlogits[rows, targets] -= 1.0
-        acc.add(logits, dlogits * (g / n))
+        acc(logits, dlogits * (g / n))
 
     return _apply(np.asarray(loss, dtype=logits.data.dtype), (logits,), bw)
 
@@ -545,7 +533,7 @@ def dropout(x: Tensor, p: float, rngs, lengths) -> Tensor:
     """
     if not 0 <= p < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    x = as_tensor(x)
+    x = _as_tensor(x)
     if p == 0:
         return x
     if x.data.ndim < 2 or len(rngs) != len(x.data) or len(lengths) != len(x.data):
@@ -559,6 +547,6 @@ def dropout(x: Tensor, p: float, rngs, lengths) -> Tensor:
     keep = (keep / (1.0 - p)).astype(x.data.dtype)
 
     def bw(g, acc):
-        acc.add(x, g * keep)
+        acc(x, g * keep)
 
     return _apply(x.data * keep, (x,), bw)

@@ -66,7 +66,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be positive, got {self.epochs}")
 
 
-def lr_at(step: int, total_steps: int, warmup_ratio: float = 0.1, peak_lr: float = 5e-5) -> float:
+def lr_at(step: int, total_steps: int, warmup_ratio: float, peak_lr: float) -> float:
     """Linear warmup to peak over ceil(warmup_ratio * total) steps, then
     linear decay to zero at `total_steps`. Steps are 0-based."""
     if total_steps < 1:

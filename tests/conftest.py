@@ -23,11 +23,13 @@ def encode_text(text: str, vocab) -> np.ndarray:
     return np.array([vocab.lookup(tok) for tok in tokenize(text)] + [EOS], dtype=np.int64)
 
 
-def grad_of(grads: T.Gradients, t: T.Tensor) -> np.ndarray:
-    """The gradient a backward pass accumulated for `t`, or zeros shaped
-    like it when the pass reached no op that used `t`."""
-    g = grads.by_id.get(id(t))
-    return g if g is not None else np.zeros_like(t.data)
+def leaf_grads(tape: T.Tape, loss: T.Tensor, leaves: list) -> list:
+    """Run `backward` from `loss` and return the gradient of each leaf,
+    read through `into=` arrays of zeros: zeros for a leaf the walk never
+    reached."""
+    into = {t: np.zeros_like(t.data) for t in leaves}
+    T.backward(tape, loss, into=into)
+    return [into[t] for t in leaves]
 
 
 def assert_views_of(arrays: dict, flat: np.ndarray, names: list) -> None:
@@ -95,7 +97,7 @@ def finite_diff_check(f, x: T.Tensor, eps: float = 1e-5, floor: float = 1e-12) -
     probe = T.Tensor(x.data.copy(), requires_grad=True)
     with T.Tape() as tape:
         loss = f(probe)
-    analytic = grad_of(T.backward(tape, loss), probe)
+    [analytic] = leaf_grads(tape, loss, [probe])
 
     flat = x.data.copy().reshape(-1)
     numeric = np.zeros_like(flat)

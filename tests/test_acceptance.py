@@ -267,14 +267,14 @@ def test_acceptance_05_metrics_match_brute_force():
 
 def test_acceptance_06_scheduler_exact_points():
     with criterion(6, "warmup/decay schedule pinned points exact"):
-        assert lr_at(0, 100) == 0.0
-        assert lr_at(10, 100) == 5e-5
-        assert lr_at(55, 100) == 2.5e-5
-        assert lr_at(100, 100) == 0.0
+        assert lr_at(0, 100, 0.1, 5e-5) == 0.0
+        assert lr_at(10, 100, 0.1, 5e-5) == 5e-5
+        assert lr_at(55, 100, 0.1, 5e-5) == 2.5e-5
+        assert lr_at(100, 100, 0.1, 5e-5) == 0.0
         # continuity at the boundary: both pieces evaluate to the peak
         warmup_side = 5e-5 * (10 / 10)
         decay_side = 5e-5 * ((100 - 10) / (100 - 10))
-        assert warmup_side == lr_at(10, 100) == decay_side
+        assert warmup_side == lr_at(10, 100, 0.1, 5e-5) == decay_side
 
 
 # ---------------------------------------------------------------------------

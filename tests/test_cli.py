@@ -7,11 +7,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crisisadapt.cli as cli
-from crisisadapt.checkpoint import DIGEST_BYTES, load_checkpoint
-from crisisadapt.evaluation import AdaptationMatrix
+from crisisadapt import model
+from crisisadapt.checkpoint import DIGEST_BYTES, load_checkpoint, save_checkpoint
+from crisisadapt.evaluation import AdaptationMatrix, evaluate
+from crisisadapt.tensor import Tensor
 from crisisadapt.tokenizer import _digest, load_vocab, save_vocab
 
 CONFIG = {
@@ -174,21 +177,56 @@ def test_train_cross_domain_sources(ws, tmp_path):
     assert manifest["source_events"] == ["alpha_flood", "beta_flood"]
 
 
+def evaluate_args(ws, checkpoint, out) -> list:
+    return ["evaluate",
+            "--checkpoint", str(checkpoint),
+            "--vocab", str(ws["vocab"]),
+            "--test-file", str(ws["data"] / "test.tsv"),
+            "--registry", str(ws["data"] / "registry.json"),
+            "--scenario", "postq",
+            "--target-event", "beta_flood",
+            "--out", str(out)]
+
+
 def test_evaluate_artifacts(ws, tmp_path):
     out = tmp_path / "eval"
-    assert cli.main(["evaluate",
-                     "--checkpoint", str(ws["run"] / "checkpoint.castckpt"),
-                     "--vocab", str(ws["vocab"]),
-                     "--test-file", str(ws["data"] / "test.tsv"),
-                     "--registry", str(ws["data"] / "registry.json"),
-                     "--scenario", "postq",
-                     "--target-event", "beta_flood",
-                     "--out", str(out)]) == 0
+    assert cli.main(evaluate_args(ws, ws["run"] / "checkpoint.castckpt", out)) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["n"] == 4
     assert 0.0 <= report["accuracy"] <= 1.0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "evaluate"
+
+
+def test_evaluate_builds_no_initial_parameters(ws, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate drew initial parameters")
+
+    monkeypatch.setattr(model, "init_params", refuse)
+    monkeypatch.setattr(cli, "init_params", refuse, raising=False)
+    out = tmp_path / "eval"
+    assert cli.main(evaluate_args(ws, ws["run"] / "checkpoint.castckpt", out)) == 0
+    assert (out / "report.json").exists()
+
+
+def test_float64_checkpoint_evaluates_in_float64(ws, tmp_path, monkeypatch):
+    loaded = load_checkpoint(ws["run"] / "checkpoint.castckpt")
+    store = model.ParameterStore({n: Tensor(a.astype(np.float64), name=n)
+                                  for n, a in loaded.arrays.items()})
+    path = tmp_path / "fp64.castckpt"
+    save_checkpoint(path, store, loaded.config, loaded.vocab_hash, loaded.step, loaded.seed)
+    seen = []
+
+    def spy(params, *args, **kwargs):
+        seen.append(params.flat.dtype)
+        return evaluate(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", spy)
+    out = tmp_path / "eval"
+    assert cli.main(evaluate_args(ws, path, out)) == 0
+    assert seen == [np.float64]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["n"] == 4
 
 
 def test_matrix_two_events_skips_correlation(ws, tmp_path, capsys):

@@ -25,7 +25,7 @@ from crisisadapt.train import (
     write_history,
 )
 
-from conftest import assert_views_of, grad_of
+from conftest import assert_views_of, leaf_grads
 
 MICRO = ModelConfig(vocab_size=8, d_model=4, n_heads=1, d_ff=8,
                     n_enc_layers=1, n_dec_layers=1, dropout=0.0,
@@ -51,12 +51,12 @@ def snapshot(params: ParameterStore) -> dict[str, np.ndarray]:
 
 
 def test_lr_schedule_exact_values():
-    assert lr_at(0, 100) == 0.0
-    assert lr_at(10, 100) == 5e-5           # peak right at warmup end
-    assert lr_at(55, 100) == 2.5e-5         # halfway down the decay
-    assert lr_at(100, 100) == 0.0
-    assert lr_at(5, 100) == pytest.approx(2.5e-5)   # halfway up the warmup
-    assert lr_at(30, 100, peak_lr=1e-3) == pytest.approx(1e-3 * 70 / 90)
+    assert lr_at(0, 100, 0.1, 5e-5) == 0.0
+    assert lr_at(10, 100, 0.1, 5e-5) == 5e-5  # peak right at warmup end
+    assert lr_at(55, 100, 0.1, 5e-5) == 2.5e-5  # halfway down the decay
+    assert lr_at(100, 100, 0.1, 5e-5) == 0.0
+    assert lr_at(5, 100, 0.1, 5e-5) == pytest.approx(2.5e-5)  # halfway up the warmup
+    assert lr_at(30, 100, 0.1, 1e-3) == pytest.approx(1e-3 * 70 / 90)
 
 
 def test_lr_schedule_is_piecewise_linear():
@@ -71,13 +71,13 @@ def test_lr_schedule_is_piecewise_linear():
 
 def test_lr_schedule_validation():
     with pytest.raises(ConfigError, match="covers the whole run"):
-        lr_at(0, 10, warmup_ratio=0.95)
+        lr_at(0, 10, 0.95, 5e-5)
     with pytest.raises(ConfigError, match="total_steps"):
-        lr_at(0, 0)
+        lr_at(0, 0, 0.1, 5e-5)
     with pytest.raises(ConfigError, match="outside"):
-        lr_at(-1, 100)
+        lr_at(-1, 100, 0.1, 5e-5)
     with pytest.raises(ConfigError, match="outside"):
-        lr_at(101, 100)
+        lr_at(101, 100, 0.1, 5e-5)
 
 
 def test_train_config_validation():
@@ -331,15 +331,15 @@ def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
 
     ref_loss = 0.0
     ref_grads = {name: np.zeros_like(t.data) for name, t in params.items()}
+    leaves = [params[name] for name in ref_grads]
     for slot in slots:
         src, tgt = examples[slot]
         drop = np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
         with T.Tape() as tape:
             one = example_loss(params, src[None], np.ones((1, len(src)), np.float32), tgt[None],
                                cfg, rng=[drop])
-        g = T.backward(tape, one)
-        for name, t in params.items():
-            ref_grads[name] += grad_of(g, t) / len(slots)
+        for name, g in zip(ref_grads, leaf_grads(tape, one, leaves)):
+            ref_grads[name] += g / len(slots)
         ref_loss += float(one.data) / len(slots)
     assert abs(loss - ref_loss) <= 1e-10
     for name, want in ref_grads.items():
