@@ -98,6 +98,8 @@ def _load_config_file(path: str | None) -> dict:
         cfg = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
+    except OSError as exc:
+        raise ConfigError(f"{p}: cannot read config file: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{p}: malformed UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -544,6 +546,10 @@ def main(argv=None) -> int:
         return 3
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # a directory where a file belongs, an --out that is a file
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

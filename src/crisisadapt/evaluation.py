@@ -145,7 +145,7 @@ def evaluate(
     The rows whose output is not exactly a label word are scored for both
     label sequences in one more decoder pass. :func:`predict_label` then
     decides each input, in input order. Each chunk's decoder memory
-    (:func:`model.memory`) is built once and serves both. A prediction
+    (what :func:`model.encode_source` returns) serves both. A prediction
     does not depend on the other inputs of its chunk (see
     :func:`model.generate_greedy`)."""
     if len(encoded) != len(gold):
@@ -164,8 +164,7 @@ def evaluate(
         ids, mask = pad_sources(encoded, chunk)
         # looked up on the module, so that a wrapper installed there (a
         # profiler or a call counter) sees this call
-        enc = model.encode_source(params, ids, mask, config)
-        mem = model.memory(params, enc, mask, config)
+        mem = model.encode_source(params, ids, mask, config)
         outs = generate_greedy(params, mem, config, accept)
         rows = [r for r, out in enumerate(outs) if parse_label(decode(out, vocab)) is None]
         if rows:

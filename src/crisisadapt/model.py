@@ -9,11 +9,12 @@ argmax with lowest-id tie-break.
 Every entry point takes batches only: sources [B, S] with a mask that
 is 0.0 at padding, and targets [B, T]; a 1-D input raises a ValueError.
 Padded keys get a -1e9 score bias [B, 1, 1, S] and so are never
-attended to. The decoder reads encoded sources through a :class:`Memory`:
-each layer's cross-attention keys and values, projected once per batch
-by :func:`memory`, with the mask and its bias. Greedy decoding and
-sequence scoring take a memory of any number of sources, each row as if
-it ran alone, and select or repeat its rows without projecting again.
+attended to. :func:`encode_source` returns the decoder's :class:`Memory`
+of a batch: each decoder layer's cross-attention keys and values,
+projected once from the encoder states, and the score bias that the
+encoder's own self-attention used. Greedy decoding and sequence scoring
+take a memory of any number of sources, each row as if it ran alone,
+and select or repeat its rows without projecting again.
 
 Each attention block is three bias-free projections, one
 :func:`tensor.attention` op (head split, scaled scores, bias, softmax,
@@ -262,8 +263,56 @@ def _key_bias(src_mask: np.ndarray) -> np.ndarray:
     return ((1.0 - src_mask) * MASK_PENALTY).astype(np.float32)[:, None, None, :]
 
 
-def _check_source(src_ids, src_mask, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Validated ids and mask as [B, S] arrays."""
+@dataclass(frozen=True)
+class Memory:
+    """What every decoder layer's cross-attention reads of B encoded
+    sources: each layer's projected keys and values [B, S, d_model], in
+    layer order, and the score bias [B, 1, 1, S] of the source mask.
+
+    :func:`encode_source` builds it. `rows` and `repeat` select and copy
+    whole sources; their tensors are constants, for decoding and scoring,
+    which take no gradient."""
+
+    kv: tuple[tuple[T.Tensor, T.Tensor], ...]
+    bias: np.ndarray
+
+    def _map(self, f) -> "Memory":
+        kv = tuple((T.Tensor(f(k.data)), T.Tensor(f(v.data))) for k, v in self.kv)
+        return Memory(kv, f(self.bias))
+
+    def rows(self, index) -> "Memory":
+        """The memory of the sources at `index` (row indices or a mask)."""
+        return self._map(lambda a: a[index])
+
+    def repeat(self, n: int) -> "Memory":
+        """Each source n times in a row: row b * n + i holds source b."""
+        return self._map(lambda a: np.repeat(a, n, axis=0))
+
+
+def encode_source(
+    params: ParameterStore,
+    src_ids,
+    src_mask,
+    config: ModelConfig,
+    rng: Sequence[np.random.Generator] | None = None,
+) -> Memory:
+    """Run the encoder stack over ids [B, S] and return the decoder's
+    :class:`Memory` of its states [B, S, d_model].
+
+    `src_mask` is 1.0 at real positions, 0.0 at padding. Padded positions
+    are never attended to: their attention probabilities are exactly 0.0,
+    and attention's sums run in key order, so they add zeros at the end.
+    Extending a source with extra padding therefore leaves the states at
+    real positions, and so the memory's keys and values there, bitwise
+    equal on the 16-dim test model, at every padded width up to
+    `max_src_len`, as long as BLAS rounds each row of a product the same
+    whatever the other rows. Dropout runs only when `rng` is given, one
+    generator per example. Each example draws its masks over its own
+    length up to its last real position, so the draws do not depend on
+    how examples are batched. Each decoder layer's keys are projected
+    before its values, and the layers in order, so that under a tape the
+    gradient of the states sums in a fixed order.
+    """
     ids = np.asarray(src_ids, dtype=np.int64)
     mask = np.asarray(src_mask, dtype=np.float32)
     if ids.ndim != 2 or mask.shape != ids.shape:
@@ -275,30 +324,6 @@ def _check_source(src_ids, src_mask, config: ModelConfig) -> tuple[np.ndarray, n
         raise ValueError(f"source length {ids.shape[1]} exceeds limit {config.max_src_len}")
     if mask.size == 0 or (mask.sum(axis=1) == 0).any():
         raise ValueError("no attendable source positions: mask is all zero")
-    return ids, mask
-
-
-def encode_source(
-    params: ParameterStore,
-    src_ids,
-    src_mask,
-    config: ModelConfig,
-    rng: Sequence[np.random.Generator] | None = None,
-) -> T.Tensor:
-    """Run the encoder stack over ids [B, S]; returns states [B, S, d_model].
-
-    `src_mask` is 1.0 at real positions, 0.0 at padding. Padded positions
-    are never attended to: their attention probabilities are exactly 0.0,
-    and attention's sums run in key order, so they add zeros at the end.
-    Extending a source with extra padding therefore leaves the states at
-    real positions bitwise equal on the 16-dim test model, at every padded
-    width up to `max_src_len`, as long as BLAS rounds each row of a
-    product the same whatever the other rows. Dropout runs only when
-    `rng` is given, one generator per example. Each example draws its masks
-    over its own length up to its last real position, so the draws do not
-    depend on how examples are batched.
-    """
-    ids, mask = _check_source(src_ids, src_mask, config)
     # each example's length up to its last real position
     lengths = None if rng is None else mask.shape[1] - np.argmax(mask[:, ::-1] > 0, axis=1)
     bias = _key_bias(mask)
@@ -310,52 +335,10 @@ def encode_source(
                       config, rng, lengths)
         x = _residual(x, _ff(params, f"{p}.ff", _ln(params, f"{p}.ff.ln", x)),
                       config, rng, lengths)
-    return _ln(params, "enc.final_ln", x)
-
-
-@dataclass(frozen=True)
-class Memory:
-    """What every decoder layer's cross-attention reads of B encoded
-    sources: each layer's projected keys and values [B, S, d_model], in
-    layer order, the source mask [B, S] and its score bias [B, 1, 1, S].
-
-    :func:`memory` builds it from encoder states. `rows` and `repeat`
-    select and copy whole sources; their tensors are constants, for
-    decoding and scoring, which take no gradient."""
-
-    kv: tuple[tuple[T.Tensor, T.Tensor], ...]
-    mask: np.ndarray
-    bias: np.ndarray
-
-    def _map(self, f) -> "Memory":
-        kv = tuple((T.Tensor(f(k.data)), T.Tensor(f(v.data))) for k, v in self.kv)
-        return Memory(kv, f(self.mask), f(self.bias))
-
-    def rows(self, index) -> "Memory":
-        """The memory of the sources at `index` (row indices or a mask)."""
-        return self._map(lambda a: a[index])
-
-    def repeat(self, n: int) -> "Memory":
-        """Each source n times in a row: row b * n + i holds source b."""
-        return self._map(lambda a: np.repeat(a, n, axis=0))
-
-
-def memory(params: ParameterStore, enc_states: T.Tensor, src_mask,
-           config: ModelConfig) -> Memory:
-    """The decoder's :class:`Memory` of encoder states [B, S, d_model] with
-    src_mask [B, S] (1.0 at real positions). Each layer's keys are
-    projected before its values, and the layers in order, so that under a
-    tape the gradient of `enc_states` sums in a fixed order."""
-    mask = np.asarray(src_mask, dtype=np.float32)
-    if mask.ndim != 2 or mask.shape != enc_states.shape[:-1]:
-        raise ValueError(
-            f"src_mask shape {mask.shape} does not match encoder states {enc_states.shape}"
-        )
-    if mask.size == 0 or (mask.sum(axis=1) == 0).any():
-        raise ValueError("no attendable source positions: mask is all zero")
-    kv = tuple(_keys_values(params, f"dec.{i}.cross_attn", enc_states)
+    states = _ln(params, "enc.final_ln", x)
+    kv = tuple(_keys_values(params, f"dec.{i}.cross_attn", states)
                for i in range(config.n_dec_layers))
-    return Memory(kv, mask, _key_bias(mask))
+    return Memory(kv, bias)
 
 
 def decode_logits(
@@ -366,7 +349,7 @@ def decode_logits(
     rng: Sequence[np.random.Generator] | None = None,
 ) -> T.Tensor:
     """Teacher-forced decoder pass over dec_input [B, T], attending to the
-    B sources of `mem` (see :func:`memory`); returns logits
+    B sources of `mem` (see :func:`encode_source`); returns logits
     [B, T, vocab_size].
 
     `dec_input` is the shifted target (pad first). Position t may look at
@@ -380,9 +363,9 @@ def decode_logits(
         )
     if ids.shape[1] > config.max_tgt_len + 1:
         raise ValueError(f"decoder length {ids.shape[1]} exceeds limit {config.max_tgt_len + 1}")
-    if len(mem.mask) != len(ids):
+    if len(mem.bias) != len(ids):
         raise ValueError(
-            f"decoder input {ids.shape} and src_mask {mem.mask.shape} differ in batch")
+            f"decoder input {ids.shape} and a memory of {len(mem.bias)} sources differ in batch")
 
     batch, t = ids.shape
     lengths = [t] * batch
@@ -433,9 +416,9 @@ def generate_greedy(
     A row's tokens do not depend on the other rows, nor on how far its
     source is padded (see :func:`encode_source`)."""
     accepted = [tuple(seq) for seq in accept]
-    outs: list[list[int]] = [[] for _ in range(len(mem.mask))]
-    live = np.arange(len(mem.mask))  # the rows still decoding
-    dec_input = np.full((len(mem.mask), 1), PAD, dtype=np.int64)
+    outs: list[list[int]] = [[] for _ in range(len(mem.bias))]
+    live = np.arange(len(mem.bias))  # the rows still decoding
+    dec_input = np.full((len(mem.bias), 1), PAD, dtype=np.int64)
     for _ in range(config.max_tgt_len):
         logits = decode_logits(params, mem, dec_input, config)
         next_ids = np.argmax(logits.data[:, -1], axis=1)
@@ -471,7 +454,7 @@ def score_sequence(params: ParameterStore, mem: Memory, target_ids,
             f"targets must be a non-empty [L, T] array, each ending with the end token, "
             f"got shape {tgt.shape}"
         )
-    batch, copies = len(mem.mask), len(tgt)
+    batch, copies = len(mem.bias), len(tgt)
     pairs = np.tile(tgt, (batch, 1))  # row b * L + l holds target l for source b
     logits = decode_logits(params, mem.repeat(copies), shift_right(pairs), config).data
     shifted = logits - logits.max(axis=2, keepdims=True)
@@ -493,7 +476,6 @@ def example_loss(
     are [B, T], all of one length, so this is the mean over every target
     position of the batch."""
     tgt = np.asarray(target_ids, dtype=np.int64)
-    enc = encode_source(params, src_ids, src_mask, config, rng=rng)
-    logits = decode_logits(params, memory(params, enc, src_mask, config), shift_right(tgt),
-                           config, rng=rng)
+    mem = encode_source(params, src_ids, src_mask, config, rng=rng)
+    logits = decode_logits(params, mem, shift_right(tgt), config, rng=rng)
     return T.cross_entropy(T.reshape(logits, (tgt.size, config.vocab_size)), tgt.reshape(-1))

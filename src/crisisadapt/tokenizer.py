@@ -1,8 +1,9 @@
 """Corpus-derived word-level vocabulary and bounded id-sequence codec.
 
-The normalizer applies Unicode NFC, lowercases, splits on whitespace, and
-peels each leading/trailing punctuation character (Unicode category P*)
-off into its own token, so "Flood!" becomes ["flood", "!"].
+The normalizer applies Unicode NFC, lowercases, splits on whitespace and
+NUL, and peels each leading/trailing punctuation character (Unicode
+category P*) off into its own token, so "Flood!" becomes ["flood", "!"].
+No token holds a NUL, the separator of the vocabulary's content hash.
 
 An augmented input encodes to a 1-D id array ending in EOS, which
 :func:`train.pad_sources` pads and masks per batch. Truncation keeps the
@@ -46,7 +47,7 @@ def _is_punct(ch: str) -> bool:
 
 def tokenize(text: str) -> list[str]:
     """Normalize and split text into tokens."""
-    text = unicodedata.normalize("NFC", text).lower()
+    text = unicodedata.normalize("NFC", text).lower().replace("\x00", " ")
     tokens: list[str] = []
     for chunk in text.split():
         lead: list[str] = []
@@ -83,9 +84,6 @@ class Vocabulary:
         the special strings, so that no text can encode to PAD or EOS."""
         i = self.token_to_id.get(token, UNK)
         return i if i >= len(SPECIAL_TOKENS) else UNK
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
 
 def _digest(tokens: tuple[str, ...], min_freq: int, max_size: int) -> str:
@@ -250,6 +248,8 @@ def load_vocab(path: str | Path) -> Vocabulary:
         raise VocabError(f"{path}: vocabulary must start with {SPECIAL_TOKENS}")
     token_to_id: dict[str, int] = {}
     for i, tok in enumerate(id_to_token):
+        if "\x00" in tok:  # else a newline turned NUL would keep the content hash
+            raise VocabError(f"{path}: token {tok!r} at id {i} holds a NUL")
         if token_to_id.setdefault(tok, i) != i:
             raise VocabError(f"{path}: token {tok!r} repeated at ids {token_to_id[tok]} and {i}")
     if _digest(id_to_token, min_freq, max_size) != content_hash:

@@ -63,11 +63,11 @@ def scripted_decoder(decode_logits, script, rows=None):
     """Wrap a `model.decode_logits` so that greedy decoding emits the ids
     in `script` first: at position t, every row's logit for script[t] is
     raised by 100. Positions past the script keep the model's logits.
-    With `rows`, only the rows where `rows(memory.mask)` is true are
-    scripted (`memory.mask` is the decoder's [B, S] source mask)."""
+    With `rows`, only the rows where `rows(mask)` is true are scripted,
+    `mask` being the memory's [B, S] source mask, true at real positions."""
     def scripted(params, memory, *args, **kwargs):
         logits = decode_logits(params, memory, *args, **kwargs)
-        picked = slice(None) if rows is None else rows(memory.mask)
+        picked = slice(None) if rows is None else rows(memory.bias[:, 0, 0] == 0)
         for t, tok in enumerate(script[: logits.data.shape[1]]):
             logits.data[picked, t, tok] += 100.0
         return logits

@@ -91,7 +91,7 @@ def test_synth_artifacts(ws):
 
 def test_build_vocab_artifact(ws):
     vocab = load_vocab(ws["vocab"])
-    assert "yes" in vocab and "no" in vocab
+    assert "yes" in vocab.token_to_id and "no" in vocab.token_to_id
     assert vocab.size > 20
 
 
@@ -489,6 +489,35 @@ def test_missing_checkpoint_exits_3(ws, tmp_path):
                      "--scenario", "postq",
                      "--target-event", "alpha_flood",
                      "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--vocab", "--registry", "--train-file",
+                                  "--config", "--out"])
+def test_unusable_path_ends_in_one_error_line(ws, tmp_path, capsys, flag):
+    """A directory where a file belongs, or an --out that names a file,
+    exits 3 (2 for --config) with one `error:` line naming the path."""
+    if flag == "--checkpoint":
+        args = ["evaluate",
+                "--checkpoint", str(ws["run"] / "checkpoint.castckpt"),
+                "--vocab", str(ws["vocab"]),
+                "--test-file", str(ws["data"] / "test.tsv"),
+                "--registry", str(ws["data"] / "registry.json"),
+                "--scenario", "postq",
+                "--target-event", "alpha_flood",
+                "--out", str(tmp_path / "out")]
+    else:
+        args = base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood",
+                         out=tmp_path / "out")
+    bad = tmp_path / "taken"
+    if flag == "--out":
+        bad.write_text("", encoding="utf-8")
+    else:
+        bad.mkdir()
+    args[args.index(flag) + 1] = str(bad)
+    assert cli.main(args) == (2 if flag == "--config" else 3)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(bad) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", ["repeated_token", "non_integer_header"])

@@ -227,7 +227,7 @@ def test_predict_label_fallback_prefers_higher_score():
 
 
 def test_predict_label_fallback_encodes_source_once(monkeypatch):
-    """`evaluate` encodes each chunk of inputs once and reuses the states
+    """`evaluate` encodes each chunk of inputs once and reuses its memory
     for greedy decoding and for scoring the fallbacks."""
     params, cfg = rigged({"water": 10.0, "yes": 2.0, "no": 1.0})
     calls = []
@@ -246,7 +246,7 @@ def test_predict_label_fallback_encodes_source_once(monkeypatch):
 def greedy_and_scores(params, ids, mask, cfg, accept, targets):
     """Greedy output, joint label scores and each label scored alone, for
     sources ids/mask [B, S]."""
-    mem = model.memory(params, model.encode_source(params, ids, mask, cfg), mask, cfg)
+    mem = model.encode_source(params, ids, mask, cfg)
     return (model.generate_greedy(params, mem, cfg, accept),
             model.score_sequence(params, mem, targets, cfg).tolist(),
             [model.score_sequence(params, mem, tgt[None], cfg).tolist() for tgt in targets])
@@ -284,7 +284,7 @@ def reference_predict(params, src, vocab, cfg):
     to the end token or max_tgt_len, decode and parse the whole output,
     else score each label sequence in a pass of its own."""
     ids, mask = pad_sources([src], [0])
-    mem = model.memory(params, model.encode_source(params, ids, mask, cfg), mask, cfg)
+    mem = model.encode_source(params, ids, mask, cfg)
     out, dec_input = [], [PAD]
     for _ in range(cfg.max_tgt_len):
         logits = model.decode_logits(params, mem, [dec_input], cfg).data
@@ -375,7 +375,7 @@ def test_evaluate_projects_the_decoder_memory_once_per_chunk(monkeypatch):
     decode_logits = model.decode_logits
 
     def counted(params, mem, dec_input, *args, **kwargs):
-        passes.append(len(mem.mask))
+        passes.append(len(mem.bias))
         return decode_logits(params, mem, dec_input, *args, **kwargs)
 
     monkeypatch.setattr(model, "decode_logits", scripted_decoder(

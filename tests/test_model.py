@@ -15,7 +15,6 @@ from crisisadapt.model import (
     example_loss,
     generate_greedy,
     init_params,
-    memory,
     named_config,
     score_sequence,
     shift_right,
@@ -182,20 +181,20 @@ def test_pad_extension_leaves_logits_bitwise_identical():
     cfg = small_config()
     params = init_params(cfg, 7)
     dec_in = [[PAD, 12, 7]]
-    base = decode_logits(params, states(params, cfg, SRC[None, :5], MASK[None, :5]), dec_in,
-                         cfg).data
+    base = decode_logits(params, encode_source(params, SRC[None, :5], MASK[None, :5], cfg),
+                         dec_in, cfg).data
     src2 = np.concatenate([SRC[:5], [PAD, PAD, PAD]])[None]
     mask2 = np.concatenate([MASK[:5], np.zeros(3, dtype=np.float32)])[None]
-    ext = decode_logits(params, states(params, cfg, src2, mask2), dec_in, cfg).data
+    ext = decode_logits(params, encode_source(params, src2, mask2, cfg), dec_in, cfg).data
     assert np.array_equal(base, ext)
 
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_padding_leaves_states_and_logits_bitwise_identical(layers):
-    """Right-padding a source to any width up to max_src_len leaves the
-    encoder states at its real positions and the decoder logits bitwise
-    equal: attention's softmax sums run in key order, and the masked keys
-    add exact zeros at the end."""
+    """Right-padding a source to any width up to max_src_len leaves each
+    decoder layer's cross-attention keys and values at its real positions
+    and the decoder logits bitwise equal: attention's softmax sums run in
+    key order, and the masked keys add exact zeros at the end."""
     cfg = small_config(n_enc_layers=layers, n_dec_layers=layers)
     dec_in = [[PAD, 12, 7]]
     cases = 0
@@ -206,14 +205,16 @@ def test_padding_leaves_states_and_logits_bitwise_identical(layers):
                 params[name].data *= 50.0
         for n in range(1, len(SRC) + 1):
             ids, mask = SRC[None, :n], MASK[None, :n]
-            enc = encode_source(params, ids, mask, cfg)
-            logits = decode_logits(params, memory(params, enc, mask, cfg), dec_in, cfg).data
+            mem = encode_source(params, ids, mask, cfg)
+            logits = decode_logits(params, mem, dec_in, cfg).data
             for width in range(n + 1, cfg.max_src_len + 1):
                 ids_w = np.concatenate([SRC[:n], np.full(width - n, PAD)])[None]
                 mask_w = np.concatenate([MASK[:n], np.zeros(width - n, dtype=np.float32)])[None]
-                enc_w = encode_source(params, ids_w, mask_w, cfg)
-                assert np.array_equal(enc_w.data[:, :n], enc.data), (seed, n, width)
-                got = decode_logits(params, memory(params, enc_w, mask_w, cfg), dec_in, cfg)
+                mem_w = encode_source(params, ids_w, mask_w, cfg)
+                for kv, kv_w in zip(mem.kv, mem_w.kv, strict=True):
+                    for a, a_w in zip(kv, kv_w):
+                        assert np.array_equal(a_w.data[:, :n], a.data), (seed, n, width)
+                got = decode_logits(params, mem_w, dec_in, cfg)
                 assert np.array_equal(got.data, logits), (seed, n, width)
                 cases += 1
     assert cases == 840
@@ -222,7 +223,7 @@ def test_padding_leaves_states_and_logits_bitwise_identical(layers):
 def test_causal_mask_is_bitwise():
     cfg = small_config()
     params = init_params(cfg, 7)
-    mem = states(params, cfg)
+    mem = encode_source(params, SRC[None], MASK[None], cfg)
     a = decode_logits(params, mem, [[PAD, 12, 7]], cfg).data[0]
     b = decode_logits(params, mem, [[PAD, 12, 40]], cfg).data[0]
     assert np.array_equal(a[:2], b[:2])
@@ -244,16 +245,11 @@ def test_source_input_validation():
 def test_decoder_input_validation():
     cfg = small_config()
     params = init_params(cfg, 0)
-    enc = encode_source(params, SRC[None], MASK[None], cfg)
-    mem = memory(params, enc, MASK[None], cfg)
+    mem = encode_source(params, SRC[None], MASK[None], cfg)
     with pytest.raises(ValueError, match="non-empty"):
         decode_logits(params, mem, [[]], cfg)
     with pytest.raises(ValueError, match="exceeds limit"):
         decode_logits(params, mem, [[PAD] * (cfg.max_tgt_len + 2)], cfg)
-    with pytest.raises(ValueError, match=r"src_mask shape \(1, 1\) .* \(1, 10, 16\)"):
-        memory(params, enc, MASK[None, :1], cfg)
-    with pytest.raises(ValueError, match="no attendable source positions"):
-        memory(params, enc, np.zeros_like(MASK)[None], cfg)
     with pytest.raises(ValueError, match="differ in batch"):
         decode_logits(params, mem, [[PAD], [PAD]], cfg)
 
@@ -261,14 +257,11 @@ def test_decoder_input_validation():
 def test_entry_points_reject_1d_inputs():
     cfg = small_config()
     params = init_params(cfg, 0)
-    enc = encode_source(params, SRC[None], MASK[None], cfg)
-    mem = memory(params, enc, MASK[None], cfg)
+    mem = encode_source(params, SRC[None], MASK[None], cfg)
     with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
         encode_source(params, SRC, MASK, cfg)
     with pytest.raises(ValueError, match=r"decoder input .* got shape \(2,\)"):
         decode_logits(params, mem, [PAD, 12], cfg)
-    with pytest.raises(ValueError, match=r"src_mask shape \(10,\)"):
-        memory(params, enc, MASK, cfg)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
         example_loss(params, SRC[None], MASK[None], TGT, cfg)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
@@ -280,11 +273,12 @@ def test_entry_points_reject_1d_inputs():
 def test_logits_shape_and_finiteness():
     cfg = small_config()
     params = init_params(cfg, 5)
-    enc = encode_source(params, SRC[None], MASK[None], cfg)
-    logits = decode_logits(params, memory(params, enc, MASK[None], cfg), [[PAD, 12, 7]], cfg).data
+    mem = encode_source(params, SRC[None], MASK[None], cfg)
+    logits = decode_logits(params, mem, [[PAD, 12, 7]], cfg).data
     assert logits.shape == (1, 3, cfg.vocab_size)
     assert np.isfinite(logits).all()
-    assert np.isfinite(enc.data).all()
+    assert len(mem.kv) == cfg.n_dec_layers
+    assert all(np.isfinite(a.data).all() for kv in mem.kv for a in kv)
     assert MASK_PENALTY == -1e9
 
 
@@ -302,12 +296,6 @@ def test_shift_right():
         shift_right([5, 6])
 
 
-def states(params, cfg, ids=SRC[None], mask=MASK[None]):
-    """The decoder memory of sources `ids`, the input of greedy decoding
-    and scoring."""
-    return memory(params, encode_source(params, ids, mask, cfg), mask, cfg)
-
-
 def rigged_params(cfg, favored: dict[int, float]):
     """Force out_proj logits so decoding is controlled by `favored` biases."""
     params = init_params(cfg, 0)
@@ -323,7 +311,7 @@ def rigged_params(cfg, favored: dict[int, float]):
 def test_greedy_stops_at_eos():
     cfg = small_config()
     params = rigged_params(cfg, {EOS: 10.0})
-    out = generate_greedy(params, states(params, cfg), cfg, [[12]])
+    out = generate_greedy(params, encode_source(params, SRC[None], MASK[None], cfg), cfg, [[12]])
     assert out == [[EOS]]
 
 
@@ -331,25 +319,27 @@ def test_greedy_stops_at_max_tgt_len():
     for limit in (3, 8):
         cfg = small_config(max_tgt_len=limit)
         params = rigged_params(cfg, {7: 10.0})
-        assert generate_greedy(params, states(params, cfg), cfg, [[7] * 9]) == [[7] * limit]
+        mem = encode_source(params, SRC[None], MASK[None], cfg)
+        assert generate_greedy(params, mem, cfg, [[7] * 9]) == [[7] * limit]
 
 
 def test_greedy_tie_breaks_to_lowest_id():
     cfg = small_config(max_tgt_len=2)
     params = rigged_params(cfg, {6: 10.0, 5: 10.0})
     # identical weights and biases make the two logits bitwise equal
-    out = generate_greedy(params, states(params, cfg), cfg, [[5, 5]])
+    out = generate_greedy(params, encode_source(params, SRC[None], MASK[None], cfg), cfg, [[5, 5]])
     assert out == [[5, 5]]
 
 
 def test_greedy_stops_once_output_cannot_be_accepted():
     cfg = small_config()
     params = rigged_params(cfg, {7: 10.0})
+    mem = encode_source(params, SRC[None], MASK[None], cfg)
     # the first token already leaves every accepted sequence
-    assert generate_greedy(params, states(params, cfg), cfg, [[12], [5, 7]]) == [[7]]
+    assert generate_greedy(params, mem, cfg, [[12], [5, 7]]) == [[7]]
     # the second token does: [7, 7] is no prefix of [7, 12]
-    assert generate_greedy(params, states(params, cfg), cfg, [[7, 12]]) == [[7, 7]]
-    assert generate_greedy(params, states(params, cfg), cfg, []) == [[7]]
+    assert generate_greedy(params, mem, cfg, [[7, 12]]) == [[7, 7]]
+    assert generate_greedy(params, mem, cfg, []) == [[7]]
 
 
 def test_greedy_drops_pads_before_matching_accepted_sequences():
@@ -357,13 +347,14 @@ def test_greedy_drops_pads_before_matching_accepted_sequences():
     # to the length limit even when only [12] is accepted
     cfg = small_config(max_tgt_len=5)
     params = rigged_params(cfg, {PAD: 10.0})
-    assert generate_greedy(params, states(params, cfg), cfg, [[12]]) == [[PAD] * 5]
+    mem = encode_source(params, SRC[None], MASK[None], cfg)
+    assert generate_greedy(params, mem, cfg, [[12]]) == [[PAD] * 5]
 
 
 def test_score_sequence_matches_log_softmax_sum():
     cfg = small_config()
     params = init_params(cfg, 13)
-    mem = states(params, cfg)
+    mem = encode_source(params, SRC[None], MASK[None], cfg)
     [[got]] = score_sequence(params, mem, TGT[None], cfg).tolist()
     logits = decode_logits(params, mem, shift_right(TGT[None]), cfg).data[0]
     logz = np.logaddexp.reduce(logits.astype(np.float64), axis=1)
@@ -383,7 +374,7 @@ def test_score_sequence_rows_match_scoring_each_target_alone():
         for name in params.names():
             if name.endswith(".weight"):  # spread the logits, as a trained model does
                 params[name].data *= 20.0
-        mem = states(params, cfg, np.roll(SRC, seed)[None])
+        mem = encode_source(params, np.roll(SRC, seed)[None], MASK[None], cfg)
         alone = [score_sequence(params, mem, tgt[None], cfg)[0, 0] for tgt in targets]
         together = score_sequence(params, mem, targets, cfg)
         assert together.dtype == np.float64 and together.shape == (1, 3)
@@ -406,7 +397,7 @@ MIXED = [np.roll(SRC, i)[:n] for i, n in enumerate((3, 7, 5, 1, 4, 6, 2, 7))]
 
 def alone(params, cfg, src):
     """The memory of `src` encoded on its own, unpadded."""
-    return states(params, cfg, src[None], np.ones((1, len(src)), dtype=np.float32))
+    return encode_source(params, src[None], np.ones((1, len(src)), dtype=np.float32), cfg)
 
 
 def test_batched_greedy_rows_match_each_row_decoded_alone():
@@ -423,7 +414,8 @@ def test_batched_greedy_rows_match_each_row_decoded_alone():
         accept = [[tok, 12] for tok in firsts[::2] if tok != PAD]
         want = [generate_greedy(params, alone(params, cfg, src), cfg, accept)[0]
                 for src in MIXED]
-        assert generate_greedy(params, states(params, cfg, ids, mask), cfg, accept) == want, seed
+        mem = encode_source(params, ids, mask, cfg)
+        assert generate_greedy(params, mem, cfg, accept) == want, seed
         lengths.update(len(out) for out in want)
     # rows stopped after one token, after two, and at the length limit
     assert {1, 2, cfg.max_tgt_len} <= lengths
@@ -440,7 +432,7 @@ def test_batched_scores_match_each_source_scored_alone():
         params = scaled_params(cfg, seed, 20.0)
         want = [score_sequence(params, alone(params, cfg, src), targets, cfg)[0].tolist()
                 for src in MIXED]
-        mem = states(params, cfg, ids, mask)
+        mem = encode_source(params, ids, mask, cfg)
         got = score_sequence(params, mem, targets, cfg)
         assert got.dtype == np.float64 and got.shape == (len(MIXED), len(targets))
         assert got.tolist() == want, seed
@@ -451,12 +443,13 @@ def test_batched_scores_match_each_source_scored_alone():
 def test_score_sequence_requires_eos():
     cfg = small_config()
     params = init_params(cfg, 13)
+    mem = encode_source(params, SRC[None], MASK[None], cfg)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, states(params, cfg), [[12, 7]], cfg)
+        score_sequence(params, mem, [[12, 7]], cfg)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, states(params, cfg), [[5, EOS], [12, 7]], cfg)
+        score_sequence(params, mem, [[5, EOS], [12, 7]], cfg)
     with pytest.raises(ValueError, match="end token"):
-        score_sequence(params, states(params, cfg), [[]], cfg)
+        score_sequence(params, mem, [[]], cfg)
 
 
 # ---------------------------------------------------------------------------

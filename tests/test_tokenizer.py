@@ -1,5 +1,6 @@
 """Tokenization, vocabulary construction, and bounded encoding."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from conftest import make_record
         ("?!", ["?", "!"]),
         ("CAPS and MiXeD", ["caps", "and", "mixed"]),
         ("don't-stop", ["don't-stop"]),  # inner punctuation stays attached
+        ("flood\x00water", ["flood", "water"]),  # NUL separates, as whitespace does
     ],
 )
 def test_tokenize_cases(text, expected):
@@ -74,14 +76,14 @@ def test_build_vocab_specials_and_ranking():
 
 def test_build_vocab_min_freq_drops_rare_tokens():
     vocab = build_vocab(["common common rare"], min_freq=2, forced=set())
-    assert "common" in vocab
-    assert "rare" not in vocab
+    assert "common" in vocab.token_to_id
+    assert "rare" not in vocab.token_to_id
 
 
 def test_build_vocab_forced_tokens_survive_min_freq_and_max_size():
     corpus = [" ".join(f"w{i}" for i in range(50))] * 3
     vocab = build_vocab(corpus, min_freq=2, max_size=10, forced={"yes", "no"})
-    assert "yes" in vocab and "no" in vocab
+    assert "yes" in vocab.token_to_id and "no" in vocab.token_to_id
     assert vocab.size <= 10
 
 
@@ -89,7 +91,8 @@ def test_build_vocab_max_size_truncates():
     corpus = ["a a a b b c"]
     vocab = build_vocab(corpus, min_freq=1, max_size=5, forced=set())
     assert vocab.size == 5
-    assert "a" in vocab and "b" in vocab and "c" not in vocab
+    assert "a" in vocab.token_to_id and "b" in vocab.token_to_id
+    assert "c" not in vocab.token_to_id
 
 
 def test_build_vocab_deterministic_hash():
@@ -118,7 +121,7 @@ def test_default_forced_tokens_cover_templates():
         for tok in tokenize(suffix):
             if tok in ("queensland", "floods"):
                 continue  # event names come from the corpus, not the template
-            assert tok in vocab, (scenario, tok)
+            assert tok in vocab.token_to_id, (scenario, tok)
 
 
 def test_vocab_round_trip(tmp_path):
@@ -139,6 +142,23 @@ def test_load_vocab_rejects_tampered_hash(tmp_path):
     text = p.read_text(encoding="utf-8").replace("water", "later")
     p.write_text(text, encoding="utf-8")
     with pytest.raises(VocabError, match="hash"):
+        load_vocab(p)
+
+
+def test_load_vocab_rejects_nul_joined_tokens(tmp_path):
+    """A newline turned NUL joins two tokens into one and keeps the content
+    hash, whose token separator is NUL; the joined token is refused."""
+    vocab = build_vocab(["water rising"], min_freq=1)
+    p = tmp_path / "vocab.txt"
+    save_vocab(vocab, p)
+    p.write_text(p.read_text(encoding="utf-8").replace("water\n", "water\x00"),
+                 encoding="utf-8")
+    i = vocab.lookup("water")
+    tokens = vocab.id_to_token
+    joined = tokens[:i] + (tokens[i] + "\x00" + tokens[i + 1],) + tokens[i + 2:]
+    assert _digest(joined, vocab.min_freq, vocab.max_size) == vocab.content_hash
+    with pytest.raises(VocabError, match=rf"vocab\.txt: token {re.escape(repr(joined[i]))} "
+                                         rf"at id {i} holds a NUL"):
         load_vocab(p)
 
 
