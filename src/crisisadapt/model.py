@@ -220,9 +220,17 @@ def _dropout(x: T.Tensor, config: ModelConfig, rngs, lengths) -> T.Tensor:
     return x if rngs is None else T.dropout(x, config.dropout, rngs, lengths)
 
 
+def _positions(n: int, config: ModelConfig) -> np.ndarray:
+    """The first n rows of one table per width, long enough for any
+    source or decoder input; each row does not depend on the table's
+    length, so it equals the table built for n rows, bit for bit."""
+    rows = max(config.max_src_len, config.max_tgt_len + 1)
+    return _sinusoid_table(rows, config.d_model)[:n]
+
+
 def _embed(params, ids: np.ndarray, config: ModelConfig, rngs, lengths) -> T.Tensor:
     x = T.scale(T.embedding(params["embed.weight"], ids), math.sqrt(config.d_model))
-    x = T.add(x, T.Tensor(_sinusoid_table(ids.shape[1], config.d_model)))
+    x = T.add(x, T.Tensor(_positions(ids.shape[1], config)))
     return _dropout(x, config, rngs, lengths)
 
 

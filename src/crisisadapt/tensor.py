@@ -18,17 +18,25 @@ block records a few tape entries instead of one per elementary step.
 Attention lays its scores out keys first, [Tk, B, H, Tq]: the softmax
 then reduces over axis 0, in key order, rather than over many short rows,
 and every batched product reads operands BLAS takes as they are.
+
+The ops the model calls write their forward outputs, and the arrays they
+keep for the backward, through one allocator: on the heap, or, under a
+tape started on a :class:`Workspace`, into that workspace's memory, which
+a training run reuses pass after pass instead of having the heap hand the
+same pages back and forth. Backward temporaries always come from the heap.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "Tape",
+    "Workspace",
     "add",
     "sub",
     "mul",
@@ -86,13 +94,24 @@ def _as_tensor(x) -> Tensor:
 
 class Tape:
     """Records ops in execution order; backward replays them in exact
-    reverse order and consumes the tape. One forward/backward pass per tape."""
+    reverse order and consumes the tape. One forward/backward pass per tape.
 
-    def __init__(self):
+    For each tensor that requires grad, `readers` counts the ops on the
+    tape that read it, so that backward can deliver a leaf's gradient as
+    soon as its last reader has run. Given a `workspace`, the ops recorded
+    under the tape put their forward arrays there (see :class:`Workspace`);
+    without one they use the heap.
+    """
+
+    def __init__(self, workspace: "Workspace | None" = None):
         self.ops: list[tuple[Tensor, object]] = []
+        self.readers: dict[int, int] = {}
         self.consumed = False
+        self.workspace = workspace
 
     def __enter__(self) -> "Tape":
+        if self.workspace is not None:
+            self.workspace._start(self)
         _ACTIVE.append(self)
         return self
 
@@ -101,11 +120,92 @@ class Tape:
         return False
 
 
+# Byte alignment of each array a workspace hands out: a cache line
+_ALIGN = 64
+
+
+class Workspace:
+    """Memory for the forward arrays of one pass at a time, reused pass
+    after pass: one anonymous memory mapping and a bump offset.
+
+    Starting a :class:`Tape` on the workspace resets the offset, so each
+    pass overwrites the arrays of the one before; that tape must have been
+    consumed by :func:`backward` first, or starting raises ValueError. A
+    request that does not fit gets a mapping of its own, and the next
+    start maps one region large enough for every request of the pass.
+    No array comes from the heap: once glibc has raised its thresholds
+    (after a checkpoint load, say), the heap keeps what it is given after
+    release, so the heap arrays of a run's first pass would stay resident
+    next to the region. The region belongs to the workspace, so the
+    allocator cannot trim it between passes and fault its pages in again;
+    :meth:`release` (or dropping the workspace once its arrays are gone)
+    returns it to the system.
+    """
+
+    def __init__(self):
+        self.release()
+
+    def _start(self, tape: Tape) -> None:
+        if self._tape is not None and not self._tape.consumed:
+            raise ValueError("the workspace's previous tape was not consumed by backward")
+        if self._used > self._size:
+            # a power of two, so that a run maps a few times at most; pages
+            # past the largest pass are never touched and cost no memory
+            self._size = 1 << (self._used - 1).bit_length()
+            self._region = _mapping(self._size)
+        self._used = 0
+        self._tape = tape
+
+    def _take(self, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        start = self._used
+        nbytes = math.prod(shape) * dtype.itemsize
+        self._used = start + -(-nbytes // _ALIGN) * _ALIGN
+        if self._used > self._size:
+            return np.ndarray(shape, dtype, _mapping(max(nbytes, 1)))
+        return np.ndarray(shape, dtype, self._region, start)
+
+    def release(self) -> None:
+        """Drop the region (unmapped once no array in it is left) and the
+        last tape; the next start maps anew."""
+        self._region = None
+        self._size = 0
+        self._used = 0  # bytes the current pass has asked for
+        self._tape = None
+
+
+def _mapping(nbytes: int) -> mmap.mmap:
+    """Private anonymous memory, faulted in on first touch and unmapped
+    when the last array in it goes."""
+    return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+
+
+def _empty(shape, dtype) -> np.ndarray:
+    """An uninitialised array for an op's forward output or saved values:
+    from the active tape's workspace if it has one, else from the heap."""
+    workspace = _ACTIVE[-1].workspace if _ACTIVE else None
+    return np.empty(shape, dtype) if workspace is None else workspace._take(shape, dtype)
+
+
+def _out(shape, *operands) -> np.ndarray | None:
+    """As :func:`_empty`, for the `out=` of a numpy call on `operands`
+    whose result has `shape`, typed as numpy types that result; but None
+    without a workspace, so that numpy allocates the result itself, which
+    costs less than a call to np.empty from here."""
+    workspace = _ACTIVE[-1].workspace if _ACTIVE else None
+    return None if workspace is None else workspace._take(shape, np.result_type(*operands))
+
+
 def _apply(data: np.ndarray, inputs: tuple[Tensor, ...], bw) -> Tensor:
     track = bool(_ACTIVE) and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
     if track:
-        _ACTIVE[-1].ops.append((out, bw))
+        tape = _ACTIVE[-1]
+        tape.ops.append((out, bw))
+        readers = tape.readers
+        for t in inputs:
+            if t.requires_grad:
+                readers[id(t)] = readers.get(id(t), 0) + 1
     return out
 
 
@@ -130,22 +230,35 @@ def backward(tape: Tape, loss: Tensor, into: dict[Tensor, np.ndarray]) -> None:
     The walk consumes the tape: each op is popped, run, and dropped along
     with the gradient of its output, so the activations it held are freed
     as the walk goes. A leaf's summed gradient reaches its `into` array
-    once, when the walk is done; a leaf the walk never reached leaves its
-    array untouched.
+    once, as soon as the last op on the tape that reads it has run (or at
+    the end of the walk, if some reader got no gradient), so the walk does
+    not hold it any longer; a leaf the walk never reached leaves its array
+    untouched.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
     if tape.consumed:
         raise ValueError("tape was already consumed by an earlier backward pass")
-    if not any(out is loss for out, _ in reversed(tape.ops)):
+    produced = {id(out) for out, _ in tape.ops}
+    if id(loss) not in produced:
         raise ValueError("loss was not produced under this tape")
     tape.consumed = True
+    leaves = {id(t): arr for t, arr in into.items() if id(t) not in produced}
+    readers = tape.readers
     grads: dict[int, np.ndarray] = {}
 
     def acc(t: Tensor, g: np.ndarray) -> None:
         if t.requires_grad:
             tid = id(t)
-            grads[tid] = grads[tid] + g if tid in grads else g
+            if tid in grads:
+                g = grads.pop(tid) + g
+            arr = leaves.get(tid)
+            if arr is not None:
+                readers[tid] -= 1
+                if not readers[tid]:
+                    arr += g
+                    return
+            grads[tid] = g
 
     acc(loss, np.ones((), dtype=loss.data.dtype))
     ops = tape.ops
@@ -154,8 +267,8 @@ def backward(tape: Tape, loss: Tensor, into: dict[Tensor, np.ndarray]) -> None:
         g = grads.pop(id(out), None)
         if g is not None:
             bw(g, acc)
-    for leaf, arr in into.items():
-        g = grads.pop(id(leaf), None)
+    for tid, arr in leaves.items():
+        g = grads.pop(tid, None)
         if g is not None:
             arr += g
 
@@ -174,7 +287,8 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             acc(b, _unbroadcast(g, b.data.shape))
 
-    return _apply(a.data + b.data, (a, b), bw)
+    shape = a.data.shape if a.data.shape == b.data.shape else np.broadcast(a.data, b.data).shape
+    return _apply(np.add(a.data, b.data, out=_out(shape, a.data, b.data)), (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
@@ -203,7 +317,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def bw(g, acc):
         acc(a, g * c)
 
-    return _apply(a.data * c, (a,), bw)
+    return _apply(np.multiply(a.data, c, out=_out(a.data.shape, a.data, c)), (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -244,7 +358,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         )
     k, n = w.data.shape
     rows = x.data.reshape(-1, k)
-    data = rows @ w.data
+    data = np.matmul(rows, w.data, out=_out((len(rows), n), rows, w.data))
     if b is not None:
         data += b.data
 
@@ -276,10 +390,10 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
         )
     k, n = w1.data.shape[0], w2.data.shape[1]
     rows = x.data.reshape(-1, k)
-    h = rows @ w1.data
+    h = np.matmul(rows, w1.data, out=_out((len(rows), w1.data.shape[1]), rows, w1.data))
     h += b1.data
     np.maximum(h, 0, out=h)
-    out = h @ w2.data
+    out = np.matmul(h, w2.data, out=_out((len(rows), n), h, w2.data))
     out += b2.data
 
     def bw(g, acc):
@@ -336,15 +450,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
     def heads_last(a: np.ndarray, t: int) -> np.ndarray:  # [B, t, d] -> [B, H, dh, t] copy
         return np.ascontiguousarray(a.reshape(batch, t, n_heads, dh).transpose(0, 2, 3, 1))
 
-    def product(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
+    def product(a: np.ndarray, b: np.ndarray, t: int, empty=np.empty) -> np.ndarray:
         """a @ b per head, [B, H, t, dh], written into a [B, t, d] array."""
-        out = np.empty((batch, t, n_heads, dh), dtype=dtype)
+        out = empty((batch, t, n_heads, dh), dtype)
         np.matmul(a, b, out=out.transpose(0, 2, 1, 3))
         return out.reshape(batch, t, d)
 
-    def keys_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def keys_first(a: np.ndarray, b: np.ndarray, empty=np.empty) -> np.ndarray:
         """a @ b per head, [B, H, Tk, Tq], written into a [Tk, B, H, Tq] array."""
-        out = np.empty((tk, batch, n_heads, tq), dtype=dtype)
+        out = empty((tk, batch, n_heads, tq), dtype)
         np.matmul(a, b, out=out.transpose(1, 2, 0, 3))
         return out
 
@@ -352,7 +466,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
     # reduces over axis 0 and sums in key order: masked keys, whose
     # probabilities are exactly 0.0, add nothing at the end of each sum
     qh, kh, vh = heads(q.data, tq), heads(k.data, tk), heads(v.data, tk)
-    p = keys_first(kh, heads_last(q.data, tq))
+    p = keys_first(kh, heads_last(q.data, tq), _empty)
     p *= c
     p += bias.reshape((1,) * (4 - bias.ndim) + bias.shape).transpose(3, 0, 1, 2)
     # max-subtracted softmax in place; masked keys underflow to exactly 0.0
@@ -371,7 +485,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
         acc(q, product(dst, kh, tq))
         acc(k, product(dst.swapaxes(-1, -2), qh, tk))
 
-    return _apply(product(pt, vh, tq), (q, k, v), bw)
+    return _apply(product(pt, vh, tq, _empty), (q, k, v), bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -409,7 +523,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
     mu = x.data.sum(axis=-1, keepdims=True)
     mu /= dim
-    xhat = x.data - mu
+    xhat = np.subtract(x.data, mu, out=_out(x.data.shape, x.data, mu))
     var = np.square(xhat).sum(axis=-1, keepdims=True)
     var /= dim
     var += 1e-5
@@ -430,7 +544,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dx *= inv
         acc(x, dx)
 
-    out = xhat * gain.data
+    out = np.multiply(xhat, gain.data, out=_out(xhat.shape, xhat, gain.data))
     out += bias.data
     return _apply(out, (x, gain, bias), bw)
 
@@ -449,7 +563,10 @@ def embedding(table: Tensor, ids) -> Tensor:
         np.add.at(dt, ids, g)
         acc(table, dt)
 
-    return _apply(table.data[ids], (table,), bw)
+    # the ids are in range, so "clip" clips nothing; unlike "raise", it
+    # writes straight into `out` without a buffer of its own
+    out = _out(ids.shape + table.data.shape[1:], table.data)
+    return _apply(np.take(table.data, ids, axis=0, out=out, mode="clip"), (table,), bw)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -544,9 +661,12 @@ def dropout(x: Tensor, p: float, rngs, lengths) -> Tensor:
     keep = np.zeros(x.data.shape, dtype=bool)
     for row, (gen, n) in enumerate(zip(rngs, lengths)):
         keep[row, :n] = gen.random((n, *x.data.shape[2:])) >= p
-    keep = (keep / (1.0 - p)).astype(x.data.dtype)
+    # the survivors' scale, rounded to x's dtype, without a float64 array
+    mask = _empty(x.data.shape, x.data.dtype)
+    np.copyto(mask, keep)
+    mask *= 1.0 / (1.0 - p)
 
     def bw(g, acc):
-        acc(x, g * keep)
+        acc(x, g * mask)
 
-    return _apply(x.data * keep, (x,), bw)
+    return _apply(np.multiply(x.data, mask, out=_out(x.data.shape, x.data, mask)), (x,), bw)

@@ -16,6 +16,13 @@ step's count. The gradients sum in place into one flat vector laid out
 like the parameters' (`ParameterStore.flat`), which Adam then reads.
 Every example draws its dropout masks from its own (seed, epoch, slot)
 generator over its own length, so the masks do not depend on chunking.
+
+A run owns one :class:`tensor.Workspace`, and every chunk's tape starts
+on it, so each pass writes its forward arrays over the previous pass's in
+memory the run keeps, rather than in heap pages that the allocator hands
+back to the system after each step and the next step faults in again.
+The run releases the workspace when it returns or raises. Where arrays
+live changes no bit of the losses or gradients.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .errors import ConfigError, NonFiniteError, check_field_types
 from .files import write_atomic
 from .model import ModelConfig, ParameterStore, example_loss
 from .rng import mix_seed, shuffle
-from .tensor import Tape, backward, scale
+from .tensor import Tape, Workspace, backward, scale
 from .tokenizer import PAD
 
 # Most padded source tokens x d_model (examples x longest source x width)
@@ -202,11 +209,14 @@ def step_gradients(
     seed: int,
     epoch: int,
     grad: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> float:
     """Mean loss over one step's examples, with dropout drawn from each
     slot's (seed, epoch, slot) generator. Their mean parameter gradient
     overwrites `grad`, a flat vector laid out like `params.flat`.
-    A chunk whose loss is not finite raises NonFiniteError."""
+    Each chunk's pass runs on a tape started on `workspace`, if given, so
+    its forward arrays go there. A chunk whose loss is not finite raises
+    NonFiniteError."""
     grad.fill(0)
     into = {params[name]: view for name, view in params.views(grad).items()}
     loss_sum = 0.0
@@ -218,7 +228,7 @@ def step_gradients(
             np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
             for slot in chunk
         ]
-        with Tape() as tape:
+        with Tape(workspace) as tape:
             loss = example_loss(params, src_ids, src_mask, tgt_ids, model_config, rng=rngs)
             weighted = scale(loss, len(chunk))
         chunk_loss = float(loss.data)
@@ -278,35 +288,40 @@ def train(
     )
     order: list[int] = []
     order_epoch = -1
+    batch = train_config.effective_batch
     grad = np.empty_like(params.flat)
+    # every chunk's forward arrays, for the whole run
+    workspace = Workspace()
+    try:
+        for s in range(start_step, stop_step):
+            epoch, b = divmod(s, spe)
+            if epoch != order_epoch:
+                order = shuffle(range(n), mix_seed(seed, "epoch", epoch))
+                order_epoch = epoch
+            slots = order[b * batch : (b + 1) * batch]
 
-    for s in range(start_step, stop_step):
-        epoch, b = divmod(s, spe)
-        if epoch != order_epoch:
-            order = shuffle(range(n), mix_seed(seed, "epoch", epoch))
-            order_epoch = epoch
-        slots = order[b * train_config.effective_batch : (b + 1) * train_config.effective_batch]
+            # an overflow surfaces as the NonFiniteError below, so numpy's
+            # warnings about it would only repeat that report
+            with np.errstate(all="ignore"):
+                try:
+                    loss = step_gradients(params, examples, slots, model_config, seed, epoch, grad,
+                                          workspace=workspace)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"step {s}, {exc}") from None
+                # one global gradient norm per step; the float32 sum overflows
+                # to inf only for a norm past 1e19
+                norm_sq = float(np.vdot(grad, grad))
+            if not math.isfinite(norm_sq):
+                raise NonFiniteError(f"step {s}, epoch {epoch}: gradient norm is not finite")
+            lr = lr_at(s, total, train_config.warmup_ratio, train_config.peak_lr)
+            optimizer.apply(params, grad, lr)
+            result.history.append(StepRecord(step=s, lr=lr, loss=loss))
+            result.final_step = s + 1
 
-        # an overflow surfaces as the NonFiniteError below, so numpy's
-        # warnings about it would only repeat that report
-        with np.errstate(all="ignore"):
-            try:
-                loss = step_gradients(params, examples, slots, model_config, seed, epoch, grad)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"step {s}, {exc}") from None
-            # one global gradient norm per step; the float32 sum overflows to
-            # inf only for a norm past 1e19
-            norm_sq = float(np.vdot(grad, grad))
-        if not math.isfinite(norm_sq):
-            raise NonFiniteError(f"step {s}, epoch {epoch}: gradient norm is not finite")
-        lr = lr_at(s, total, train_config.warmup_ratio, train_config.peak_lr)
-        optimizer.apply(params, grad, lr)
-        result.history.append(StepRecord(step=s, lr=lr, loss=loss))
-        result.final_step = s + 1
-
-        if b == spe - 1 and on_epoch_end is not None:
-            on_epoch_end(epoch, params)
-
+            if b == spe - 1 and on_epoch_end is not None:
+                on_epoch_end(epoch, params)
+    finally:
+        workspace.release()
     return result
 
 

@@ -10,6 +10,8 @@ from crisisadapt.model import (
     MASK_PENALTY,
     ModelConfig,
     ParameterStore,
+    _positions,
+    _sinusoid_table,
     decode_logits,
     encode_source,
     example_loss,
@@ -218,6 +220,21 @@ def test_padding_leaves_states_and_logits_bitwise_identical(layers):
                 assert np.array_equal(got.data, logits), (seed, n, width)
                 cases += 1
     assert cases == 840
+
+
+@pytest.mark.parametrize("d", [16, 64, 128])
+def test_positions_slice_one_table_per_width_with_the_bits_of_each_length(d):
+    config = small_config(d_model=d, max_src_len=256)
+    build = _sinusoid_table.__wrapped__
+    for n in range(1, 257):
+        assert np.array_equal(_positions(n, config), build(n, d)), n
+    _sinusoid_table.cache_clear()
+    params = init_params(config, 0)
+    for width in (5, 9, 14):
+        ids = np.full((2, width), 7, dtype=np.int64)
+        mem = encode_source(params, ids, np.ones((2, width), np.float32), config)
+        decode_logits(params, mem, ids[:, :3], config)
+    assert _sinusoid_table.cache_info().currsize == 1
 
 
 def test_causal_mask_is_bitwise():

@@ -1,6 +1,7 @@
 """Autodiff core: per-op gradient oracles, hand-computed cases, tape rules."""
 
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -397,6 +398,105 @@ def test_backward_twice_is_bitwise_identical():
     assert np.array_equal(run(), run())
 
 
+def test_leaf_gets_the_walk_order_sum_of_its_readers_as_soon_as_the_last_has_run():
+    """A table read by two embeddings and a linear, as `embed.weight` is
+    read, gets ((linear + second) + first) in fp32, the walk's order, added
+    to its array before the walk reaches the op recorded before them."""
+    rng = fd_rng(40)
+    table = T.Tensor(rng.normal(size=(6, 4)).astype(np.float32), requires_grad=True)
+    u = T.Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    ids1, ids2 = np.array([[0, 2, 2], [5, 1, 0]]), np.array([[3, 3, 4]])
+    z = rng.normal(size=(2, 6)).astype(np.float32)
+    r1, r2, r3 = (rng.normal(size=s).astype(np.float32) for s in ((2, 3, 4), (1, 3, 4), (2, 4)))
+    into = {table: rng.normal(size=(6, 4)).astype(np.float32), u: np.zeros((3, 4), np.float32)}
+    base = into[table].copy()
+    seen = []
+
+    def bw(g, acc):  # the backward of an op recorded before every reader of `table`
+        seen.append(into[table].copy())
+        acc(u, g)
+
+    with T.Tape() as tape:
+        probe = T._apply(u.data.copy(), (u,), bw)
+        e1, e2 = T.embedding(table, ids1), T.embedding(table, ids2)
+        y = T.linear(T.Tensor(z), table)
+        parts = [T.sum_all(T.mul(t, r)) for t, r in ((e1, r1), (e2, r2), (y, r3), (probe, 1.0))]
+        loss = T.add(T.add(T.add(parts[0], parts[1]), parts[2]), parts[3])
+    assert tape.readers[id(table)] == 3
+    T.backward(tape, loss, into=into)
+
+    def scatter(ids, g):
+        dt = np.zeros((6, 4), np.float32)
+        np.add.at(dt, ids, g)
+        return dt
+
+    want = base + ((z.T @ r3 + scatter(ids2, r2)) + scatter(ids1, r1))
+    assert want.dtype == np.float32
+    assert np.array_equal(into[table], want)
+    assert len(seen) == 1 and np.array_equal(seen[0], want)  # delivered before the walk ended
+    assert np.array_equal(into[u], np.ones((3, 4), np.float32))
+
+
+def test_leaf_whose_readers_get_no_gradient_is_untouched():
+    rng = fd_rng(41)
+    x = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    skipped = T.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    into = {x: np.full((2, 3), 5.0), skipped: np.full((2, 3), 7.0)}
+    with T.Tape() as tape:
+        T.scale(skipped, 2.0)  # recorded, but nothing the loss reads
+        T.scale(x, 3.0)  # a reader of x outside the loss
+        loss = T.sum_all(T.scale(x, 2.0))
+    T.backward(tape, loss, into=into)
+    assert np.array_equal(into[skipped], np.full((2, 3), 7.0))
+    # the reader the walk reached delivers at the end of the walk
+    assert np.array_equal(into[x], np.full((2, 3), 7.0))
+
+
+def test_workspace_reuses_its_region_pass_after_pass_with_the_heap_bits():
+    rng = fd_rng(42)
+    x = T.Tensor(rng.normal(size=(3, 5, 8)).astype(np.float32), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(8, 8)).astype(np.float32), requires_grad=True)
+    gain, bias = (T.Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
+                  for _ in range(2))
+
+    def run(tape):
+        with tape:
+            out = T.layer_norm(T.linear(x, w), gain, bias)
+            loss = T.sum_all(T.mul(out, out))
+        into = {t: np.zeros_like(t.data) for t in (x, w, gain)}
+        T.backward(tape, loss, into=into)
+        return out.data, into
+
+    ref_out, ref_grads = run(T.Tape())
+    assert not isinstance(ref_out.base, mmap.mmap)
+    workspace = T.Workspace()
+    addresses = []
+    for n in range(4):
+        if n == 3:
+            workspace.release()
+        out, grads = run(T.Tape(workspace))
+        assert isinstance(out.base, mmap.mmap)  # never from the heap
+        addresses.append(out.__array_interface__["data"][0])
+        assert out.tobytes() == ref_out.tobytes()
+        for t, g in grads.items():
+            assert g.tobytes() == ref_grads[t].tobytes()
+    # the first pass sizes the region, and the passes after it reuse it
+    assert addresses[1] == addresses[2]
+
+
+def test_tape_on_a_workspace_whose_tape_was_not_consumed_raises():
+    workspace = T.Workspace()
+    x = T.Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    with T.Tape(workspace) as tape:
+        loss = T.sum_all(T.scale(x, 2.0))
+    with pytest.raises(ValueError, match="not consumed"):
+        with T.Tape(workspace):
+            pass
+    T.backward(tape, loss, into={x: np.zeros((2, 3), np.float32)})
+    with T.Tape(workspace):
+        pass
+
+
 def test_non_float_input_coerced_to_float32():
     t = T.Tensor(np.array([1, 2, 3]))
     assert t.data.dtype == np.float32
@@ -425,6 +525,24 @@ def test_dropout_scales_survivors():
     kept = y[y != 0]
     np.testing.assert_allclose(kept, 1 / 0.75)
     assert 0.70 < (y != 0).mean() < 0.80
+
+
+@pytest.mark.parametrize("shape, p", [((2, 126, 128), 0.1), ((5, 51, 128), 0.1),
+                                      ((16, 22, 64), 0.3)])
+def test_dropout_mask_has_the_bits_of_the_float64_expression(shape, p):
+    """The float32 scale, rounded once from 1 / (1 - p), equals
+    (keep / (1 - p)).astype(float32), which goes through float64."""
+    lengths = [shape[1] - 3 * (row % 4) for row in range(shape[0])]
+
+    def gens():
+        return [np.random.Generator(np.random.PCG64(row)) for row in range(shape[0])]
+
+    y = T.dropout(T.Tensor(np.ones(shape, np.float32)), p, gens(), lengths).data
+    keep = np.zeros(shape, dtype=bool)
+    for row, (gen, n) in enumerate(zip(gens(), lengths)):
+        keep[row, :n] = gen.random((n, *shape[2:])) >= p
+    want = (keep / (1.0 - p)).astype(np.float32)
+    assert y.dtype == np.float32 and np.array_equal(y, want)
 
 
 def test_finite_diff_check_flags_nondeterminism():

@@ -1,6 +1,7 @@
 """Optimizer, LR schedule, loop determinism, resume, history files."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from crisisadapt.train import (
     TrainConfig,
     chunk_slots,
     lr_at,
+    pad_sources,
     step_gradients,
     steps_per_epoch,
     train,
@@ -280,7 +282,7 @@ def test_non_finite_gradient_fails_fast_before_the_update(monkeypatch):
     params = init_params(MICRO, 0)
     before = snapshot(params)
 
-    def inf_gradients(params, *args):
+    def inf_gradients(params, *args, workspace):
         grad = args[-1]
         grad.fill(0)
         params.views(grad)["embed.weight"][3, 1] = np.inf
@@ -344,6 +346,79 @@ def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
     assert abs(loss - ref_loss) <= 1e-10
     for name, want in ref_grads.items():
         np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-10, err_msg=name)
+
+
+def test_steps_on_a_workspace_give_the_heap_gradient_byte_for_byte(monkeypatch):
+    """One workspace over steps of several chunks each, with dropout, gives
+    each step's flat gradient the bytes of plain heap tapes running
+    example_loss and backward over the same chunks."""
+    cfg = ModelConfig(vocab_size=12, d_model=16, n_heads=2, d_ff=32,
+                      n_enc_layers=1, n_dec_layers=1, dropout=0.1,
+                      max_src_len=64, max_tgt_len=4)
+    params = init_params(cfg, 4)
+    rng = np.random.Generator(np.random.PCG64(8))
+    examples = []
+    for n in (40, 17, 55, 23, 60, 31, 48, 12, 64, 36, 9, 27):
+        src = rng.integers(3, cfg.vocab_size, size=n).astype(np.int64)
+        tgt = np.array([int(rng.integers(3, cfg.vocab_size)), EOS], dtype=np.int64)
+        examples.append((src, tgt))
+    # 64 tokens at d_model 16, so that each step splits into several chunks
+    monkeypatch.setattr("crisisadapt.train._ACTIVATION_BUDGET", 64 * cfg.d_model)
+    seed = 11
+    workspace = T.Workspace()
+    for epoch, slots in enumerate([[7, 2, 9, 0, 4, 1], [8, 3, 6, 5, 10, 11], list(range(12))]):
+        chunks = chunk_slots(examples, slots, cfg.d_model)
+        assert len(chunks) >= 3
+        got = np.empty_like(params.flat)
+        loss = step_gradients(params, examples, slots, cfg, seed, epoch, got,
+                              workspace=workspace)
+
+        want = np.zeros_like(params.flat)
+        into = {params[name]: view for name, view in params.views(want).items()}
+        want_loss = 0.0
+        for chunk in chunks:
+            src_ids, src_mask = pad_sources([src for src, _ in examples], chunk)
+            tgt_ids = np.stack([examples[slot][1] for slot in chunk])
+            rngs = [np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
+                    for slot in chunk]
+            with T.Tape() as tape:
+                one = example_loss(params, src_ids, src_mask, tgt_ids, cfg, rng=rngs)
+                weighted = T.scale(one, len(chunk))
+            T.backward(tape, weighted, into=into)
+            want_loss += len(chunk) * float(one.data)
+        want /= len(slots)
+        assert got.tobytes() == want.tobytes(), epoch
+        assert loss == want_loss / len(slots)
+
+
+def recording_workspaces(monkeypatch) -> list:
+    """(id, weak reference) of the workspace `train` hands to each
+    step_gradients call."""
+    seen = []
+
+    def recording(*args, workspace):
+        seen.append((id(workspace), weakref.ref(workspace)))
+        return step_gradients(*args, workspace=workspace)
+
+    monkeypatch.setattr("crisisadapt.train.step_gradients", recording)
+    return seen
+
+
+def test_train_runs_every_step_on_one_workspace_and_releases_it(monkeypatch):
+    seen = recording_workspaces(monkeypatch)
+    run_once(TrainConfig(peak_lr=1e-3, effective_batch=4, epochs=2))
+    assert len(seen) == 4 and len({ident for ident, _ in seen}) == 1
+    assert seen[0][1]() is None  # nothing holds it once train has returned
+
+
+def test_train_releases_its_workspace_when_it_raises(monkeypatch):
+    seen = recording_workspaces(monkeypatch)
+    cfg = ModelConfig(vocab_size=8, d_model=16, n_heads=2, d_ff=32, n_enc_layers=1,
+                      n_dec_layers=1, dropout=0.0, max_src_len=8, max_tgt_len=4)
+    with pytest.raises(NonFiniteError, match="loss"):
+        train(init_params(cfg, 0), micro_examples(8), cfg,
+              TrainConfig(peak_lr=1e30, effective_batch=4, epochs=4))
+    assert seen and all(ref() is None for _, ref in seen)
 
 
 def test_training_reduces_loss():
