@@ -195,9 +195,18 @@ def _setup(args) -> _Setup:
                   out, manifest)
 
 
-def _check_jobs(args) -> None:
+def _check_grid(args) -> None:
+    """Refuse `matrix`/`loo` flags that no run can honour, before any
+    file is read or written."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.events:
+        seen = set()
+        for name in args.events.split(","):
+            if not name or name in seen:
+                raise ConfigError(f"--events {args.events!r}: "
+                                  f"{'repeated' if name else 'empty'} event name {name!r}")
+            seen.add(name)
 
 
 def _events(args, splits) -> list[str]:
@@ -357,7 +366,7 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_matrix(args) -> None:
-    _check_jobs(args)
+    _check_grid(args)
     run = _setup(args)
     with _naming_data_files(args):
         matrix = run_matrix(
@@ -409,7 +418,7 @@ def cmd_matrix(args) -> None:
 
 
 def cmd_loo(args) -> None:
-    _check_jobs(args)
+    _check_grid(args)
     run = _setup(args)
     events = _events(args, run.splits)
     with _naming_data_files(args):

@@ -318,6 +318,8 @@ def plan_leave_one_out(
     names = sorted(events)
     if len(names) < 2:
         raise ValueError(f"leave-one-out needs at least two events, got {names}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate events: {names}")
     return [
         compose_plan(
             frozenset(n for n in names if n != target),

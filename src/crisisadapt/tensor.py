@@ -24,6 +24,8 @@ keep for the backward, through one allocator: on the heap, or, under a
 tape started on a :class:`Workspace`, into that workspace's memory, which
 a training run reuses pass after pass instead of having the heap hand the
 same pages back and forth. Backward temporaries always come from the heap.
+:func:`mapped_empty` gives one array a mapping of its own, as a training
+run does for its gradient vector.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "Workspace",
+    "mapped_empty",
     "add",
     "sub",
     "mul",
@@ -162,7 +165,7 @@ class Workspace:
         nbytes = math.prod(shape) * dtype.itemsize
         self._used = start + -(-nbytes // _ALIGN) * _ALIGN
         if self._used > self._size:
-            return np.ndarray(shape, dtype, _mapping(max(nbytes, 1)))
+            return mapped_empty(shape, dtype)
         return np.ndarray(shape, dtype, self._region, start)
 
     def release(self) -> None:
@@ -178,6 +181,23 @@ def _mapping(nbytes: int) -> mmap.mmap:
     """Private anonymous memory, faulted in on first touch and unmapped
     when the last array in it goes."""
     return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+
+
+def mapped_empty(shape, dtype) -> np.ndarray:
+    """An uninitialised array in a private mapping of its own, returned to
+    the system when the last reference to it goes.
+
+    For a large array that lives for a while and is then freed. Taken
+    from the heap instead, an array above glibc's mmap threshold gets a
+    mapping too, but freeing it raises that threshold to the array's
+    size and the trim threshold to twice that; from then on, arrays
+    below the new threshold come from the heap, and the heap keeps what
+    they free instead of giving it back. Freeing an array from here
+    leaves both thresholds where they were.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    return np.ndarray(shape, dtype, _mapping(max(nbytes, 1)))
 
 
 def _empty(shape, dtype) -> np.ndarray:

@@ -109,6 +109,10 @@ def build_vocab(
     """
     if not corpus:
         raise VocabError("cannot build a vocabulary from an empty corpus")
+    if min_freq < 1:
+        # every token occurs at least once, so a lower bound keeps the same
+        # tokens as 1 under another content hash
+        raise VocabError(f"min_freq must be at least 1, got {min_freq}")
     forced = frozenset(forced)
     capacity = max_size - len(SPECIAL_TOKENS)
     if capacity < len(forced):

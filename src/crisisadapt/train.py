@@ -21,8 +21,11 @@ A run owns one :class:`tensor.Workspace`, and every chunk's tape starts
 on it, so each pass writes its forward arrays over the previous pass's in
 memory the run keeps, rather than in heap pages that the allocator hands
 back to the system after each step and the next step faults in again.
-The run releases the workspace when it returns or raises. Where arrays
-live changes no bit of the losses or gradients.
+The run's flat gradient vector is likewise memory the run maps itself
+(:func:`tensor.mapped_empty`), not a heap block: freeing a heap block
+that large would leave the allocator keeping the pages of every later
+evaluation. The run gives both back when it returns or raises. Where
+arrays live changes no bit of the losses or gradients.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import ConfigError, NonFiniteError, check_field_types
 from .files import write_atomic
 from .model import ModelConfig, ParameterStore, example_loss
 from .rng import mix_seed, shuffle
-from .tensor import Tape, Workspace, backward, scale
+from .tensor import Tape, Workspace, backward, mapped_empty, scale
 from .tokenizer import PAD
 
 # Most padded source tokens x d_model (examples x longest source x width)
@@ -289,7 +292,8 @@ def train(
     order: list[int] = []
     order_epoch = -1
     batch = train_config.effective_batch
-    grad = np.empty_like(params.flat)
+    # not from the heap, where freeing it would raise glibc's thresholds
+    grad = mapped_empty(params.flat.shape, params.flat.dtype)
     # every chunk's forward arrays, for the whole run
     workspace = Workspace()
     try:

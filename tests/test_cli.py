@@ -440,6 +440,30 @@ def test_mistyped_config_value_exits_2(ws, tmp_path, capsys, doc, field):
 
 
 @pytest.mark.parametrize("sub", ["matrix", "loo"])
+@pytest.mark.parametrize("events, named", [
+    ("alpha_flood,beta_flood,alpha_flood", "repeated event name 'alpha_flood'"),
+    ("alpha_flood,,beta_flood", "empty event name ''"),
+])
+def test_events_with_a_repeated_or_empty_name_exit_2(ws, tmp_path, capsys, sub, events,
+                                                     named):
+    out = tmp_path / "x"
+    assert cli.main(base_args(ws, sub, vocab=ws["vocab"], events=events, out=out)) == 2
+    assert capsys.readouterr().err == f"error: --events {events!r}: {named}\n"
+    assert not out.exists()
+
+
+def test_build_vocab_min_freq_below_one_exits_3(ws, tmp_path, capsys):
+    out = tmp_path / "vocab.txt"
+    assert cli.main(["build-vocab",
+                     "--train-file", str(ws["data"] / "train.tsv"),
+                     "--registry", str(ws["data"] / "registry.json"),
+                     "--scenario", "postq", "--min-freq", "0",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: min_freq must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["matrix", "loo"])
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_jobs_below_one_exits_2(ws, tmp_path, capsys, sub, jobs):
     out = tmp_path / "x"

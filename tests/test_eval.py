@@ -564,6 +564,12 @@ def test_plan_leave_one_out_shape():
         plan_leave_one_out(["only"], "postq", splits, seed=0)
 
 
+def test_plan_leave_one_out_refuses_a_repeated_event():
+    splits = event_splits(["ev_a", "ev_b"])
+    with pytest.raises(ValueError, match="duplicate events"):
+        plan_leave_one_out(["ev_a", "ev_b", "ev_a"], "postq", splits, seed=0)
+
+
 def test_plan_leave_one_out_deterministic():
     splits = event_splits(["ev_a", "ev_b", "ev_c"])
     a = plan_leave_one_out(["ev_a", "ev_b", "ev_c"], "postq", splits, seed=5)

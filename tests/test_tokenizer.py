@@ -112,6 +112,13 @@ def test_build_vocab_rejects_empty_corpus_and_tiny_max_size():
         build_vocab(["hi"], max_size=4, forced={"yes", "no"})
 
 
+@pytest.mark.parametrize("min_freq", [0, -5])
+def test_build_vocab_rejects_min_freq_below_one(min_freq):
+    # it would keep the tokens of min_freq=1 under another content hash
+    with pytest.raises(VocabError, match=f"min_freq must be at least 1, got {min_freq}"):
+        build_vocab(["hi there"], min_freq=min_freq)
+
+
 def test_default_forced_tokens_cover_templates():
     qld = EventDescriptor("nq_flood", "queensland", "floods")
     vocab = build_vocab(["filler"], min_freq=1)

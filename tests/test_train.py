@@ -1,5 +1,6 @@
 """Optimizer, LR schedule, loop determinism, resume, history files."""
 
+import mmap
 import re
 import weakref
 
@@ -391,13 +392,17 @@ def test_steps_on_a_workspace_give_the_heap_gradient_byte_for_byte(monkeypatch):
         assert loss == want_loss / len(slots)
 
 
-def recording_workspaces(monkeypatch) -> list:
-    """(id, weak reference) of the workspace `train` hands to each
-    step_gradients call."""
+def recording_steps(monkeypatch) -> list:
+    """For each step_gradients call `train` makes: the (id, weak reference)
+    of the workspace and of the gradient vector it hands over, and whether
+    that vector lies in a mapping of its own."""
     seen = []
 
     def recording(*args, workspace):
-        seen.append((id(workspace), weakref.ref(workspace)))
+        grad = args[6]
+        seen.append(((id(workspace), weakref.ref(workspace)),
+                     (id(grad), weakref.ref(grad)),
+                     isinstance(grad.base, mmap.mmap)))
         return step_gradients(*args, workspace=workspace)
 
     monkeypatch.setattr("crisisadapt.train.step_gradients", recording)
@@ -405,20 +410,29 @@ def recording_workspaces(monkeypatch) -> list:
 
 
 def test_train_runs_every_step_on_one_workspace_and_releases_it(monkeypatch):
-    seen = recording_workspaces(monkeypatch)
+    seen = recording_steps(monkeypatch)
     run_once(TrainConfig(peak_lr=1e-3, effective_batch=4, epochs=2))
-    assert len(seen) == 4 and len({ident for ident, _ in seen}) == 1
-    assert seen[0][1]() is None  # nothing holds it once train has returned
+    assert len(seen) == 4
+    for held in (0, 1):  # the workspace, the gradient vector
+        assert len({entry[held][0] for entry in seen}) == 1
+        assert seen[0][held][1]() is None  # nothing holds it once train has returned
 
 
 def test_train_releases_its_workspace_when_it_raises(monkeypatch):
-    seen = recording_workspaces(monkeypatch)
+    seen = recording_steps(monkeypatch)
     cfg = ModelConfig(vocab_size=8, d_model=16, n_heads=2, d_ff=32, n_enc_layers=1,
                       n_dec_layers=1, dropout=0.0, max_src_len=8, max_tgt_len=4)
     with pytest.raises(NonFiniteError, match="loss"):
         train(init_params(cfg, 0), micro_examples(8), cfg,
               TrainConfig(peak_lr=1e30, effective_batch=4, epochs=4))
-    assert seen and all(ref() is None for _, ref in seen)
+    assert seen
+    assert all(ref() is None for workspace, grad, _ in seen for _, ref in (workspace, grad))
+
+
+def test_train_maps_its_gradient_vector_outside_the_heap(monkeypatch):
+    seen = recording_steps(monkeypatch)
+    run_once(TrainConfig(peak_lr=1e-3, effective_batch=4, epochs=1))
+    assert seen and all(mapped for _, _, mapped in seen)
 
 
 def test_training_reduces_loss():
