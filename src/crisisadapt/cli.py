@@ -195,22 +195,31 @@ def _setup(args) -> _Setup:
                   out, manifest)
 
 
-def _check_grid(args) -> None:
+def _event_names(flag: str, value: str | None) -> list[str] | None:
+    """The names in a comma-separated event list given as `flag`, or None
+    if the flag was not given. An empty list, an empty name or a repeated
+    name is refused before any file is read."""
+    if value is None:
+        return None
+    noun = flag[2:].replace("-", " ")[:-1]  # "--source-events" -> "source event"
+    names = value.split(",")
+    if not any(names):
+        raise ConfigError(f"{flag} {value!r}: {noun} set is empty")
+    seen = set()
+    for name in names:
+        if not name or name in seen:
+            raise ConfigError(f"{flag} {value!r}: "
+                              f"{'repeated' if name else 'empty'} {noun} name {name!r}")
+        seen.add(name)
+    return names
+
+
+def _check_grid(args) -> list[str] | None:
     """Refuse `matrix`/`loo` flags that no run can honour, before any
-    file is read or written."""
+    file is read or written; return the `--events` names, if given."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.events:
-        seen = set()
-        for name in args.events.split(","):
-            if not name or name in seen:
-                raise ConfigError(f"--events {args.events!r}: "
-                                  f"{'repeated' if name else 'empty'} event name {name!r}")
-            seen.add(name)
-
-
-def _events(args, splits) -> list[str]:
-    return sorted(args.events.split(",")) if args.events else sorted(splits)
+    return _event_names("--events", args.events)
 
 
 @contextmanager
@@ -253,12 +262,9 @@ def cmd_build_vocab(args) -> None:
 
 
 def cmd_train(args) -> None:
+    names = _event_names("--source-events", args.source_events)
+    sources = {args.target_event} if names is None else set(names)
     run = _setup(args)
-    sources = (
-        {s for s in args.source_events.split(",") if s}
-        if args.source_events
-        else {args.target_event}
-    )
     try:
         with _naming_data_files(args):
             plan = compose_plan(sources, args.target_event, args.scenario, run.splits,
@@ -366,13 +372,15 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_matrix(args) -> None:
-    _check_grid(args)
+    if args.k < 2:
+        raise ConfigError(f"--k must be at least 2, got {args.k}")
+    events = _check_grid(args)
     run = _setup(args)
     with _naming_data_files(args):
         matrix = run_matrix(
             run.splits,
             run.registry,
-            _events(args, run.splits),
+            sorted(run.splits if events is None else events),
             args.scenario,
             run.vocab,
             run.mcfg,
@@ -418,9 +426,9 @@ def cmd_matrix(args) -> None:
 
 
 def cmd_loo(args) -> None:
-    _check_grid(args)
+    events = _check_grid(args)
     run = _setup(args)
-    events = _events(args, run.splits)
+    events = sorted(run.splits if events is None else events)
     with _naming_data_files(args):
         plans, results, table = run_loo(
             run.splits, run.registry, events, args.scenario, run.vocab, run.mcfg, run.tcfg,

@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Ops recorded while a :class:`Tape` is active can be replayed backwards by
-:func:`backward`, which adds each requested leaf's gradient into an array
-the caller passes; gradients are delivered nowhere else. Reductions are
-plain sequential numpy reductions, so two identical backward passes give
-bitwise-identical gradients. fp32 is the training dtype; fp64 is used for
+:func:`backward`, which adds each contribution to a requested leaf's
+gradient into an array the caller passes, in walk order, as it arrives;
+gradients are delivered nowhere else. Reductions are plain sequential
+numpy reductions, so two identical backward passes give bitwise-identical
+gradients. fp32 is the training dtype; fp64 is used for
 finite-difference gradient checks.
 
 Attention masking works with a finite -1e9 additive penalty: after the
@@ -97,19 +98,15 @@ def _as_tensor(x) -> Tensor:
 
 class Tape:
     """Records ops in execution order; backward replays them in exact
-    reverse order and consumes the tape. One forward/backward pass per tape.
+    reverse order, popping each, so a tape whose op list is empty has been
+    consumed (or recorded nothing). One forward/backward pass per tape.
 
-    For each tensor that requires grad, `readers` counts the ops on the
-    tape that read it, so that backward can deliver a leaf's gradient as
-    soon as its last reader has run. Given a `workspace`, the ops recorded
-    under the tape put their forward arrays there (see :class:`Workspace`);
-    without one they use the heap.
+    Given a `workspace`, the ops recorded under the tape put their forward
+    arrays there (see :class:`Workspace`); without one they use the heap.
     """
 
     def __init__(self, workspace: "Workspace | None" = None):
         self.ops: list[tuple[Tensor, object]] = []
-        self.readers: dict[int, int] = {}
-        self.consumed = False
         self.workspace = workspace
 
     def __enter__(self) -> "Tape":
@@ -133,9 +130,10 @@ class Workspace:
 
     Starting a :class:`Tape` on the workspace resets the offset, so each
     pass overwrites the arrays of the one before; that tape must have been
-    consumed by :func:`backward` first, or starting raises ValueError. A
-    request that does not fit gets a mapping of its own, and the next
-    start maps one region large enough for every request of the pass.
+    consumed by :func:`backward` first (its op list emptied), or starting
+    raises ValueError. A request that does not fit gets a mapping of its
+    own, and the next start maps one region large enough for every
+    request of the pass.
     No array comes from the heap: once glibc has raised its thresholds
     (after a checkpoint load, say), the heap keeps what it is given after
     release, so the heap arrays of a run's first pass would stay resident
@@ -149,7 +147,7 @@ class Workspace:
         self.release()
 
     def _start(self, tape: Tape) -> None:
-        if self._tape is not None and not self._tape.consumed:
+        if self._tape is not None and self._tape.ops:
             raise ValueError("the workspace's previous tape was not consumed by backward")
         if self._used > self._size:
             # a power of two, so that a run maps a few times at most; pages
@@ -220,12 +218,7 @@ def _apply(data: np.ndarray, inputs: tuple[Tensor, ...], bw) -> Tensor:
     track = bool(_ACTIVE) and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
     if track:
-        tape = _ACTIVE[-1]
-        tape.ops.append((out, bw))
-        readers = tape.readers
-        for t in inputs:
-            if t.requires_grad:
-                readers[id(t)] = readers.get(id(t), 0) + 1
+        _ACTIVE[-1].ops.append((out, bw))
     return out
 
 
@@ -245,52 +238,41 @@ def backward(tape: Tape, loss: Tensor, into: dict[Tensor, np.ndarray]) -> None:
     produced, such as a parameter) in place to its array.
 
     Nothing else receives a gradient. Each op's backward receives its
-    output's gradient and `acc(tensor, grad)`, which sums the
-    contributions to a tensor in walk order (fan-out contributions sum).
+    output's gradient and `acc(tensor, grad)`. A contribution to a leaf
+    is added to its `into` array at once, so a leaf read by several ops
+    gets ((array + c1) + c2) + ... in walk order, and a leaf the walk
+    never reached leaves its array untouched. Contributions to an op's
+    output sum in walk order (fan-out) until the walk reaches that op.
     The walk consumes the tape: each op is popped, run, and dropped along
     with the gradient of its output, so the activations it held are freed
-    as the walk goes. A leaf's summed gradient reaches its `into` array
-    once, as soon as the last op on the tape that reads it has run (or at
-    the end of the walk, if some reader got no gradient), so the walk does
-    not hold it any longer; a leaf the walk never reached leaves its array
-    untouched.
+    as the walk goes. A tape with no ops left raises ValueError.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
-    if tape.consumed:
-        raise ValueError("tape was already consumed by an earlier backward pass")
-    produced = {id(out) for out, _ in tape.ops}
+    ops = tape.ops
+    if not ops:
+        raise ValueError("tape holds no ops: already consumed by a backward pass, or empty")
+    produced = {id(out) for out, _ in ops}
     if id(loss) not in produced:
         raise ValueError("loss was not produced under this tape")
-    tape.consumed = True
     leaves = {id(t): arr for t, arr in into.items() if id(t) not in produced}
-    readers = tape.readers
     grads: dict[int, np.ndarray] = {}
 
     def acc(t: Tensor, g: np.ndarray) -> None:
         if t.requires_grad:
             tid = id(t)
-            if tid in grads:
-                g = grads.pop(tid) + g
             arr = leaves.get(tid)
             if arr is not None:
-                readers[tid] -= 1
-                if not readers[tid]:
-                    arr += g
-                    return
-            grads[tid] = g
+                arr += g
+            else:
+                grads[tid] = grads[tid] + g if tid in grads else g
 
     acc(loss, np.ones((), dtype=loss.data.dtype))
-    ops = tape.ops
     while ops:
         out, bw = ops.pop()
         g = grads.pop(id(out), None)
         if g is not None:
             bw(g, acc)
-    for tid, arr in leaves.items():
-        g = grads.pop(tid, None)
-        if g is not None:
-            arr += g
 
 
 # ---------------------------------------------------------------------------

@@ -246,8 +246,13 @@ def load_vocab(path: str | Path) -> Vocabulary:
         content_hash = header["content_hash"]
     except KeyError as exc:
         raise VocabError(f"{path}: vocabulary header missing {exc}") from None
+    if min_freq < 1:  # a bound build_vocab refuses
+        raise VocabError(f"{path}: vocabulary header min_freq must be at least 1, got {min_freq}")
 
     id_to_token = tuple(lines[body_start:])
+    if len(id_to_token) > max_size:
+        raise VocabError(f"{path}: {len(id_to_token)} tokens exceed the header's "
+                         f"max_size={max_size}")
     if id_to_token[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
         raise VocabError(f"{path}: vocabulary must start with {SPECIAL_TOKENS}")
     token_to_id: dict[str, int] = {}

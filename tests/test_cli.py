@@ -472,6 +472,36 @@ def test_jobs_below_one_exits_2(ws, tmp_path, capsys, sub, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub, flag, value, named", [
+    ("train", "source_events", "", "source event set is empty"),
+    ("train", "source_events", "alpha_flood,,beta_flood", "empty source event name ''"),
+    ("train", "source_events", "alpha_flood,alpha_flood",
+     "repeated source event name 'alpha_flood'"),
+    ("matrix", "events", "", "event set is empty"),
+    ("loo", "events", "", "event set is empty"),
+], ids=["train-empty-list", "train-empty-name", "train-repeated", "matrix-empty-list",
+        "loo-empty-list"])
+def test_event_list_is_refused_before_any_file_is_read(ws, tmp_path, capsys, sub, flag, value,
+                                                       named):
+    """The vocabulary file does not exist: the flag is refused first."""
+    out = tmp_path / "x"
+    extra = {flag: value, **({"target_event": "beta_flood"} if sub == "train" else {})}
+    assert cli.main(base_args(ws, sub, vocab=tmp_path / "missing.txt", out=out, **extra)) == 2
+    option = "--" + flag.replace("_", "-")
+    assert capsys.readouterr().err == f"error: {option} {value!r}: {named}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [{"k": 0}, {"k": 1, "diagonal": "five_fold_mean"}],
+                         ids=["k0", "k1-five-fold"])
+def test_matrix_k_below_two_exits_2_before_any_file_is_read(ws, tmp_path, capsys, extra):
+    out = tmp_path / "x"
+    assert cli.main(base_args(ws, "matrix", vocab=tmp_path / "missing.txt", out=out,
+                              **extra)) == 2
+    assert capsys.readouterr().err == f"error: --k must be at least 2, got {extra['k']}\n"
+    assert not out.exists()
+
+
 def test_malformed_config_exits_2(ws, tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")

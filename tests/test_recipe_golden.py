@@ -7,7 +7,9 @@ A second config (signal.json: no dropout, a higher learning rate, more
 epochs) trains models that tell the two labels apart, so that the
 per-input numerics of a second `train` and `evaluate`, `matrix`,
 `matrix --diagonal five_fold_mean --k 2 --jobs 2` and `loo` show in their
-reports; with config.json every test input gets the same label. Each artifact's
+reports; with config.json every test input gets the same label. A last
+`train` (wide.json: 128-dim, 16 examples a step) runs each step as two
+chunks, so the gradient sums across a step's chunks are pinned too. Each artifact's
 sha256 must equal the one in tests/golden/recipe.json. `manifest.json`
 files are compared with `created_utc` and `run_id` blanked, so a refactor
 that claims to change no bytes is checked here.
@@ -49,6 +51,12 @@ SIGNAL = {
     "model": dict(CONFIG["model"], dropout=0.0),
     "train": dict(CONFIG["train"], peak_lr=0.025, epochs=15),
 }
+# wide enough that each step's batch runs as two chunks, so that the
+# gradient arithmetic across the chunks of a step shows in the digests
+WIDE = {
+    "model": dict(CONFIG["model"], d_model=128),
+    "train": dict(CONFIG["train"], effective_batch=16),
+}
 DATA = ["--train-file", "data/train.tsv", "--test-file", "data/test.tsv",
         "--registry", "data/registry.json", "--scenario", "postq"]
 RECIPE = [
@@ -75,6 +83,8 @@ RECIPE = [
     ["matrix", *DATA, "--config", "signal.json", "--vocab", "vocab.txt",
      "--diagonal", "five_fold_mean", "--k", "2", "--jobs", "2", "--out", "folds"],
     ["loo", *DATA, "--config", "signal.json", "--vocab", "vocab.txt", "--out", "loo"],
+    ["train", *DATA, "--config", "wide.json", "--vocab", "vocab.txt",
+     "--target-event", "gamma_quake", "--out", "wide"],
 ]
 
 
@@ -105,7 +115,8 @@ def run_recipe(root: Path) -> dict[str, str]:
     longer = dict(CONFIG, train=dict(CONFIG["train"], epochs=CONFIG["train"]["epochs"] + 1))
     (root / "longer.json").write_text(json.dumps(longer), encoding="utf-8")
     (root / "signal.json").write_text(json.dumps(SIGNAL), encoding="utf-8")
-    inputs = {"config.json", "longer.json", "signal.json"}
+    (root / "wide.json").write_text(json.dumps(WIDE), encoding="utf-8")
+    inputs = {"config.json", "longer.json", "signal.json", "wide.json"}
     cwd = os.getcwd()
     os.chdir(root)
     try:

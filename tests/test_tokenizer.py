@@ -182,6 +182,32 @@ def test_load_vocab_rejects_repeated_token(tmp_path):
         load_vocab(p)
 
 
+@pytest.mark.parametrize("min_freq", [0, -3])
+def test_load_vocab_rejects_min_freq_below_one(tmp_path, min_freq):
+    """A header build_vocab never writes is refused even under a matching
+    content_hash."""
+    vocab = build_vocab(["water rising"], min_freq=1)
+    p = tmp_path / "vocab.txt"
+    save_vocab(replace(vocab, min_freq=min_freq, content_hash=_digest(
+        vocab.id_to_token, min_freq, vocab.max_size)), p)
+    with pytest.raises(VocabError, match=f"vocab\\.txt: vocabulary header min_freq must be "
+                                         f"at least 1, got {min_freq}"):
+        load_vocab(p)
+
+
+def test_load_vocab_rejects_more_tokens_than_max_size(tmp_path):
+    vocab = build_vocab(["water rising fast"], min_freq=1)
+    assert vocab.size > 5
+    with pytest.raises(VocabError, match="max_size"):
+        build_vocab(["water rising fast"], min_freq=1, max_size=5)
+    p = tmp_path / "vocab.txt"
+    save_vocab(replace(vocab, max_size=5, content_hash=_digest(
+        vocab.id_to_token, vocab.min_freq, 5)), p)
+    with pytest.raises(VocabError, match=f"vocab\\.txt: {vocab.size} tokens exceed the "
+                                         f"header's max_size=5"):
+        load_vocab(p)
+
+
 @pytest.mark.parametrize("field, value", [("min_freq", "two"), ("max_size", "1e4")])
 def test_load_vocab_rejects_non_integer_header(tmp_path, field, value):
     vocab = build_vocab(["water rising"], min_freq=1)
