@@ -372,8 +372,14 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_matrix(args) -> None:
-    if args.k < 2:
-        raise ConfigError(f"--k must be at least 2, got {args.k}")
+    folds = args.diagonal == "five_fold_mean"
+    if args.k is not None:
+        if args.k < 2:
+            raise ConfigError(f"--k must be at least 2, got {args.k}")
+        if not folds:
+            raise ConfigError(f"--k sets the folds of --diagonal five_fold_mean; "
+                              f"--diagonal {args.diagonal} uses none")
+    k = 5 if args.k is None else args.k
     events = _check_grid(args)
     run = _setup(args)
     with _naming_data_files(args):
@@ -386,7 +392,7 @@ def cmd_matrix(args) -> None:
             run.mcfg,
             run.tcfg,
             diagonal_mode=args.diagonal,
-            k=args.k,
+            k=k,
             seed=run.tcfg.seed,
             jobs=args.jobs,
         )
@@ -412,7 +418,7 @@ def cmd_matrix(args) -> None:
             **run.manifest,
             "events": list(matrix.events),
             "diagonal_mode": matrix.diagonal_mode,
-            "k": args.k,
+            **({"k": k} if folds else {}),
             "exclude_self": args.exclude_self,
             "artifacts": artifacts,
         },
@@ -536,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", parents=[data, run, grid], help="fill a transfer matrix")
     p.add_argument("--diagonal", choices=DIAGONAL_MODES, default="standard_split")
-    p.add_argument("--k", type=int, default=5, help="folds for five_fold_mean")
+    p.add_argument("--k", type=int, help="folds for --diagonal five_fold_mean (default 5)")
     p.add_argument("--exclude-self", action="store_true",
                    help="drop self-transfer columns from row correlations")
     p.set_defaults(func=cmd_matrix)

@@ -146,11 +146,16 @@ def _score(params, plan: AdaptationPlan, registry, vocab, model_config) -> EvalR
 
 def _resume(plan, model_config, train_config, resume: CheckpointData, params) -> dict:
     """Load `resume` into `params` and return the `train` keywords that
-    continue it. Refuses a checkpoint of another model, task, seed or
+    continue it. Refuses a checkpoint of another model, dtype, task, seed or
     training config; only `epochs` may differ."""
     if resume.config != model_config:
         raise CompatibilityError(
             f"checkpoint model config {resume.config} differs from requested {model_config}"
+        )
+    dtype = next(iter(resume.arrays.values())).dtype
+    if dtype != params.flat.dtype:
+        raise CompatibilityError(
+            f"checkpoint parameters are {dtype}, but this run trains in {params.flat.dtype}"
         )
     task_id = resume.extra.get("task_id")
     if task_id != plan.task_id:

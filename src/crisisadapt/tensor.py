@@ -20,13 +20,13 @@ Attention lays its scores out keys first, [Tk, B, H, Tq]: the softmax
 then reduces over axis 0, in key order, rather than over many short rows,
 and every batched product reads operands BLAS takes as they are.
 
-The ops the model calls write their forward outputs, and the arrays they
-keep for the backward, through one allocator: on the heap, or, under a
-tape started on a :class:`Workspace`, into that workspace's memory, which
-a training run reuses pass after pass instead of having the heap hand the
-same pages back and forth. Backward temporaries always come from the heap.
-:func:`mapped_empty` gives one array a mapping of its own, as a training
-run does for its gradient vector.
+A tape owns the memory of its passes. The ops the model calls write
+their forward outputs, and the arrays they keep for the backward, into the
+active tape's memory, which a training run reuses pass after pass instead
+of having the heap hand the same pages back and forth; outside any tape,
+as in evaluation, they use the heap. Backward temporaries always come from
+the heap. :func:`mapped_empty` gives one array a mapping of its own, as a
+training run does for its gradient vector.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "Workspace",
     "mapped_empty",
     "add",
     "sub",
@@ -96,66 +95,50 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-class Tape:
-    """Records ops in execution order; backward replays them in exact
-    reverse order, popping each, so a tape whose op list is empty has been
-    consumed (or recorded nothing). One forward/backward pass per tape.
-
-    Given a `workspace`, the ops recorded under the tape put their forward
-    arrays there (see :class:`Workspace`); without one they use the heap.
-    """
-
-    def __init__(self, workspace: "Workspace | None" = None):
-        self.ops: list[tuple[Tensor, object]] = []
-        self.workspace = workspace
-
-    def __enter__(self) -> "Tape":
-        if self.workspace is not None:
-            self.workspace._start(self)
-        _ACTIVE.append(self)
-        return self
-
-    def __exit__(self, *exc):
-        _ACTIVE.pop()
-        return False
-
-
-# Byte alignment of each array a workspace hands out: a cache line
+# Byte alignment of each array a tape hands out: a cache line
 _ALIGN = 64
 
 
-class Workspace:
-    """Memory for the forward arrays of one pass at a time, reused pass
-    after pass: one anonymous memory mapping and a bump offset.
+class Tape:
+    """Records ops in execution order; backward replays them in exact
+    reverse order, popping each, so a tape whose op list is empty has been
+    consumed (or recorded nothing).
 
-    Starting a :class:`Tape` on the workspace resets the offset, so each
-    pass overwrites the arrays of the one before; that tape must have been
-    consumed by :func:`backward` first (its op list emptied), or starting
-    raises ValueError. A request that does not fit gets a mapping of its
-    own, and the next start maps one region large enough for every
-    request of the pass.
+    A tape is entered once per pass, pass after pass, and owns the memory
+    of its passes' forward arrays: one anonymous memory mapping and a bump
+    offset. Entering resets the offset, so each pass overwrites the arrays
+    of the one before; the previous pass must have been consumed by
+    :func:`backward` first, or entering raises ValueError. A request that
+    does not fit gets a mapping of its own, and the next entry maps one
+    region large enough for every request of the pass.
     No array comes from the heap: once glibc has raised its thresholds
     (after a checkpoint load, say), the heap keeps what it is given after
     release, so the heap arrays of a run's first pass would stay resident
-    next to the region. The region belongs to the workspace, so the
-    allocator cannot trim it between passes and fault its pages in again;
-    :meth:`release` (or dropping the workspace once its arrays are gone)
+    next to the region. The region belongs to the tape, so the allocator
+    cannot trim it between passes and fault its pages in again;
+    :meth:`release` (or dropping the tape once its arrays are gone)
     returns it to the system.
     """
 
     def __init__(self):
+        self.ops: list[tuple[Tensor, object]] = []
         self.release()
 
-    def _start(self, tape: Tape) -> None:
-        if self._tape is not None and self._tape.ops:
-            raise ValueError("the workspace's previous tape was not consumed by backward")
+    def __enter__(self) -> "Tape":
+        if self.ops:
+            raise ValueError("the tape's previous pass was not consumed by backward")
         if self._used > self._size:
             # a power of two, so that a run maps a few times at most; pages
             # past the largest pass are never touched and cost no memory
             self._size = 1 << (self._used - 1).bit_length()
             self._region = _mapping(self._size)
         self._used = 0
-        self._tape = tape
+        _ACTIVE.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        _ACTIVE.pop()
+        return False
 
     def _take(self, shape, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -167,12 +150,11 @@ class Workspace:
         return np.ndarray(shape, dtype, self._region, start)
 
     def release(self) -> None:
-        """Drop the region (unmapped once no array in it is left) and the
-        last tape; the next start maps anew."""
+        """Drop the region (unmapped once no array in it is left); the next
+        entry maps anew."""
         self._region = None
         self._size = 0
         self._used = 0  # bytes the current pass has asked for
-        self._tape = None
 
 
 def _mapping(nbytes: int) -> mmap.mmap:
@@ -200,18 +182,16 @@ def mapped_empty(shape, dtype) -> np.ndarray:
 
 def _empty(shape, dtype) -> np.ndarray:
     """An uninitialised array for an op's forward output or saved values:
-    from the active tape's workspace if it has one, else from the heap."""
-    workspace = _ACTIVE[-1].workspace if _ACTIVE else None
-    return np.empty(shape, dtype) if workspace is None else workspace._take(shape, dtype)
+    from the active tape's memory, or from the heap outside any tape."""
+    return _ACTIVE[-1]._take(shape, dtype) if _ACTIVE else np.empty(shape, dtype)
 
 
 def _out(shape, *operands) -> np.ndarray | None:
     """As :func:`_empty`, for the `out=` of a numpy call on `operands`
     whose result has `shape`, typed as numpy types that result; but None
-    without a workspace, so that numpy allocates the result itself, which
+    outside any tape, so that numpy allocates the result itself, which
     costs less than a call to np.empty from here."""
-    workspace = _ACTIVE[-1].workspace if _ACTIVE else None
-    return None if workspace is None else workspace._take(shape, np.result_type(*operands))
+    return _ACTIVE[-1]._take(shape, np.result_type(*operands)) if _ACTIVE else None
 
 
 def _apply(data: np.ndarray, inputs: tuple[Tensor, ...], bw) -> Tensor:

@@ -17,10 +17,10 @@ like the parameters' (`ParameterStore.flat`), which Adam then reads.
 Every example draws its dropout masks from its own (seed, epoch, slot)
 generator over its own length, so the masks do not depend on chunking.
 
-A run owns one :class:`tensor.Workspace`, and every chunk's tape starts
-on it, so each pass writes its forward arrays over the previous pass's in
-memory the run keeps, rather than in heap pages that the allocator hands
-back to the system after each step and the next step faults in again.
+A run owns one :class:`tensor.Tape`, entered once per chunk, so each
+pass writes its forward arrays over the previous pass's in memory the
+tape keeps, rather than in heap pages that the allocator hands back to
+the system after each step and the next step faults in again.
 The run's flat gradient vector is likewise memory the run maps itself
 (:func:`tensor.mapped_empty`), not a heap block: freeing a heap block
 that large would leave the allocator keeping the pages of every later
@@ -39,7 +39,7 @@ from .errors import ConfigError, NonFiniteError, check_field_types
 from .files import write_atomic
 from .model import ModelConfig, ParameterStore, example_loss
 from .rng import mix_seed, shuffle
-from .tensor import Tape, Workspace, backward, mapped_empty, scale
+from .tensor import Tape, backward, mapped_empty, scale
 from .tokenizer import PAD
 
 # Most padded source tokens x d_model (examples x longest source x width)
@@ -212,13 +212,13 @@ def step_gradients(
     seed: int,
     epoch: int,
     grad: np.ndarray,
-    workspace: Workspace | None = None,
+    tape: Tape,
 ) -> float:
     """Mean loss over one step's examples, with dropout drawn from each
     slot's (seed, epoch, slot) generator. Their mean parameter gradient
     overwrites `grad`, a flat vector laid out like `params.flat`.
-    Each chunk's pass runs on a tape started on `workspace`, if given, so
-    its forward arrays go there. A chunk whose loss is not finite raises
+    Each chunk's pass runs under `tape`, so its forward arrays go in the
+    tape's memory. A chunk whose loss is not finite raises
     NonFiniteError."""
     grad.fill(0)
     into = {params[name]: view for name, view in params.views(grad).items()}
@@ -231,7 +231,7 @@ def step_gradients(
             np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
             for slot in chunk
         ]
-        with Tape(workspace) as tape:
+        with tape:
             loss = example_loss(params, src_ids, src_mask, tgt_ids, model_config, rng=rngs)
             weighted = scale(loss, len(chunk))
         chunk_loss = float(loss.data)
@@ -295,7 +295,7 @@ def train(
     # not from the heap, where freeing it would raise glibc's thresholds
     grad = mapped_empty(params.flat.shape, params.flat.dtype)
     # every chunk's forward arrays, for the whole run
-    workspace = Workspace()
+    tape = Tape()
     try:
         for s in range(start_step, stop_step):
             epoch, b = divmod(s, spe)
@@ -309,7 +309,7 @@ def train(
             with np.errstate(all="ignore"):
                 try:
                     loss = step_gradients(params, examples, slots, model_config, seed, epoch, grad,
-                                          workspace=workspace)
+                                          tape)
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"step {s}, {exc}") from None
                 # one global gradient norm per step; the float32 sum overflows
@@ -325,7 +325,7 @@ def train(
             if b == spe - 1 and on_epoch_end is not None:
                 on_epoch_end(epoch, params)
     finally:
-        workspace.release()
+        tape.release()
     return result
 
 

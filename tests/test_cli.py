@@ -167,6 +167,29 @@ def test_train_resume_refuses_changed_train_config(ws, tmp_path, capsys):
     assert not [p for p in out.rglob("*") if p.is_file()]
 
 
+def test_train_resume_refuses_a_checkpoint_of_another_dtype(ws, tmp_path, capsys):
+    """A float64 checkpoint would be cast into the run's float32 store and
+    continued in float32; it is refused, naming both dtypes."""
+    ckpt = load_checkpoint(ws["run"] / "checkpoint.castckpt")
+    params = model.ParameterStore({name: Tensor(a.astype(np.float64), requires_grad=True,
+                                                name=name) for name, a in ckpt.arrays.items()})
+    fp64 = tmp_path / "fp64.castckpt"
+    save_checkpoint(fp64, params, ckpt.config, ckpt.vocab_hash, ckpt.step, ckpt.seed,
+                    optimizer=ckpt.restore_optimizer(params), extra=ckpt.extra)
+    config_path = tmp_path / "longer.json"
+    config_path.write_text(json.dumps({**CONFIG, "train": dict(CONFIG["train"], epochs=4)}),
+                           encoding="utf-8")
+    out = tmp_path / "resumed"
+    args = base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood", out=out,
+                     resume=fp64)
+    args[args.index(str(ws["config"]))] = str(config_path)
+    assert cli.main(args) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {fp64} cannot resume under {config_path}: ")
+    assert "checkpoint parameters are float64, but this run trains in float32" in line
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
 def test_train_cross_domain_sources(ws, tmp_path):
     out = tmp_path / "cross"
     assert cli.main(base_args(ws, "train", vocab=ws["vocab"],
@@ -499,6 +522,38 @@ def test_matrix_k_below_two_exits_2_before_any_file_is_read(ws, tmp_path, capsys
     assert cli.main(base_args(ws, "matrix", vocab=tmp_path / "missing.txt", out=out,
                               **extra)) == 2
     assert capsys.readouterr().err == f"error: --k must be at least 2, got {extra['k']}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, k", [({}, None), ({"diagonal": "five_fold_mean"}, 5),
+                                      ({"diagonal": "five_fold_mean", "k": 3}, 3)],
+                         ids=["standard-split", "five-fold-default", "five-fold-k3"])
+def test_matrix_manifest_records_k_only_when_folds_are_used(ws, tmp_path, monkeypatch, extra,
+                                                             k):
+    runs = []
+
+    def constant_matrix(splits, registry, events, *args, diagonal_mode, k, **kwargs):
+        runs.append(k)
+        matrix = AdaptationMatrix(events=tuple(sorted(events)), diagonal_mode=diagonal_mode)
+        for s in matrix.events:
+            for t in matrix.events:
+                matrix.set_cell(s, t, 0.5)
+        return matrix
+
+    monkeypatch.setattr(cli, "run_matrix", constant_matrix)
+    out = tmp_path / "m"
+    assert cli.main(base_args(ws, "matrix", vocab=ws["vocab"], out=out, **extra)) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest.get("k") == k
+    assert runs == [5 if k is None else k]
+
+
+def test_matrix_k_without_folds_exits_2_before_any_file_is_read(ws, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli.main(base_args(ws, "matrix", vocab=tmp_path / "missing.txt", out=out,
+                              k=7)) == 2
+    assert capsys.readouterr().err == ("error: --k sets the folds of --diagonal five_fold_mean; "
+                                       "--diagonal standard_split uses none\n")
     assert not out.exists()
 
 

@@ -9,7 +9,11 @@ per-input numerics of a second `train` and `evaluate`, `matrix`,
 `matrix --diagonal five_fold_mean --k 2 --jobs 2` and `loo` show in their
 reports; with config.json every test input gets the same label. A last
 `train` (wide.json: 128-dim, 16 examples a step) runs each step as two
-chunks, so the gradient sums across a step's chunks are pinned too. Each artifact's
+chunks, on wide.tsv: data/train.tsv's gamma_quake records plus records
+whose text holds the label tokens `yes` and `no`, so that both the
+encoder's and the decoder's embedding lookups read those rows, and the
+order in which the contributions of a step's chunks are added into
+`embed.weight`'s gradient is pinned too. Each artifact's
 sha256 must equal the one in tests/golden/recipe.json. `manifest.json`
 files are compared with `created_utc` and `run_id` blanked, so a refactor
 that claims to change no bytes is checked here.
@@ -57,6 +61,15 @@ WIDE = {
     "model": dict(CONFIG["model"], d_model=128),
     "train": dict(CONFIG["train"], effective_batch=16),
 }
+# records whose text holds a label token, added to the wide run's training set
+LABEL_TOKEN_RECORDS = [
+    ("no power since the quake", "relevant"),
+    ("yes the bridge at the quake site is down", "relevant"),
+    ("no water in the shelters yet", "relevant"),
+    ("say yes to the summer fair", "not_relevant"),
+    ("no news from the match today", "not_relevant"),
+    ("yes or no vote on the new park", "not_relevant"),
+]
 DATA = ["--train-file", "data/train.tsv", "--test-file", "data/test.tsv",
         "--registry", "data/registry.json", "--scenario", "postq"]
 RECIPE = [
@@ -83,8 +96,8 @@ RECIPE = [
     ["matrix", *DATA, "--config", "signal.json", "--vocab", "vocab.txt",
      "--diagonal", "five_fold_mean", "--k", "2", "--jobs", "2", "--out", "folds"],
     ["loo", *DATA, "--config", "signal.json", "--vocab", "vocab.txt", "--out", "loo"],
-    ["train", *DATA, "--config", "wide.json", "--vocab", "vocab.txt",
-     "--target-event", "gamma_quake", "--out", "wide"],
+    ["train", "--train-file", "wide.tsv", *DATA[2:], "--config", "wide.json",
+     "--vocab", "vocab.txt", "--target-event", "gamma_quake", "--out", "wide"],
 ]
 
 
@@ -108,6 +121,16 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def write_wide_train(root: Path) -> None:
+    """wide.tsv: the gamma_quake records of data/train.tsv, then
+    LABEL_TOKEN_RECORDS as gamma_quake records."""
+    header, *rows = (root / "data" / "train.tsv").read_text(encoding="utf-8").splitlines()
+    rows = [row for row in rows if row.endswith("\tgamma_quake")]
+    rows += [f"gamma_quake:label_token:{i:04d}\t{text}\t{label}\tgamma_quake"
+             for i, (text, label) in enumerate(LABEL_TOKEN_RECORDS)]
+    (root / "wide.tsv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
 def run_recipe(root: Path) -> dict[str, str]:
     """Run the recipe in `root` with relative paths; return the sha256 of
     every file it wrote, keyed by its path under `root`."""
@@ -116,11 +139,13 @@ def run_recipe(root: Path) -> dict[str, str]:
     (root / "longer.json").write_text(json.dumps(longer), encoding="utf-8")
     (root / "signal.json").write_text(json.dumps(SIGNAL), encoding="utf-8")
     (root / "wide.json").write_text(json.dumps(WIDE), encoding="utf-8")
-    inputs = {"config.json", "longer.json", "signal.json", "wide.json"}
+    inputs = {"config.json", "longer.json", "signal.json", "wide.json", "wide.tsv"}
     cwd = os.getcwd()
     os.chdir(root)
     try:
         for argv in RECIPE:
+            if "wide.tsv" in argv:  # made from synth's output, so only now
+                write_wide_train(root)
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)

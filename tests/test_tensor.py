@@ -362,19 +362,19 @@ def test_backward_on_a_tape_with_no_ops_raises():
         T.backward(tape, T.Tensor(np.float32(1.0)), into={x: np.zeros(3)})
 
 
-def test_workspace_starts_again_once_the_tape_holds_no_ops():
+def test_tape_can_be_entered_again_once_it_holds_no_ops():
     """A tape is consumed when its op list is empty: after a backward, and
     also when nothing was recorded under it."""
-    workspace = T.Workspace()
+    tape = T.Tape()
     x = T.Tensor(np.ones((2, 3), np.float32), requires_grad=True)
-    with T.Tape(workspace) as tape:
+    with tape:
         loss = T.sum_all(T.scale(x, 2.0))
     T.backward(tape, loss, into={x: np.zeros((2, 3), np.float32)})
     assert tape.ops == []
-    with T.Tape(workspace) as idle:
+    with tape:
         T.scale(T.Tensor(np.ones(2, np.float32)), 2.0)  # untracked
-    assert idle.ops == []
-    with T.Tape(workspace):
+    assert tape.ops == []
+    with tape:
         pass
 
 
@@ -481,28 +481,36 @@ def test_leaf_whose_readers_get_no_gradient_is_untouched():
 
 
 def test_workspace_reuses_its_region_pass_after_pass_with_the_heap_bits():
+    """A tape's memory is reused pass after pass; each pass gives the
+    bits of a fresh tape, and the forward output the bits of the same ops
+    run outside any tape, on the heap."""
     rng = fd_rng(42)
     x = T.Tensor(rng.normal(size=(3, 5, 8)).astype(np.float32), requires_grad=True)
     w = T.Tensor(rng.normal(size=(8, 8)).astype(np.float32), requires_grad=True)
     gain, bias = (T.Tensor(rng.normal(size=8).astype(np.float32), requires_grad=True)
                   for _ in range(2))
 
+    def forward():
+        return T.layer_norm(T.linear(x, w), gain, bias)
+
     def run(tape):
         with tape:
-            out = T.layer_norm(T.linear(x, w), gain, bias)
+            out = forward()
             loss = T.sum_all(T.mul(out, out))
         into = {t: np.zeros_like(t.data) for t in (x, w, gain)}
         T.backward(tape, loss, into=into)
         return out.data, into
 
+    untaped = forward().data  # outside any tape: from the heap
+    assert not isinstance(untaped.base, mmap.mmap)
     ref_out, ref_grads = run(T.Tape())
-    assert not isinstance(ref_out.base, mmap.mmap)
-    workspace = T.Workspace()
+    assert ref_out.tobytes() == untaped.tobytes()
+    tape = T.Tape()
     addresses = []
     for n in range(4):
         if n == 3:
-            workspace.release()
-        out, grads = run(T.Tape(workspace))
+            tape.release()
+        out, grads = run(tape)
         assert isinstance(out.base, mmap.mmap)  # never from the heap
         addresses.append(out.__array_interface__["data"][0])
         assert out.tobytes() == ref_out.tobytes()
@@ -512,16 +520,20 @@ def test_workspace_reuses_its_region_pass_after_pass_with_the_heap_bits():
     assert addresses[1] == addresses[2]
 
 
-def test_tape_on_a_workspace_whose_tape_was_not_consumed_raises():
-    workspace = T.Workspace()
+def test_entering_a_tape_that_still_holds_ops_raises():
+    tape = T.Tape()
     x = T.Tensor(np.ones((2, 3), np.float32), requires_grad=True)
-    with T.Tape(workspace) as tape:
+    with tape:
         loss = T.sum_all(T.scale(x, 2.0))
     with pytest.raises(ValueError, match="not consumed"):
-        with T.Tape(workspace):
+        with tape:
             pass
-    T.backward(tape, loss, into={x: np.zeros((2, 3), np.float32)})
-    with T.Tape(workspace):
+    assert not T._ACTIVE
+    # the refused entry left the pass as it was
+    into = {x: np.zeros((2, 3), np.float32)}
+    T.backward(tape, loss, into=into)
+    assert np.array_equal(into[x], np.full((2, 3), 2.0, np.float32))
+    with tape:
         pass
 
 

@@ -283,8 +283,8 @@ def test_non_finite_gradient_fails_fast_before_the_update(monkeypatch):
     params = init_params(MICRO, 0)
     before = snapshot(params)
 
-    def inf_gradients(params, *args, workspace):
-        grad = args[-1]
+    def inf_gradients(params, *args):
+        grad = args[-2]
         grad.fill(0)
         params.views(grad)["embed.weight"][3, 1] = np.inf
         return 1.5
@@ -329,7 +329,7 @@ def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
     seed, epoch = 11, 2
 
     flat = np.full_like(params.flat, np.nan)  # every element is overwritten
-    loss = step_gradients(params, examples, slots, cfg, seed, epoch, flat)
+    loss = step_gradients(params, examples, slots, cfg, seed, epoch, flat, T.Tape())
     grads = params.views(flat)
 
     ref_loss = 0.0
@@ -349,9 +349,10 @@ def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
         np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
-def test_steps_on_a_workspace_give_the_heap_gradient_byte_for_byte(monkeypatch):
-    """One workspace over steps of several chunks each, with dropout, gives
-    each step's flat gradient the bytes of plain heap tapes running
+def test_steps_on_one_tape_give_the_gradient_of_a_fresh_tape_per_chunk_byte_for_byte(
+        monkeypatch):
+    """One tape over steps of several chunks each, with dropout, gives each
+    step's flat gradient the bytes of a fresh tape per chunk running
     example_loss and backward over the same chunks."""
     cfg = ModelConfig(vocab_size=12, d_model=16, n_heads=2, d_ff=32,
                       n_enc_layers=1, n_dec_layers=1, dropout=0.1,
@@ -366,13 +367,12 @@ def test_steps_on_a_workspace_give_the_heap_gradient_byte_for_byte(monkeypatch):
     # 64 tokens at d_model 16, so that each step splits into several chunks
     monkeypatch.setattr("crisisadapt.train._ACTIVATION_BUDGET", 64 * cfg.d_model)
     seed = 11
-    workspace = T.Workspace()
+    tape = T.Tape()
     for epoch, slots in enumerate([[7, 2, 9, 0, 4, 1], [8, 3, 6, 5, 10, 11], list(range(12))]):
         chunks = chunk_slots(examples, slots, cfg.d_model)
         assert len(chunks) >= 3
         got = np.empty_like(params.flat)
-        loss = step_gradients(params, examples, slots, cfg, seed, epoch, got,
-                              workspace=workspace)
+        loss = step_gradients(params, examples, slots, cfg, seed, epoch, got, tape)
 
         want = np.zeros_like(params.flat)
         into = {params[name]: view for name, view in params.views(want).items()}
@@ -382,10 +382,10 @@ def test_steps_on_a_workspace_give_the_heap_gradient_byte_for_byte(monkeypatch):
             tgt_ids = np.stack([examples[slot][1] for slot in chunk])
             rngs = [np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
                     for slot in chunk]
-            with T.Tape() as tape:
+            with T.Tape() as fresh:
                 one = example_loss(params, src_ids, src_mask, tgt_ids, cfg, rng=rngs)
                 weighted = T.scale(one, len(chunk))
-            T.backward(tape, weighted, into=into)
+            T.backward(fresh, weighted, into=into)
             want_loss += len(chunk) * float(one.data)
         want /= len(slots)
         assert got.tobytes() == want.tobytes(), epoch
@@ -394,26 +394,27 @@ def test_steps_on_a_workspace_give_the_heap_gradient_byte_for_byte(monkeypatch):
 
 def recording_steps(monkeypatch) -> list:
     """For each step_gradients call `train` makes: the (id, weak reference)
-    of the workspace and of the gradient vector it hands over, and whether
-    that vector lies in a mapping of its own."""
+    of the tape and of the gradient vector it hands over, and whether that
+    vector lies in a mapping of its own."""
     seen = []
 
-    def recording(*args, workspace):
-        grad = args[6]
-        seen.append(((id(workspace), weakref.ref(workspace)),
+    def recording(*args):
+        grad, tape = args[6:]
+        seen.append(((id(tape), weakref.ref(tape)),
                      (id(grad), weakref.ref(grad)),
                      isinstance(grad.base, mmap.mmap)))
-        return step_gradients(*args, workspace=workspace)
+        return step_gradients(*args)
 
     monkeypatch.setattr("crisisadapt.train.step_gradients", recording)
     return seen
 
 
 def test_train_runs_every_step_on_one_workspace_and_releases_it(monkeypatch):
+    """The run's workspace is its one tape, whose memory every pass reuses."""
     seen = recording_steps(monkeypatch)
     run_once(TrainConfig(peak_lr=1e-3, effective_batch=4, epochs=2))
     assert len(seen) == 4
-    for held in (0, 1):  # the workspace, the gradient vector
+    for held in (0, 1):  # the tape, the gradient vector
         assert len({entry[held][0] for entry in seen}) == 1
         assert seen[0][held][1]() is None  # nothing holds it once train has returned
 
@@ -426,7 +427,7 @@ def test_train_releases_its_workspace_when_it_raises(monkeypatch):
         train(init_params(cfg, 0), micro_examples(8), cfg,
               TrainConfig(peak_lr=1e30, effective_batch=4, epochs=4))
     assert seen
-    assert all(ref() is None for workspace, grad, _ in seen for _, ref in (workspace, grad))
+    assert all(ref() is None for tape, grad, _ in seen for _, ref in (tape, grad))
 
 
 def test_train_maps_its_gradient_vector_outside_the_heap(monkeypatch):
