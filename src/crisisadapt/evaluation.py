@@ -218,16 +218,13 @@ class AdaptationMatrix:
                 f"diagonal_mode must be one of {DIAGONAL_MODES}, got {self.diagonal_mode!r}"
             )
 
-    def set_cell(self, source: str, target: str, value: float, info: dict | None = None):
+    def set_cell(self, source: str, target: str, value: float, info: dict):
         if source not in self.events or target not in self.events:
             raise KeyError(f"cell ({source}, {target}) outside events {self.events}")
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"cell value must be in [0, 1], got {value}")
         self.cells[(source, target)] = float(value)
-        entry = {"value": float(value)}
-        if info:
-            entry.update(info)
-        self.provenance[f"{source}->{target}"] = entry
+        self.provenance[f"{source}->{target}"] = {"value": float(value), **info}
 
     @property
     def complete(self) -> bool:

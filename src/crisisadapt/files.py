@@ -9,8 +9,9 @@ from pathlib import Path
 
 def write_atomic(path, *chunks) -> None:
     """Write the chunks (bytes-like objects) in order to a temporary file
-    beside `path`, flush it to disk, then rename it over `path`. On failure
-    the temporary file is removed and `path` is left as it was."""
+    beside `path`, flush it to disk, rename it over `path`, then flush the
+    directory, which holds the rename. On failure before the rename the
+    temporary file is removed and `path` is left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -23,3 +24,8 @@ def write_atomic(path, *chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

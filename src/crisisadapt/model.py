@@ -14,7 +14,7 @@ of a batch: each decoder layer's cross-attention keys and values,
 projected once from the encoder states, and the score bias that the
 encoder's own self-attention used. Greedy decoding and sequence scoring
 take a memory of any number of sources, each row as if it ran alone,
-and select or repeat its rows without projecting again.
+and select its rows, repeated if need be, without projecting again.
 
 Each attention block is three bias-free projections, one
 :func:`tensor.attention` op (head split, scaled scores, bias, softmax,
@@ -106,9 +106,6 @@ class ParameterStore:
 
     def names(self) -> list[str]:
         return list(self._params)
-
-    def items(self):
-        return self._params.items()
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {n: t.data for n, t in self._params.items()}
@@ -277,24 +274,17 @@ class Memory:
     sources: each layer's projected keys and values [B, S, d_model], in
     layer order, and the score bias [B, 1, 1, S] of the source mask.
 
-    :func:`encode_source` builds it. `rows` and `repeat` select and copy
-    whole sources; their tensors are constants, for decoding and scoring,
-    which take no gradient."""
+    :func:`encode_source` builds it. `rows` selects whole sources, each
+    as often as it is named; its tensors are constants, for decoding and
+    scoring, which take no gradient."""
 
     kv: tuple[tuple[T.Tensor, T.Tensor], ...]
     bias: np.ndarray
 
-    def _map(self, f) -> "Memory":
-        kv = tuple((T.Tensor(f(k.data)), T.Tensor(f(v.data))) for k, v in self.kv)
-        return Memory(kv, f(self.bias))
-
     def rows(self, index) -> "Memory":
         """The memory of the sources at `index` (row indices or a mask)."""
-        return self._map(lambda a: a[index])
-
-    def repeat(self, n: int) -> "Memory":
-        """Each source n times in a row: row b * n + i holds source b."""
-        return self._map(lambda a: np.repeat(a, n, axis=0))
+        kv = tuple((T.Tensor(k.data[index]), T.Tensor(v.data[index])) for k, v in self.kv)
+        return Memory(kv, self.bias[index])
 
 
 def encode_source(
@@ -464,7 +454,8 @@ def score_sequence(params: ParameterStore, mem: Memory, target_ids,
         )
     batch, copies = len(mem.bias), len(tgt)
     pairs = np.tile(tgt, (batch, 1))  # row b * L + l holds target l for source b
-    logits = decode_logits(params, mem.repeat(copies), shift_right(pairs), config).data
+    copied = mem.rows(np.repeat(np.arange(batch), copies))
+    logits = decode_logits(params, copied, shift_right(pairs), config).data
     shifted = logits - logits.max(axis=2, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     picked = np.take_along_axis(logp, pairs[:, :, None], axis=2)[:, :, 0]

@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Ops recorded while a :class:`Tape` is active can be replayed backwards by
-:func:`backward`, which adds each contribution to a requested leaf's
-gradient into an array the caller passes, in walk order, as it arrives;
-gradients are delivered nowhere else. Reductions are plain sequential
-numpy reductions, so two identical backward passes give bitwise-identical
-gradients. fp32 is the training dtype; fp64 is used for
+Ops take :class:`Tensor` operands; only constants such as ids, attention
+biases and dropout generators are plain values. A tensor holds the array
+it is given. Ops recorded while a :class:`Tape` is active can be replayed
+backwards by :func:`backward`, which adds each contribution to a
+requested leaf's gradient into an array the caller passes, in walk order,
+as it arrives; gradients are delivered nowhere else. Reductions are plain
+sequential numpy reductions, so two identical backward passes give
+bitwise-identical gradients. fp32 is the training dtype; fp64 is used for
 finite-difference gradient checks.
 
 Attention masking works with a finite -1e9 additive penalty: after the
@@ -15,10 +17,12 @@ so masked positions contribute nothing, without NaN/Inf in any tensor.
 Multi-head attention, linear layers (a weight product over the stacked
 rows, plus an optional bias) and the feed-forward sublayer (linear, ReLU,
 linear) are each one op with a hand-written backward, so a transformer
-block records a few tape entries instead of one per elementary step.
-Attention lays its scores out keys first, [Tk, B, H, Tq]: the softmax
-then reduces over axis 0, in key order, rather than over many short rows,
-and every batched product reads operands BLAS takes as they are.
+block records a few tape entries instead of one per elementary step. A
+weight product of a single row has the bits that row gets in a product
+of several. Attention lays its scores out keys first, [Tk, B, H, Tq]:
+the softmax then reduces over axis 0, in key order, rather than over many
+short rows, and every batched product reads operands BLAS takes as they
+are.
 
 A tape owns the memory of its passes. The ops the model calls write
 their forward outputs, and the arrays they keep for the backward, into the
@@ -71,28 +75,13 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        self.data = arr
+        self.data = np.asarray(data)
         self.requires_grad = requires_grad
         self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # Byte alignment of each array a tape hands out: a cache line
@@ -194,6 +183,17 @@ def _out(shape, *operands) -> np.ndarray | None:
     return _ACTIVE[-1]._take(shape, np.result_type(*operands)) if _ACTIVE else None
 
 
+def _product(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """rows @ w for rows [m, k], as :func:`_out` places it. numpy hands a
+    single row to BLAS's matrix-vector kernel, whose sums can round
+    differently from the same row's in a product of several rows (they do
+    for k of 64 and more); so a single row is multiplied as two copies of
+    itself, and the first result kept."""
+    if len(rows) == 1:
+        return _product(rows[[0, 0]], w)[:1]
+    return np.matmul(rows, w, out=_out((len(rows), w.shape[1]), rows, w))
+
+
 def _apply(data: np.ndarray, inputs: tuple[Tensor, ...], bw) -> Tensor:
     track = bool(_ACTIVE) and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=track)
@@ -259,9 +259,7 @@ def backward(tape: Tape, loss: Tensor, into: dict[Tensor, np.ndarray]) -> None:
 # Ops
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g, acc):
         # constant operands (positions, attention biases) need no reduction
         if a.requires_grad:
@@ -273,9 +271,7 @@ def add(a, b) -> Tensor:
     return _apply(np.add(a.data, b.data, out=_out(shape, a.data, b.data)), (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g, acc):
         acc(a, _unbroadcast(g, a.data.shape))
         acc(b, _unbroadcast(-g, b.data.shape))
@@ -283,9 +279,7 @@ def sub(a, b) -> Tensor:
     return _apply(a.data - b.data, (a, b), bw)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
+def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g, acc):
         acc(a, _unbroadcast(g * b.data, a.data.shape))
         acc(b, _unbroadcast(g * a.data, b.data.shape))
@@ -294,8 +288,6 @@ def mul(a, b) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
-
     def bw(g, acc):
         acc(a, g * c)
 
@@ -303,7 +295,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(
             f"matmul operands must be at least 2-D, got {a.data.shape} x {b.data.shape}"
@@ -330,8 +321,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w (+ b) for x [..., k], w [k, n] and an optional bias b [n], as
     one product over the stacked rows of x; the backward forms every
     gradient from those rows too."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    b = None if b is None else _as_tensor(b)
     if (w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1]
             or (b is not None and b.data.shape != w.data.shape[1:])):
         raise ValueError(
@@ -340,7 +329,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         )
     k, n = w.data.shape
     rows = x.data.reshape(-1, k)
-    data = np.matmul(rows, w.data, out=_out((len(rows), n), rows, w.data))
+    data = _product(rows, w.data)
     if b is not None:
         data += b.data
 
@@ -361,7 +350,6 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     w2 [h, n] and b2 [n], as one op over the stacked rows of x. The ReLU
     runs in place on the hidden array, and the backward masks with
     hidden > 0, so it keeps no mask of its own."""
-    x, w1, b1, w2, b2 = (_as_tensor(a) for a in (x, w1, b1, w2, b2))
     if (w1.data.ndim != 2 or w2.data.ndim != 2 or x.data.shape[-1:] != w1.data.shape[:1]
             or b1.data.shape != w1.data.shape[1:] or w2.data.shape[:1] != w1.data.shape[1:]
             or b2.data.shape != w2.data.shape[1:]):
@@ -372,10 +360,10 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
         )
     k, n = w1.data.shape[0], w2.data.shape[1]
     rows = x.data.reshape(-1, k)
-    h = np.matmul(rows, w1.data, out=_out((len(rows), w1.data.shape[1]), rows, w1.data))
+    h = _product(rows, w1.data)
     h += b1.data
     np.maximum(h, 0, out=h)
-    out = np.matmul(h, w2.data, out=_out((len(rows), n), h, w2.data))
+    out = _product(h, w2.data)
     out += b2.data
 
     def bw(g, acc):
@@ -402,7 +390,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
     1 / sqrt(d / n_heads); the heads' outputs are concatenated to
     [B, Tq, d].
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     bias = np.asarray(bias)
     if (q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape
             or q.data.shape[::2] != k.data.shape[::2]):
@@ -471,7 +458,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     keep = a.data > 0
 
     def bw(g, acc):
@@ -481,7 +467,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"axis {axis} invalid for shape {a.data.shape}")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -497,7 +482,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean unit-variance over the last axis (1/N variance plus 1e-5), then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     dim = x.data.shape[-1]
     if gain.data.shape != (dim,) or bias.data.shape != (dim,):
         raise ValueError(
@@ -533,7 +517,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup: out[i] = table[ids[i]]. Gradient scatter-adds rows."""
-    table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
@@ -552,8 +535,6 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
-
     def bw(g, acc):
         acc(a, g.reshape(a.data.shape))
 
@@ -561,7 +542,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
     inverse = np.argsort(axes)
 
     def bw(g, acc):
@@ -571,8 +551,6 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
     def bw(g, acc):
         acc(a, np.full_like(a.data, g))
 
@@ -580,7 +558,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def mean_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     n = a.data.size
 
     def bw(g, acc):
@@ -591,7 +568,6 @@ def mean_all(a: Tensor) -> Tensor:
 
 def cross_entropy(logits: Tensor, target_ids) -> Tensor:
     """Mean over positions of -log softmax(logits)[target]."""
-    logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise ValueError(f"logits must be [positions, V], got {logits.data.shape}")
     targets = np.asarray(target_ids, dtype=np.int64)
@@ -632,7 +608,6 @@ def dropout(x: Tensor, p: float, rngs, lengths) -> Tensor:
     """
     if not 0 <= p < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    x = _as_tensor(x)
     if p == 0:
         return x
     if x.data.ndim < 2 or len(rngs) != len(x.data) or len(lengths) != len(x.data):

@@ -99,13 +99,13 @@ def build_vocab(
     corpus: list[str],
     min_freq: int = DEFAULT_MIN_FREQ,
     max_size: int = DEFAULT_MAX_SIZE,
-    forced: frozenset[str] | set[str] = TEMPLATE_FORCED_TOKENS,
 ) -> Vocabulary:
     """Build a vocabulary from raw texts.
 
     Tokens are ranked by (frequency desc, token asc); tokens below
-    min_freq are dropped unless forced; the ranking is truncated to
-    max_size with forced tokens always retained.
+    min_freq are dropped unless they are template tokens
+    (`TEMPLATE_FORCED_TOKENS`); the ranking is truncated to max_size with
+    the template tokens always retained.
     """
     if not corpus:
         raise VocabError("cannot build a vocabulary from an empty corpus")
@@ -113,12 +113,11 @@ def build_vocab(
         # every token occurs at least once, so a lower bound keeps the same
         # tokens as 1 under another content hash
         raise VocabError(f"min_freq must be at least 1, got {min_freq}")
-    forced = frozenset(forced)
     capacity = max_size - len(SPECIAL_TOKENS)
-    if capacity < len(forced):
+    if capacity < len(TEMPLATE_FORCED_TOKENS):
         raise VocabError(
             f"max_size={max_size} cannot hold {len(SPECIAL_TOKENS)} specials "
-            f"plus {len(forced)} forced tokens"
+            f"plus {len(TEMPLATE_FORCED_TOKENS)} forced tokens"
         )
 
     freq: dict[str, int] = {}
@@ -129,18 +128,18 @@ def build_vocab(
     candidates = [
         tok
         for tok in freq
-        if (freq[tok] >= min_freq or tok in forced) and tok not in SPECIAL_TOKENS
+        if (freq[tok] >= min_freq or tok in TEMPLATE_FORCED_TOKENS) and tok not in SPECIAL_TOKENS
     ]
-    for tok in sorted(forced):
+    for tok in sorted(TEMPLATE_FORCED_TOKENS):
         if tok not in freq and tok not in SPECIAL_TOKENS:
             candidates.append(tok)
     candidates.sort(key=lambda t: (-freq.get(t, 0), t))
 
     if len(candidates) > capacity:
-        budget = capacity - sum(1 for t in candidates if t in forced)
+        budget = capacity - sum(1 for t in candidates if t in TEMPLATE_FORCED_TOKENS)
         kept = []
         for tok in candidates:
-            if tok in forced:
+            if tok in TEMPLATE_FORCED_TOKENS:
                 kept.append(tok)
             elif budget > 0:
                 kept.append(tok)

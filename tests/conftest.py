@@ -1,9 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import crisisadapt.tensor as T
 from crisisadapt.corpus import CrisisRecord, EventDescriptor
-from crisisadapt.tokenizer import EOS, tokenize
+from crisisadapt.tokenizer import (
+    EOS,
+    TEMPLATE_FORCED_TOKENS,
+    Vocabulary,
+    _digest,
+    build_vocab,
+    tokenize,
+)
 
 
 def make_record(i: int, event_id: str = "evt", text: str | None = None,
@@ -21,6 +30,17 @@ def encode_text(text: str, vocab) -> np.ndarray:
     """`text` as an encoded source: its token ids (UNK for unknown words)
     then EOS, as `encode_augmented` encodes an input that fits."""
     return np.array([vocab.lookup(tok) for tok in tokenize(text)] + [EOS], dtype=np.int64)
+
+
+def bare_vocab(text: str) -> Vocabulary:
+    """The vocabulary of the words of `text` alone: what `build_vocab`
+    makes of it at min_freq 1, less the template tokens `text` lacks, with
+    its hash taken again."""
+    vocab = build_vocab([text], min_freq=1)
+    words = set(tokenize(text))
+    tokens = tuple(t for t in vocab.id_to_token if t in words or t not in TEMPLATE_FORCED_TOKENS)
+    return replace(vocab, id_to_token=tokens, token_to_id={t: i for i, t in enumerate(tokens)},
+                   content_hash=_digest(tokens, vocab.min_freq, vocab.max_size))
 
 
 def leaf_grads(tape: T.Tape, loss: T.Tensor, leaves: list) -> list:

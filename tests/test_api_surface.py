@@ -1,4 +1,5 @@
-"""No public function should have tests as its only callers.
+"""No public function should have tests as its only callers, and no knob
+should do nothing.
 
 Every public top-level function and class in `src/crisisadapt`, and every
 public method of a public class, must be named somewhere in `src/` other
@@ -7,6 +8,11 @@ or an attribute). A top-level name counts where its own module uses it,
 where a module imports it and uses it, or as an attribute of a module
 alias (`T.linear`); a method counts as any attribute of its name, since
 the walk does not know types.
+
+Every parameter with a default of such a function or method must be set
+by some call in `src/` outside its own definition: by keyword, by
+position, or by `*` or `**` unpacking, which counts as setting every
+parameter. Calls are matched to definitions as names are above.
 """
 
 import ast
@@ -21,6 +27,11 @@ ALLOWED = {
     op: "perfbench's TENSOR_OPS wraps tensor." + op + " by name, so deleting it stops a "
         "benchmark run at set-up"
     for op in ("sub", "mul", "matmul", "relu", "softmax", "transpose", "sum_all", "mean_all")
+}
+
+# (function, parameter) -> why the parameter stays without a setter in src/
+ALLOWED_KNOBS = {
+    ("main", "argv"): "the console script calls main() with none, and tests pass argv",
 }
 
 
@@ -71,13 +82,19 @@ def keys(imported, in_module: bool, module: str, name: str) -> set[str]:
 
 
 @cache
+def parsed() -> tuple[dict[str, ast.Module], dict[str, list]]:
+    """Each module of src/ by name, parsed, and its relative imports."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    return trees, {module: imports(tree) for module, tree in trees.items()}
+
+
+@cache
 def unreferenced() -> dict[str, str]:
     """Public definitions that nothing in src/ names outside themselves,
     as name -> file."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    trees, imported = parsed()
     counts = {module: references(tree) for module, tree in trees.items()}
-    imported = {module: imports(tree) for module, tree in trees.items()}
     found = {}
     for module, tree in trees.items():
         for name, node, is_method in definitions(tree):
@@ -94,6 +111,64 @@ def unreferenced() -> dict[str, str]:
     return found
 
 
+def defaulted(node: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter of `node` that has a default; the
+    position is None for a keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def callee(call: ast.Call) -> set[str]:
+    """The `references` keys of what `call` calls."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return {func.id}
+    if isinstance(func, ast.Attribute):
+        owner = {f"{func.value.id}.{func.attr}"} if isinstance(func.value, ast.Name) else set()
+        return {"." + func.attr} | owner
+    return set()
+
+
+def sets(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether `call` passes the parameter `name`, which sits at
+    `position` among the positional arguments (None: keyword-only)."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+@cache
+def unset_knobs() -> dict[tuple[str, str], str]:
+    """Defaulted parameters of public functions and methods (outside
+    ALLOWED) that no call in src/ outside their definition sets, as
+    (function, parameter) -> file."""
+    trees, imported = parsed()
+    calls = {module: [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+             for module, tree in trees.items()}
+    found = {}
+    for module, tree in trees.items():
+        for name, node, is_method in definitions(tree):
+            if not isinstance(node, ast.FunctionDef) or name in ALLOWED:
+                continue
+            inside = {id(sub) for sub in ast.walk(node)}
+            callers = [call for other in trees for call in calls[other]
+                       if id(call) not in inside and callee(call) & (
+                           {"." + name} if is_method
+                           else keys(imported[other], other == module, module, name))]
+            for position, param in defaulted(node):
+                # a method's calls bind `self` before their first argument
+                at = None if position is None else position - is_method
+                if not any(sets(call, at, param) for call in callers):
+                    found[(name, param)] = f"{module}.py"
+    return found
+
+
 def test_every_public_definition_has_a_caller_in_src():
     unused = {name: where for name, where in unreferenced().items() if name not in ALLOWED}
     assert not unused, f"public, but nothing in src/ names them: {unused}"
@@ -102,3 +177,13 @@ def test_every_public_definition_has_a_caller_in_src():
 def test_every_allowed_name_is_still_unreferenced():
     """An entry whose name gained a caller, or went, leaves the list."""
     assert set(ALLOWED) <= set(unreferenced())
+
+
+def test_every_defaulted_parameter_is_set_somewhere_in_src():
+    unset = {knob: where for knob, where in unset_knobs().items() if knob not in ALLOWED_KNOBS}
+    assert not unset, f"defaulted, but no call in src/ sets them: {unset}"
+
+
+def test_every_allowed_knob_is_still_unset():
+    """An entry whose parameter gained a setter, or went, leaves the list."""
+    assert set(ALLOWED_KNOBS) <= set(unset_knobs())

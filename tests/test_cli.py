@@ -285,7 +285,7 @@ def test_matrix_zero_variance_rows_warn_one_plain_line_per_pair(ws, tmp_path, ca
         matrix = AdaptationMatrix(events=tuple(sorted(events)))
         for s in matrix.events:
             for t in matrix.events:
-                matrix.set_cell(s, t, 0.5)
+                matrix.set_cell(s, t, 0.5, {})
         return matrix
 
     monkeypatch.setattr(cli, "run_matrix", constant_matrix)
@@ -537,7 +537,7 @@ def test_matrix_manifest_records_k_only_when_folds_are_used(ws, tmp_path, monkey
         matrix = AdaptationMatrix(events=tuple(sorted(events)), diagonal_mode=diagonal_mode)
         for s in matrix.events:
             for t in matrix.events:
-                matrix.set_cell(s, t, 0.5)
+                matrix.set_cell(s, t, 0.5, {})
         return matrix
 
     monkeypatch.setattr(cli, "run_matrix", constant_matrix)

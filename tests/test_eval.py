@@ -29,7 +29,7 @@ from crisisadapt.prompt import LABELS, parse_label
 from crisisadapt.tokenizer import EOS, PAD, UNK, build_vocab, decode
 from crisisadapt.train import pad_sources
 
-from conftest import encode_text, make_record, scripted_decoder
+from conftest import bare_vocab, encode_text, make_record, scripted_decoder
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def test_predict_label_matches_full_decode_reference_on_untrained_models():
     assert all(fell_back for _, fell_back in outcomes)
 
 
-NO_LESS_VOCAB = build_vocab(["water rain storm flood go yes"], min_freq=1, forced=frozenset())
+NO_LESS_VOCAB = bare_vocab("water rain storm flood go yes")
 
 
 @pytest.mark.parametrize("vocab, script, max_tgt_len, want", [
@@ -466,7 +466,7 @@ def filled_matrix(events=("a", "b", "c")):
             ("c", "a"): 0.52, ("c", "b"): 0.48, ("c", "c"): 0.99}
     for (s, t), v in vals.items():
         if s in events and t in events:
-            m.set_cell(s, t, v)
+            m.set_cell(s, t, v, {})
     return m
 
 
@@ -482,9 +482,9 @@ def test_matrix_validation():
 def test_matrix_cell_rules():
     m = AdaptationMatrix(events=("a", "b"))
     with pytest.raises(KeyError, match="outside events"):
-        m.set_cell("a", "zz", 0.5)
+        m.set_cell("a", "zz", 0.5, {})
     with pytest.raises(ValueError, match="in \\[0, 1\\]"):
-        m.set_cell("a", "b", 1.5)
+        m.set_cell("a", "b", 1.5, {})
     m.set_cell("a", "b", 0.5, info={"steps": 12})
     assert m.provenance["a->b"] == {"value": 0.5, "steps": 12}
     assert not m.complete
@@ -501,10 +501,10 @@ def test_matrix_to_array_order():
 
 def test_matrix_csv_golden(tmp_path):
     m = AdaptationMatrix(events=("a", "b"))
-    m.set_cell("a", "a", 0.9617)
-    m.set_cell("a", "b", 0.8)
-    m.set_cell("b", "a", 0.25)
-    m.set_cell("b", "b", 1.0)
+    m.set_cell("a", "a", 0.9617, {})
+    m.set_cell("a", "b", 0.8, {})
+    m.set_cell("b", "a", 0.25, {})
+    m.set_cell("b", "b", 1.0, {})
     path = tmp_path / "matrix.csv"
     write_matrix_csv(path, m)
     assert path.read_text(encoding="utf-8") == (

@@ -33,7 +33,7 @@ from crisisadapt.synth import SynthEventSpec, generate_corpus
 from crisisadapt.tokenizer import EOS, PAD, build_vocab, decode
 from crisisadapt.train import train
 
-from conftest import make_record
+from conftest import bare_vocab, make_record
 
 SPECS = (
     SynthEventSpec("east_flood", "Easton", "flood", "storm", "flood"),
@@ -106,7 +106,7 @@ def test_training_examples_require_unified_labels():
 
 
 def test_training_examples_need_label_words_in_vocab():
-    bare = build_vocab(["water city report"], min_freq=1, forced=frozenset())
+    bare = bare_vocab("water city report")
     records = SPLITS["east_flood"].train[:1]
     with pytest.raises(VocabError, match="label word"):
         encode_training_examples(records, "standard", REGISTRY, bare, MCFG)

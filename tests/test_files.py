@@ -1,6 +1,8 @@
 """Atomic artifact writes: a failed write leaves the previous file as it was."""
 
 import errno
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -71,3 +73,27 @@ def test_failed_write_keeps_previous_file(artifact, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
     WRITERS[artifact](path, 2)
     assert path.read_bytes() != before
+
+
+def test_write_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """A rename lives in the directory, so only a sync of the directory
+    after it makes it survive a crash."""
+    path = tmp_path / "out.bin"
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def synced(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", st.st_ino if stat.S_ISDIR(st.st_mode) else "file"))
+        fsync(fd)
+
+    def replaced(src, dst):
+        events.append(("replace", os.fspath(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", synced)
+    monkeypatch.setattr(os, "replace", replaced)
+    files.write_atomic(path, b"data")
+    assert events == [("fsync", "file"), ("replace", os.fspath(path)),
+                      ("fsync", tmp_path.stat().st_ino)]
+    assert path.read_bytes() == b"data"

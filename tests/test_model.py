@@ -132,7 +132,7 @@ def test_parameter_count_closed_form():
     for cfg in (small_config(), named_config("tiny", vocab_size=120),
                 small_config(n_enc_layers=3, n_dec_layers=2, d_ff=48)):
         params = init_params(cfg, 0)
-        assert sum(t.data.size for _, t in params.items()) == closed_form_count(cfg)
+        assert sum(a.size for a in params.arrays().values()) == closed_form_count(cfg)
 
 
 def test_load_arrays_shape_check():
@@ -455,6 +455,21 @@ def test_batched_scores_match_each_source_scored_alone():
         assert got.tolist() == want, seed
         subset = score_sequence(params, mem.rows(rows), targets, cfg)
         assert subset.tolist() == [want[r] for r in rows], seed
+
+
+def test_one_source_decodes_with_the_bits_of_its_row_in_a_batch():
+    """At one decoder position, a one-source pass makes every projection
+    a one-row product; at the tiny model's width of 64 its logits still
+    have the bits of that source decoded with others."""
+    cfg = named_config("tiny", vocab_size=50)
+    params = init_params(cfg, 0)
+    ids, mask = pad_sources(MIXED[:3], range(3))
+    mem = encode_source(params, ids, mask, cfg)
+    dec_input = np.full((3, 1), PAD, dtype=np.int64)
+    whole = decode_logits(params, mem, dec_input, cfg).data
+    for i in range(3):
+        got = decode_logits(params, mem.rows([i]), dec_input[i : i + 1], cfg).data
+        assert np.array_equal(got, whole[i : i + 1]), i
 
 
 def test_score_sequence_requires_eos():

@@ -12,6 +12,7 @@ from crisisadapt.prompt import construct
 from crisisadapt.tokenizer import (
     EOS,
     PAD,
+    SPECIAL_TOKENS,
     TEMPLATE_FORCED_TOKENS,
     UNK,
     Vocabulary,
@@ -66,33 +67,37 @@ def test_template_tokens_all_tokenize_to_themselves():
 
 
 def test_build_vocab_specials_and_ranking():
-    vocab = build_vocab(["b b b a a c", "a"], min_freq=1, max_size=100, forced=set())
+    vocab = build_vocab(["b b b a a c", "a"], min_freq=1, max_size=100)
     assert vocab.id_to_token[:3] == ("<pad>", "<eos>", "<unk>")
-    # frequency desc, then token asc
-    assert vocab.id_to_token[3:] == ("a", "b", "c")
+    # frequency desc, then token asc; the template tokens the corpus lacks
+    # have frequency 0
+    assert vocab.id_to_token[3:6] == ("a", "b", "c")
+    assert vocab.id_to_token[6:] == tuple(sorted(TEMPLATE_FORCED_TOKENS - {"a"}))
     assert vocab.lookup("a") == 3
     assert vocab.lookup("zzz") == UNK
 
 
 def test_build_vocab_min_freq_drops_rare_tokens():
-    vocab = build_vocab(["common common rare"], min_freq=2, forced=set())
+    vocab = build_vocab(["common common rare"], min_freq=2)
     assert "common" in vocab.token_to_id
     assert "rare" not in vocab.token_to_id
 
 
 def test_build_vocab_forced_tokens_survive_min_freq_and_max_size():
     corpus = [" ".join(f"w{i}" for i in range(50))] * 3
-    vocab = build_vocab(corpus, min_freq=2, max_size=10, forced={"yes", "no"})
-    assert "yes" in vocab.token_to_id and "no" in vocab.token_to_id
-    assert vocab.size <= 10
+    max_size = len(SPECIAL_TOKENS) + len(TEMPLATE_FORCED_TOKENS) + 5
+    vocab = build_vocab(corpus, min_freq=2, max_size=max_size)
+    assert TEMPLATE_FORCED_TOKENS <= set(vocab.token_to_id)
+    assert vocab.size == max_size
 
 
 def test_build_vocab_max_size_truncates():
-    corpus = ["a a a b b c"]
-    vocab = build_vocab(corpus, min_freq=1, max_size=5, forced=set())
-    assert vocab.size == 5
-    assert "a" in vocab.token_to_id and "b" in vocab.token_to_id
-    assert "c" not in vocab.token_to_id
+    corpus = ["x x x y y z"]
+    max_size = len(SPECIAL_TOKENS) + len(TEMPLATE_FORCED_TOKENS) + 2
+    vocab = build_vocab(corpus, min_freq=1, max_size=max_size)
+    assert vocab.size == max_size
+    assert "x" in vocab.token_to_id and "y" in vocab.token_to_id
+    assert "z" not in vocab.token_to_id
 
 
 def test_build_vocab_deterministic_hash():
@@ -109,7 +114,7 @@ def test_build_vocab_rejects_empty_corpus_and_tiny_max_size():
     with pytest.raises(VocabError):
         build_vocab([])
     with pytest.raises(VocabError, match="max_size"):
-        build_vocab(["hi"], max_size=4, forced={"yes", "no"})
+        build_vocab(["hi"], max_size=len(SPECIAL_TOKENS) + len(TEMPLATE_FORCED_TOKENS) - 1)
 
 
 @pytest.mark.parametrize("min_freq", [0, -5])

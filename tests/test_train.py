@@ -311,9 +311,8 @@ def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
     cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=16,
                       n_enc_layers=1, n_dec_layers=1, dropout=0.3,
                       max_src_len=64, max_tgt_len=4)
-    params = ParameterStore({name: T.Tensor(t.data.astype(np.float64), requires_grad=True,
-                                            name=name)
-                             for name, t in init_params(cfg, 3).items()})
+    params = ParameterStore({name: T.Tensor(a.astype(np.float64), requires_grad=True, name=name)
+                             for name, a in init_params(cfg, 3).arrays().items()})
     rng = np.random.Generator(np.random.PCG64(9))
     examples = []
     for n in (40, 17, 55, 23, 60, 31, 48, 12, 64, 36):
@@ -333,7 +332,7 @@ def test_chunked_step_matches_per_example_mean_fp64(monkeypatch):
     grads = params.views(flat)
 
     ref_loss = 0.0
-    ref_grads = {name: np.zeros_like(t.data) for name, t in params.items()}
+    ref_grads = {name: np.zeros_like(a) for name, a in params.arrays().items()}
     leaves = [params[name] for name in ref_grads]
     for slot in slots:
         src, tgt = examples[slot]
