@@ -9,12 +9,13 @@ registry mapping event ids to their location / crisis names.
 A corpus ships as two TSVs (train/test) whose records are grouped per
 event by :func:`splits_by_event`. Cross-validation splits are derived, not
 shipped: :func:`make_folds` deals an event's pooled records onto k folds
-in a deterministic :class:`FoldPlan`.
+and returns each fold's deterministic (train, test) split.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,14 +63,6 @@ class EventDescriptor:
 
 
 @dataclass(frozen=True)
-class FoldPlan:
-    """Deterministic k-fold assignment: record id -> fold index in [0, k)."""
-
-    k: int
-    assignments: dict[str, int]
-
-
-@dataclass(frozen=True)
 class EventSplits:
     """Training pool and held-out test set for one event."""
 
@@ -101,7 +94,8 @@ class AdaptationPlan:
 
 def load_registry(path: str | Path) -> dict[str, EventDescriptor]:
     """Load the event registry JSON: {event_id: {location_name, crisis_name, ...}}.
-    Each entry must be an object, and its two names strings."""
+    Each entry must be an object, its two names strings, and its
+    event_type, if present, a string."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -121,9 +115,12 @@ def load_registry(path: str | Path) -> dict[str, EventDescriptor]:
             if not isinstance(value, str):
                 raise SchemaError(f"{path}: event {event_id!r}: {key} must be a string, "
                                   f"got {value!r}")
+        event_type = meta.get("event_type")
+        if "event_type" in meta and not isinstance(event_type, str):
+            raise SchemaError(f"{path}: event {event_id!r}: event_type must be a string, "
+                              f"got {event_type!r}")
         try:
-            registry[event_id] = EventDescriptor(event_id, **names,
-                                                 event_type=meta.get("event_type"))
+            registry[event_id] = EventDescriptor(event_id, **names, event_type=event_type)
         except DataError as exc:
             raise SchemaError(f"{path}: {exc}") from None
     return registry
@@ -143,28 +140,14 @@ def escape_field(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_ESCAPED = re.compile(r"\\([tn\\])")
+_UNESCAPED = {"t": "\t", "n": "\n", "\\": "\\"}
+
+
 def unescape_field(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    """Undo :func:`escape_field`; a backslash before any other character,
+    or at the end, stays as it is."""
+    return _ESCAPED.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
 def load_dataset(
@@ -255,14 +238,18 @@ def unify_labels(
 # Folds
 
 
-def make_folds(records: list[CrisisRecord], k: int, seed: int) -> FoldPlan:
-    """Assign each record to one of k folds, stratified by label within event.
+def make_folds(
+    records: list[CrisisRecord], k: int, seed: int
+) -> list[tuple[list[CrisisRecord], list[CrisisRecord]]]:
+    """Deal records onto k folds, stratified by label within event, and
+    return each fold's (train, test) split in fold order, with the fold
+    held out as test; both lists keep input order.
 
     Within each (event_id, unified_label) stratum, record ids are sorted,
     Fisher-Yates shuffled with a seed derived from (seed, event, label),
     and dealt onto a fold counter that runs across strata. Both the global
     fold sizes and the per-stratum counts then differ by at most one, and
-    the assignment depends only on (record ids, k, seed).
+    which records share a fold depends only on (record ids, k, seed).
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -285,18 +272,11 @@ def make_folds(records: list[CrisisRecord], k: int, seed: int) -> FoldPlan:
         for rec_id in ids:
             assignments[rec_id] = counter % k
             counter += 1
-    return FoldPlan(k=k, assignments=assignments)
-
-
-def fold_split(
-    records: list[CrisisRecord], plan: FoldPlan, test_fold: int
-) -> tuple[list[CrisisRecord], list[CrisisRecord]]:
-    """Partition records into (train, test) with `test_fold` held out."""
-    if not 0 <= test_fold < plan.k:
-        raise ValueError(f"test_fold {test_fold} outside [0, {plan.k})")
-    train = [r for r in records if plan.assignments[r.id] != test_fold]
-    test = [r for r in records if plan.assignments[r.id] == test_fold]
-    return train, test
+    return [
+        ([r for r in records if assignments[r.id] != fold],
+         [r for r in records if assignments[r.id] == fold])
+        for fold in range(k)
+    ]
 
 
 # ---------------------------------------------------------------------------

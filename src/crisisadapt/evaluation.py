@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .corpus import AdaptationPlan, EventSplits, compose_plan
 from .files import write_atomic
 from .model import ModelConfig, ParameterStore, generate_greedy, score_sequence
 from .prompt import LABELS, parse_label
-from .rng import mix_seed
 from .tokenizer import EOS, UNK, Vocabulary, decode
 from .train import chunk_by_length, pad_sources
 
@@ -299,34 +297,6 @@ def write_matrix_provenance(path, matrix: AdaptationMatrix) -> None:
         "cells": matrix.provenance,
     }
     write_atomic(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-
-
-# ---------------------------------------------------------------------------
-# Experiment planning
-
-
-def plan_leave_one_out(
-    events,
-    scenario: str,
-    splits: dict[str, EventSplits],
-    seed: int,
-) -> list[AdaptationPlan]:
-    """One plan per event: train on the other events pooled, test on it."""
-    names = sorted(events)
-    if len(names) < 2:
-        raise ValueError(f"leave-one-out needs at least two events, got {names}")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate events: {names}")
-    return [
-        compose_plan(
-            frozenset(n for n in names if n != target),
-            target,
-            scenario,
-            splits,
-            mix_seed(seed, "loo", target),
-        )
-        for target in names
-    ]
 
 
 def loo_table(results: dict[str, EvalReport]) -> dict:

@@ -20,7 +20,6 @@ from .corpus import (
     EventDescriptor,
     EventSplits,
     compose_plan,
-    fold_split,
     make_folds,
 )
 from .checkpoint import CheckpointData
@@ -30,7 +29,6 @@ from .evaluation import (
     EvalReport,
     evaluate,
     loo_table,
-    plan_leave_one_out,
 )
 from .model import ModelConfig, ParameterStore, init_params
 from .prompt import construct, target_text
@@ -126,11 +124,14 @@ def run_plan(
     """
     tcfg = replace(train_config, seed=plan.seed)
     params = init_params(model_config, mix_seed(plan.seed, "init"))
-    resumed = {} if resume is None else _resume(plan, model_config, train_config, resume, params)
+    start_step, optimizer = 0, None
+    if resume is not None:
+        start_step, optimizer = _resume(plan, model_config, train_config, resume, params)
     examples = encode_training_examples(
         plan.source_dataset, plan.scenario, registry, vocab, model_config
     )
-    result = train(params, examples, model_config, tcfg, **resumed)
+    result = train(params, examples, model_config, tcfg, start_step=start_step,
+                   optimizer=optimizer)
     report = _score(params, plan, registry, vocab, model_config)
     return PlanOutcome(plan=plan, params=params, train_result=result, report=report)
 
@@ -144,8 +145,8 @@ def _score(params, plan: AdaptationPlan, registry, vocab, model_config) -> EvalR
     return evaluate(params, encoded, gold, vocab, model_config)
 
 
-def _resume(plan, model_config, train_config, resume: CheckpointData, params) -> dict:
-    """Load `resume` into `params` and return the `train` keywords that
+def _resume(plan, model_config, train_config, resume: CheckpointData, params):
+    """Load `resume` into `params` and return the step and Adam state that
     continue it. Refuses a checkpoint of another model, dtype, task, seed or
     training config; only `epochs` may differ."""
     if resume.config != model_config:
@@ -163,15 +164,19 @@ def _resume(plan, model_config, train_config, resume: CheckpointData, params) ->
     if resume.seed != plan.seed:
         raise ConfigError(f"checkpoint seed {resume.seed} differs from run seed {plan.seed}")
     trained = resume.extra.get("train", {})
+    if not isinstance(trained, dict):
+        raise CompatibilityError(
+            f"checkpoint's training config must be a JSON object, got {type(trained).__name__}"
+        )
     for name, value in asdict(train_config).items():
-        if name != "epochs" and isinstance(trained, dict) and trained.get(name, value) != value:
+        if name != "epochs" and trained.get(name, value) != value:
             raise ConfigError(f"checkpoint was trained with {name} {trained[name]!r}, "
                               f"not the requested {value!r}")
     params.load_arrays(resume.arrays)
     optimizer = resume.restore_optimizer(params)
     if optimizer is None:
         raise CompatibilityError("checkpoint has no optimizer state; cannot resume")
-    return {"start_step": resume.step, "optimizer": optimizer}
+    return resume.step, optimizer
 
 
 def _fold_plans(
@@ -180,12 +185,11 @@ def _fold_plans(
     """The k cross-validation plans over all of `event`'s records, pooled."""
     ev = splits[event]
     pooled = list(ev.train) + list(ev.test)
-    assignments = make_folds(pooled, k, mix_seed(seed, "folds", event))
+    folds = make_folds(pooled, k, mix_seed(seed, "folds", event))
     return [
-        compose_plan({event}, event, scenario,
-                     {event: EventSplits(*fold_split(pooled, assignments, fold))},
+        compose_plan({event}, event, scenario, {event: EventSplits(train, test)},
                      mix_seed(seed, "cell", event, fold))
-        for fold in range(k)
+        for fold, (train, test) in enumerate(folds)
     ]
 
 
@@ -273,6 +277,30 @@ def run_matrix(
             t, t, float(np.mean(accs)), info={"k": k, "fold_accuracies": accs, "seed": seed}
         )
     return matrix
+
+
+def plan_leave_one_out(
+    events,
+    scenario: str,
+    splits: dict[str, EventSplits],
+    seed: int,
+) -> list[AdaptationPlan]:
+    """One plan per event: train on the other events pooled, test on it."""
+    names = sorted(events)
+    if len(names) < 2:
+        raise ValueError(f"leave-one-out needs at least two events, got {names}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate events: {names}")
+    return [
+        compose_plan(
+            frozenset(n for n in names if n != target),
+            target,
+            scenario,
+            splits,
+            mix_seed(seed, "loo", target),
+        )
+        for target in names
+    ]
 
 
 def run_loo(

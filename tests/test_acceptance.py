@@ -37,13 +37,13 @@ from crisisadapt.evaluation import (
     evaluate,
     loo_table,
     pearson_row_correlation,
-    plan_leave_one_out,
     weighted_f1,
 )
 from crisisadapt.experiment import (
     augmented_texts,
     encode_eval_inputs,
     encode_training_examples,
+    plan_leave_one_out,
     run_matrix,
 )
 from crisisadapt.model import (

@@ -16,6 +16,7 @@ from crisisadapt.checkpoint import DIGEST_BYTES, load_checkpoint, save_checkpoin
 from crisisadapt.evaluation import AdaptationMatrix, evaluate
 from crisisadapt.tensor import Tensor
 from crisisadapt.tokenizer import _digest, load_vocab, save_vocab
+from test_checkpoint import rewrite_manifest
 
 CONFIG = {
     "model": {"size": "tiny", "d_model": 16, "n_heads": 2, "d_ff": 32,
@@ -190,6 +191,32 @@ def test_train_resume_refuses_a_checkpoint_of_another_dtype(ws, tmp_path, capsys
     assert not [p for p in out.rglob("*") if p.is_file()]
 
 
+@pytest.mark.parametrize("trained", ["not an object", [1, 2]], ids=["string", "list"])
+def test_train_resume_refuses_a_checkpoint_whose_train_config_is_no_object(ws, tmp_path, capsys,
+                                                                          trained):
+    """Such a checkpoint would otherwise resume under any training config."""
+    odd = tmp_path / "odd.castckpt"
+    odd.write_bytes((ws["run"] / "checkpoint.castckpt").read_bytes())
+
+    def edit(manifest):
+        manifest["extra"]["train"] = trained
+        return manifest
+
+    rewrite_manifest(odd, edit)
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps({**CONFIG, "train": dict(CONFIG["train"], peak_lr=0.5,
+                                                           epochs=4)}), encoding="utf-8")
+    out = tmp_path / "resumed"
+    args = base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood", out=out,
+                     resume=odd)
+    args[args.index(str(ws["config"]))] = str(changed)
+    assert cli.main(args) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {odd} cannot resume under {changed}: ")
+    assert "training config must be a JSON object" in line
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
 def test_train_cross_domain_sources(ws, tmp_path):
     out = tmp_path / "cross"
     assert cli.main(base_args(ws, "train", vocab=ws["vocab"],
@@ -303,6 +330,27 @@ def test_matrix_zero_variance_rows_warn_one_plain_line_per_pair(ws, tmp_path, ca
     ]
 
 
+def test_matrix_writes_the_pearson_correlations_of_its_rows(ws, tmp_path, capsys, monkeypatch):
+    rows = {"alpha_flood": [0.9, 0.4, 0.7], "beta_flood": [0.3, 0.8, 0.5],
+            "gamma_quake": [0.6, 0.2, 0.1]}
+
+    def varied_matrix(splits, registry, events, *args, **kwargs):
+        matrix = AdaptationMatrix(events=tuple(sorted(events)))
+        for s in matrix.events:
+            for t, accuracy in zip(matrix.events, rows[s]):
+                matrix.set_cell(s, t, accuracy, {})
+        return matrix
+
+    monkeypatch.setattr(cli, "run_matrix", varied_matrix)
+    out = tmp_path / "varied"
+    assert cli.main(base_args(ws, "matrix", vocab=ws["vocab"], out=out)) == 0
+    assert capsys.readouterr().err == ""
+    lines = (out / "correlation.csv").read_text(encoding="utf-8").splitlines()
+    written = [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
+    np.testing.assert_array_almost_equal(written, np.corrcoef([rows[e] for e in sorted(rows)]),
+                                         decimal=4)
+
+
 def test_matrix_event_without_training_records_exits_3_before_training(ws, tmp_path,
                                                                        capsys):
     train_file = tmp_path / "train.tsv"
@@ -391,10 +439,10 @@ def _entry_not_an_object(raw: bytes) -> bytes:
     return json.dumps({**json.loads(raw), "alpha_flood": 5}).encode("utf-8")
 
 
-def _crisis_name(value):
+def _entry_field(key, value):
     def corrupt(raw: bytes) -> bytes:
         doc = json.loads(raw)
-        doc["alpha_flood"]["crisis_name"] = value
+        doc["alpha_flood"][key] = value
         return json.dumps(doc).encode("utf-8")
     return corrupt
 
@@ -408,8 +456,11 @@ def _first_label_unmapped(raw: bytes) -> bytes:
 
 @pytest.mark.parametrize("flag, corrupt, code, cause", [
     ("registry", _entry_not_an_object, 3, "event 'alpha_flood' must be a JSON object, got int"),
-    ("registry", _crisis_name(7), 3, "event 'alpha_flood': crisis_name must be a string, got 7"),
-    ("registry", _crisis_name(""), 3, "event 'alpha_flood' has an empty crisis_name"),
+    ("registry", _entry_field("crisis_name", 7), 3,
+     "event 'alpha_flood': crisis_name must be a string, got 7"),
+    ("registry", _entry_field("crisis_name", ""), 3, "event 'alpha_flood' has an empty crisis_name"),
+    ("registry", _entry_field("event_type", 5), 3,
+     "event 'alpha_flood': event_type must be a string, got 5"),
     ("train-file", _first_label_unmapped, 3, "unmapped raw labels: 'relevantX' x1"),
     ("resume", lambda raw: raw[:-40] + bytes([raw[-40] ^ 1]) + raw[-39:], 3,
      "checkpoint digest mismatch"),
@@ -420,6 +471,7 @@ def _first_label_unmapped(raw: bytes) -> bytes:
     ("config", lambda raw: b'{"train": 5}', 2, "config section 'train' must be a JSON object"),
     ("config", lambda raw: b'{"model": [1]}', 2, "config section 'model' must be a JSON object"),
 ], ids=["registry_entry_not_object", "registry_name_not_string", "registry_name_empty",
+        "registry_event_type_not_string",
         "train_label_unmapped", "checkpoint_payload_flipped", "checkpoint_truncated",
         "registry_utf8",
         "vocab_utf8", "config_utf8", "config_train_not_object", "config_model_not_object"])

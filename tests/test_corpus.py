@@ -14,7 +14,6 @@ from crisisadapt.corpus import (
     EventSplits,
     compose_plan,
     escape_field,
-    fold_split,
     load_dataset,
     load_registry,
     make_folds,
@@ -201,11 +200,17 @@ def balanced_records(n_yes: int, n_no: int, event: str) -> list[CrisisRecord]:
     return recs
 
 
+def held_out_ids(folds) -> list[set[str]]:
+    """The ids of each fold's test split, in fold order."""
+    return [{r.id for r in test} for _, test in folds]
+
+
 def test_make_folds_partitions_everything():
     records = balanced_records(13, 12, "nq_flood")
-    plan = make_folds(records, 5, seed=3)
-    assert sorted(plan.assignments) == sorted(r.id for r in records)
-    assert set(plan.assignments.values()) <= set(range(5))
+    folds = make_folds(records, 5, seed=3)
+    assert len(folds) == 5
+    held_out = [r.id for _, test in folds for r in test]
+    assert sorted(held_out) == sorted(r.id for r in records)
 
 
 def test_make_folds_global_sizes_differ_by_at_most_one():
@@ -215,8 +220,7 @@ def test_make_folds_global_sizes_differ_by_at_most_one():
         + [make_record(200 + i, "np_quake", label="yes") for i in range(8)]
         + [make_record(300 + i, "np_quake", label="no") for i in range(9)]
     )
-    plan = make_folds(records, 5, seed=3)
-    sizes = [sum(1 for f in plan.assignments.values() if f == k) for k in range(5)]
+    sizes = [len(test) for _, test in make_folds(records, 5, seed=3)]
     assert max(sizes) - min(sizes) <= 1
 
 
@@ -225,21 +229,18 @@ def test_make_folds_stratum_counts_differ_by_at_most_one():
         [make_record(i, "nq_flood", label="yes") for i in range(13)]
         + [make_record(100 + i, "nq_flood", label="no") for i in range(12)]
     )
-    plan = make_folds(records, 5, seed=3)
+    folds = make_folds(records, 5, seed=3)
     for label in ("yes", "no"):
-        ids = {r.id for r in records if r.unified_label == label}
-        counts = [
-            sum(1 for rid in ids if plan.assignments[rid] == k) for k in range(5)
-        ]
+        counts = [sum(1 for r in test if r.unified_label == label) for _, test in folds]
         assert max(counts) - min(counts) <= 1
 
 
 def test_make_folds_depends_only_on_ids_k_seed():
     records = balanced_records(10, 10, "nq_flood")
-    a = make_folds(records, 4, seed=9).assignments
-    b = make_folds(list(reversed(records)), 4, seed=9).assignments
+    a = held_out_ids(make_folds(records, 4, seed=9))
+    b = held_out_ids(make_folds(list(reversed(records)), 4, seed=9))
     assert a == b
-    assert a != make_folds(records, 4, seed=10).assignments
+    assert a != held_out_ids(make_folds(records, 4, seed=10))
 
 
 def test_make_folds_validation():
@@ -253,15 +254,14 @@ def test_make_folds_validation():
         make_folds(raw, 2, seed=0)
 
 
-def test_fold_split_covers_and_excludes():
+def test_make_folds_splits_cover_and_exclude():
     records = balanced_records(10, 10, "nq_flood")
-    plan = make_folds(records, 5, seed=1)
-    train, test = fold_split(records, plan, 2)
-    assert len(train) + len(test) == len(records)
-    assert {r.id for r in train} & {r.id for r in test} == set()
-    assert all(plan.assignments[r.id] == 2 for r in test)
-    with pytest.raises(ValueError):
-        fold_split(records, plan, 5)
+    for train, test in make_folds(records, 5, seed=1):
+        assert len(train) + len(test) == len(records)
+        assert {r.id for r in train} & {r.id for r in test} == set()
+        # each split keeps input order
+        assert train == [r for r in records if r in train]
+        assert test == [r for r in records if r in test]
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,13 @@ from crisisadapt.evaluation import (
     evaluate,
     loo_table,
     pearson_row_correlation,
-    plan_leave_one_out,
     predict_label,
     weighted_f1,
     write_correlation_csv,
     write_matrix_csv,
     write_matrix_provenance,
 )
+from crisisadapt.experiment import plan_leave_one_out
 from crisisadapt.model import ModelConfig, init_params, shift_right
 from crisisadapt.prompt import LABELS, parse_label
 from crisisadapt.tokenizer import EOS, PAD, UNK, build_vocab, decode

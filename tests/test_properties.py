@@ -50,6 +50,40 @@ def test_escape_field_round_trip(text):
     assert unescape_field(escaped) == text
 
 
+def scan_unescape(text: str) -> str:
+    """Reference unescape: a left-to-right scan in which a backslash
+    followed by t, n or a backslash stands for tab, newline or backslash,
+    and any other backslash stands for itself."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            if nxt == "t":
+                out.append("\t")
+                i += 2
+                continue
+            if nxt == "n":
+                out.append("\n")
+                i += 2
+                continue
+            if nxt == "\\":
+                out.append("\\")
+                i += 2
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+@PROPERTY
+@given(st.text(st.one_of(st.sampled_from("\\tnx\t\n"), st.characters(codec="utf-8"))))
+def test_unescape_field_matches_the_scan(text):
+    """Text no escape produced, too: a lone or trailing backslash, `\\x`."""
+    assert unescape_field(text) == scan_unescape(text)
+
+
 @PROPERTY
 @given(st.lists(st.tuples(FIELD, TEXT, FIELD, st.sampled_from(sorted(REGISTRY))), max_size=6))
 def test_dataset_file_round_trip(rows):
