@@ -7,12 +7,13 @@ runs one adaptation plan end to end, `evaluate` re-scores a checkpoint,
 leave-one-out over events. Every run directory gets a manifest.json with
 input digests and the exact configuration.
 
-Exit codes: 0 success, 2 configuration or usage problems, 3 data or
-checkpoint problems, 5 a training run whose loss or gradient norm stopped
-being finite.
+Flags that several subcommands take are declared once, in `FLAGS`. A
+relative input path that does not exist here is retried under
+$CRISISADAPT_DATA_DIR when it is set, and messages name the path read.
 
-Relative input paths that do not exist under the working directory are
-retried under $CRISISADAPT_DATA_DIR when it is set.
+Exit codes, from `EXIT_CODES`: 0 success, 2 configuration or usage
+problems, 3 data or checkpoint problems, 5 a training run whose loss or
+gradient norm stopped being finite.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from .evaluation import (
     DIAGONAL_MODES,
     evaluate,
     pearson_row_correlation,
-    write_correlation_csv,
-    write_matrix_csv,
+    write_grid_csv,
     write_matrix_provenance,
 )
 from .experiment import augmented_texts, encode_eval_inputs, run_loo, run_matrix, run_plan
-from .files import write_atomic
+from .files import write_json
 from .model import ModelConfig, ParameterStore, named_config
 from .prompt import SCENARIOS
 from .synth import DEFAULT_EVENTS, generate_corpus
@@ -66,9 +66,14 @@ from .train import TrainConfig, write_history
 
 ENV_DATA_DIR = "CRISISADAPT_DATA_DIR"
 LABEL_SCHEMES = {"relevance": RELEVANCE_MAP, "topic": TOPIC_MAP}
+# error class -> exit code; an error takes the code of the first class it is
+EXIT_CODES = {ConfigError: 2, NonFiniteError: 5, DataError: 3, CheckpointError: 3, OSError: 3,
+              ValueError: 2}
 
 
 def _resolve(path: str) -> Path:
+    """`path`, or the same relative path under $CRISISADAPT_DATA_DIR if
+    it does not exist here and that variable is set."""
     p = Path(path)
     base = os.environ.get(ENV_DATA_DIR)
     if not p.is_absolute() and base and not p.exists():
@@ -90,10 +95,9 @@ def _out_dir(raw: str) -> Path:
     return out
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
+def _load_config_file(p: Path | None) -> dict:
+    if p is None:
         return {}
-    p = _resolve(path)
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -115,48 +119,46 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _configs(path: str | None, cfg: dict, vocab_size: int) -> tuple[TrainConfig, ModelConfig]:
+@contextmanager
+def _naming(prefix, *types: type[Exception], into: type[Exception] | None = None):
+    """Re-raise an error of one of `types` as `into` (default: its own
+    class), its message prefixed with `prefix`."""
+    try:
+        yield
+    except types as exc:
+        raise (into or type(exc))(f"{prefix}: {exc}") from None
+
+
+def _configs(path: Path | None, cfg: dict, vocab_size: int) -> tuple[TrainConfig, ModelConfig]:
     """The train and model configs that `cfg`, read from the config file
     `path`, asks for; an error names the file (no file, no error)."""
     train = dict(cfg.get("train", {}))
     if "seed" not in train and "seed" in cfg:
         train["seed"] = cfg["seed"]
     model = dict(cfg.get("model", {}))
-    try:
+    with _naming(path, ConfigError, TypeError, ValueError, into=ConfigError):
         return TrainConfig(**train), named_config(model.pop("size", "tiny"), vocab_size, **model)
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{_resolve(path)}: {exc}") from None
 
 
-def _load_records(args, registry, path: str):
+def _load_records(args, registry, path: Path):
     """The records of the data file `path`, labels unified; an error names
     the file, and an unknown event the registry too."""
-    path = _resolve(path)
     try:
-        return unify_labels(load_dataset(path, registry), LABEL_SCHEMES[args.label_scheme])
-    except LabelError as exc:
-        raise LabelError(f"{path}: {exc}") from None
+        with _naming(path, LabelError):
+            return unify_labels(load_dataset(path, registry), LABEL_SCHEMES[args.label_scheme])
     except UnknownEventError as exc:
-        raise UnknownEventError(f"{exc} {_resolve(args.registry)}") from None
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
-    write_atomic(path, text.encode("utf-8"))
+        raise UnknownEventError(f"{exc} {args.registry}") from None
 
 
 def _write_manifest(out: Path, command: str, payload: dict) -> None:
     core = {"command": command, "version": __version__, **payload}
-    run_id = hashlib.sha256(
-        json.dumps(core, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()[:12]
+    run_id = hashlib.sha256(json.dumps(core, sort_keys=True).encode("utf-8")).hexdigest()[:12]
     created = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-    _write_json(out / "manifest.json", {"run_id": run_id, "created_utc": created, **core})
+    write_json(out / "manifest.json", {"run_id": run_id, "created_utc": created, **core})
 
 
 def _input_digests(args, names) -> dict[str, str]:
-    paths = [_resolve(getattr(args, name)) for name in names]
-    return {str(p): _sha256_file(p) for p in paths}
+    return {str(p): _sha256_file(p) for p in (getattr(args, name) for name in names)}
 
 
 @dataclass
@@ -171,16 +173,17 @@ class _Setup:
     mcfg: ModelConfig
     out: Path
     manifest: dict
+    data_files: str  # as a message names them
 
 
 def _setup(args) -> _Setup:
     """Load config, registry, records and vocabulary."""
     cfg = _load_config_file(args.config)
-    registry = load_registry(_resolve(args.registry))
+    registry = load_registry(args.registry)
     train_records = _load_records(args, registry, args.train_file)
     test_records = _load_records(args, registry, args.test_file)
     out = _out_dir(args.out)
-    vocab = load_vocab(_resolve(args.vocab))
+    vocab = load_vocab(args.vocab)
     tcfg, mcfg = _configs(args.config, cfg, vocab.size)
     if args.seed is not None:
         tcfg = replace(tcfg, seed=args.seed)
@@ -192,7 +195,7 @@ def _setup(args) -> _Setup:
         "vocab_hash": vocab.content_hash,
     }
     return _Setup(registry, splits_by_event(train_records, test_records), vocab, tcfg, mcfg,
-                  out, manifest)
+                  out, manifest, f"{args.train_file}, {args.test_file}")
 
 
 def _event_names(flag: str, value: str | None) -> list[str] | None:
@@ -222,16 +225,6 @@ def _check_grid(args) -> list[str] | None:
     return _event_names("--events", args.events)
 
 
-@contextmanager
-def _naming_data_files(args):
-    """Prefix a SplitError, raised when a plan's event has no records in
-    the data files, with the names of those files."""
-    try:
-        yield
-    except SplitError as exc:
-        raise SplitError(f"{args.train_file}, {args.test_file}: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -253,7 +246,7 @@ def cmd_synth(args) -> None:
 
 
 def cmd_build_vocab(args) -> None:
-    registry = load_registry(_resolve(args.registry))
+    registry = load_registry(args.registry)
     records = _load_records(args, registry, args.train_file)
     texts = augmented_texts(records, args.scenario, registry)
     vocab = build_vocab(texts, min_freq=args.min_freq, max_size=args.max_size)
@@ -265,24 +258,20 @@ def cmd_train(args) -> None:
     names = _event_names("--source-events", args.source_events)
     sources = {args.target_event} if names is None else set(names)
     run = _setup(args)
-    try:
-        with _naming_data_files(args):
-            plan = compose_plan(sources, args.target_event, args.scenario, run.splits,
-                                run.tcfg.seed)
-    except PlanError as exc:  # the flags ask for a plan that cannot exist
-        raise ConfigError(f"--source-events {args.source_events!r} with --target-event "
-                          f"{args.target_event!r}: {exc}") from None
+    # a PlanError: the flags ask for a plan that cannot exist
+    with (_naming(f"--source-events {args.source_events!r} with --target-event "
+                  f"{args.target_event!r}", PlanError, into=ConfigError),
+          _naming(run.data_files, SplitError)):
+        plan = compose_plan(sources, args.target_event, args.scenario, run.splits, run.tcfg.seed)
     resume = (
-        ckpt.load_checkpoint(_resolve(args.resume), expected_vocab_hash=run.vocab.content_hash)
+        ckpt.load_checkpoint(args.resume, expected_vocab_hash=run.vocab.content_hash)
         if args.resume else None
     )
-    try:
+    # a resumed run's config and checkpoint errors name the checkpoint
+    resuming = (ConfigError, CheckpointError) if resume else ()
+    with _naming(f"{args.resume} cannot resume under {args.config or 'the default config'}",
+                 *resuming):
         outcome = run_plan(plan, run.registry, run.vocab, run.mcfg, run.tcfg, resume=resume)
-    except (ConfigError, CheckpointError) as exc:
-        if resume is None:
-            raise
-        raise type(exc)(f"{args.resume} cannot resume under "
-                        f"{args.config or 'the default config'}: {exc}") from None
     result, report = outcome.train_result, outcome.report
 
     write_history(run.out / "history.csv", result.history)
@@ -300,7 +289,7 @@ def cmd_train(args) -> None:
             "total_steps": result.total_steps,
         },
     )
-    _write_json(run.out / "report.json", {"task_id": plan.task_id, **report.to_dict()})
+    write_json(run.out / "report.json", {"task_id": plan.task_id, **report.to_dict()})
     _write_manifest(
         run.out,
         "train",
@@ -329,15 +318,13 @@ def cmd_train(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    vocab = load_vocab(_resolve(args.vocab))
-    loaded = ckpt.load_checkpoint(
-        _resolve(args.checkpoint), expected_vocab_hash=vocab.content_hash
-    )
+    vocab = load_vocab(args.vocab)
+    loaded = ckpt.load_checkpoint(args.checkpoint, expected_vocab_hash=vocab.content_hash)
     mcfg = loaded.config
     # the store keeps the checkpoint's dtype
     params = ParameterStore({n: Tensor(a, name=n) for n, a in loaded.arrays.items()})
 
-    registry = load_registry(_resolve(args.registry))
+    registry = load_registry(args.registry)
     records = _load_records(args, registry, args.test_file)
     records = [r for r in records if r.event_id == args.target_event]
     if not records:
@@ -348,7 +335,7 @@ def cmd_evaluate(args) -> None:
     report = evaluate(params, encoded, gold, vocab, mcfg)
 
     out = _out_dir(args.out)
-    _write_json(
+    write_json(
         out / "report.json",
         {"target_event": args.target_event, "scenario": args.scenario, **report.to_dict()},
     )
@@ -382,7 +369,7 @@ def cmd_matrix(args) -> None:
     k = 5 if args.k is None else args.k
     events = _check_grid(args)
     run = _setup(args)
-    with _naming_data_files(args):
+    with _naming(run.data_files, SplitError):
         matrix = run_matrix(
             run.splits,
             run.registry,
@@ -396,7 +383,7 @@ def cmd_matrix(args) -> None:
             seed=run.tcfg.seed,
             jobs=args.jobs,
         )
-    write_matrix_csv(run.out / "matrix.csv", matrix)
+    write_grid_csv(run.out / "matrix.csv", "source\\target", matrix.events, matrix.to_array())
     write_matrix_provenance(run.out / "provenance.json", matrix)
     # Pearson needs at least 3 paired columns per row pair
     points = len(matrix.events) - (2 if args.exclude_self else 0)
@@ -407,7 +394,7 @@ def cmd_matrix(args) -> None:
             corr = pearson_row_correlation(matrix, exclude_self=args.exclude_self)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
-        write_correlation_csv(run.out / "correlation.csv", matrix.events, corr)
+        write_grid_csv(run.out / "correlation.csv", "row\\row", matrix.events, corr)
         artifacts["correlation"] = "correlation.csv"
     else:
         print(f"skipping row correlations: only {points} paired points per row pair")
@@ -435,7 +422,7 @@ def cmd_loo(args) -> None:
     events = _check_grid(args)
     run = _setup(args)
     events = sorted(run.splits if events is None else events)
-    with _naming_data_files(args):
+    with _naming(run.data_files, SplitError):
         plans, results, table = run_loo(
             run.splits, run.registry, events, args.scenario, run.vocab, run.mcfg, run.tcfg,
             seed=run.tcfg.seed, jobs=args.jobs,
@@ -453,7 +440,7 @@ def cmd_loo(args) -> None:
         ],
         **table,
     }
-    _write_json(run.out / "loo.json", doc)
+    write_json(run.out / "loo.json", doc)
     _write_manifest(
         run.out, "loo", {**run.manifest, "events": events, "artifacts": {"table": "loo.json"}}
     )
@@ -473,6 +460,37 @@ def cmd_loo(args) -> None:
 # Parser
 
 
+# Each flag that more than one subcommand takes: name -> add_argument
+# keywords. An input file's flag resolves its path as it is parsed.
+FLAGS = {
+    "--train-file": dict(type=_resolve, required=True, help="training TSV"),
+    "--test-file": dict(type=_resolve, required=True, help="test TSV"),
+    "--registry": dict(type=_resolve, required=True, help="event registry JSON"),
+    "--label-scheme": dict(choices=sorted(LABEL_SCHEMES), default="relevance",
+                           help="raw label unification map (default: relevance)"),
+    "--scenario": dict(choices=SCENARIOS, required=True),
+    "--vocab": dict(type=_resolve, required=True, help="vocabulary file"),
+    "--config": dict(type=_resolve, help="JSON config with model/train sections"),
+    "--seed": dict(type=int, default=None, help="override the run seed"),
+    "--out": dict(required=True, help="output directory"),
+    "--target-event": dict(required=True),
+    "--events": dict(help="comma-separated subset (default: all in the data)"),
+    "--jobs": dict(type=int, default=1, help="worker processes"),
+}
+DATA = ("--train-file", "--test-file", "--registry", "--label-scheme")
+RUN = ("--scenario", "--vocab", "--config", "--seed", "--out")
+GRID = ("--events", "--jobs")  # matrix and loo
+
+
+def _subcommand(sub, name: str, func, *flags: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand that runs `func`, taking `flags` from `FLAGS`."""
+    p = sub.add_parser(name, help=help)
+    for flag in flags:
+        p.add_argument(flag, **FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crisisadapt",
@@ -481,76 +499,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    data = argparse.ArgumentParser(add_help=False)
-    data.add_argument("--train-file", required=True, help="training TSV")
-    data.add_argument("--test-file", required=True, help="test TSV")
-    data.add_argument("--registry", required=True, help="event registry JSON")
-    data.add_argument(
-        "--label-scheme",
-        choices=sorted(LABEL_SCHEMES),
-        default="relevance",
-        help="raw label unification map (default: relevance)",
-    )
-
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--scenario", choices=SCENARIOS, required=True)
-    run.add_argument("--vocab", required=True, help="vocabulary file")
-    run.add_argument("--config", help="JSON config with model/train sections")
-    run.add_argument("--seed", type=int, default=None, help="override the run seed")
-    run.add_argument("--out", required=True, help="output directory")
-
-    grid = argparse.ArgumentParser(add_help=False)  # matrix and loo
-    grid.add_argument("--events", help="comma-separated subset (default: all in the data)")
-    grid.add_argument("--jobs", type=int, default=1, help="worker processes")
-
-    p = sub.add_parser("synth", help="write a synthetic multi-event corpus")
-    p.add_argument("--out", required=True)
+    p = _subcommand(sub, "synth", cmd_synth, "--out",
+                    help="write a synthetic multi-event corpus")
     p.add_argument("--n-train", type=int, default=48, help="train records per event")
     p.add_argument("--n-test", type=int, default=24, help="test records per event")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("build-vocab", help="build a vocabulary from augmented text")
-    p.add_argument("--train-file", required=True)
-    p.add_argument("--registry", required=True)
-    p.add_argument("--label-scheme", choices=sorted(LABEL_SCHEMES), default="relevance")
-    p.add_argument("--scenario", choices=SCENARIOS, required=True)
+    p = _subcommand(sub, "build-vocab", cmd_build_vocab,
+                    "--train-file", "--registry", "--label-scheme", "--scenario",
+                    help="build a vocabulary from augmented text")
     p.add_argument("--min-freq", type=int, default=DEFAULT_MIN_FREQ)
     p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
     p.add_argument("--out", required=True, help="vocabulary file to write")
-    p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("train", parents=[data, run], help="train one adaptation plan")
-    p.add_argument("--target-event", required=True)
+    p = _subcommand(sub, "train", cmd_train, *DATA, *RUN, "--target-event",
+                    help="train one adaptation plan")
     p.add_argument(
         "--source-events",
         help="comma-separated source events (default: the target event)",
     )
-    p.add_argument("--resume", help="checkpoint to continue from")
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--resume", type=_resolve, help="checkpoint to continue from")
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on a test set")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--test-file", required=True)
-    p.add_argument("--registry", required=True)
-    p.add_argument("--label-scheme", choices=sorted(LABEL_SCHEMES), default="relevance")
-    p.add_argument("--scenario", choices=SCENARIOS, required=True)
-    p.add_argument("--target-event", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
+    p = _subcommand(sub, "evaluate", cmd_evaluate, "--vocab", "--test-file", "--registry",
+                    "--label-scheme", "--scenario", "--target-event", "--out",
+                    help="score a checkpoint on a test set")
+    p.add_argument("--checkpoint", type=_resolve, required=True)
 
-    p = sub.add_parser("matrix", parents=[data, run, grid], help="fill a transfer matrix")
+    p = _subcommand(sub, "matrix", cmd_matrix, *DATA, *RUN, *GRID,
+                    help="fill a transfer matrix")
     p.add_argument("--diagonal", choices=DIAGONAL_MODES, default="standard_split")
     p.add_argument("--k", type=int, help="folds for --diagonal five_fold_mean (default 5)")
     p.add_argument("--exclude-self", action="store_true",
                    help="drop self-transfer columns from row correlations")
-    p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("loo", parents=[data, run, grid], help="leave-one-out over events")
-    p.set_defaults(func=cmd_loo)
+    _subcommand(sub, "loo", cmd_loo, *DATA, *RUN, *GRID, help="leave-one-out over events")
 
     return parser
+
+
+def _message(exc: Exception) -> str:
+    if isinstance(exc, FileNotFoundError):
+        return f"file not found: {exc.filename}"
+    if isinstance(exc, OSError):  # a directory where a file belongs, an --out that is a file
+        where = f"{exc.filename}: " if exc.filename else ""
+        return f"{where}{exc.strerror or exc}"
+    return str(exc)
 
 
 def main(argv=None) -> int:
@@ -558,25 +551,9 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (DataError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return 3
-    except OSError as exc:  # a directory where a file belongs, an --out that is a file
-        where = f"{exc.filename}: " if exc.filename else ""
-        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {_message(exc)}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

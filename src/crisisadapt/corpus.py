@@ -27,7 +27,7 @@ from .errors import (
     SplitError,
     UnknownEventError,
 )
-from .files import write_atomic
+from .files import write_json, write_lines
 from .rng import mix_seed, shuffle
 
 HEADER = ("id", "text", "label", "event_id")
@@ -133,7 +133,7 @@ def write_registry(registry: dict[str, EventDescriptor], path: str | Path) -> No
         if ev.event_type is not None:
             meta["event_type"] = ev.event_type
         payload[event_id] = meta
-    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_json(path, payload)
 
 
 def escape_field(text: str) -> str:
@@ -206,7 +206,7 @@ def write_dataset(records: list[CrisisRecord], path: str | Path) -> None:
         lines.append(
             "\t".join((rec.id, escape_field(rec.text), rec.raw_label, rec.event_id))
         )
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ correlations compare transfer profiles between source events.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
-from .files import write_atomic
+from .files import write_json, write_lines
 from .model import ModelConfig, ParameterStore, generate_greedy, score_sequence
 from .prompt import LABELS, parse_label
 from .tokenizer import EOS, UNK, Vocabulary, decode
@@ -274,29 +273,22 @@ def pearson_row_correlation(matrix, exclude_self: bool = False) -> np.ndarray:
     return out
 
 
-def write_matrix_csv(path, matrix: AdaptationMatrix) -> None:
-    """Rows are source events, columns target events, 4 decimal places."""
-    lines = ["source\\target," + ",".join(matrix.events)]
-    for s in matrix.events:
-        lines.append(s + "," + ",".join(f"{matrix.cells[(s, t)]:.4f}" for t in matrix.events))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def write_correlation_csv(path, events: tuple[str, ...], corr: np.ndarray) -> None:
-    lines = ["row\\row," + ",".join(events)]
-    for i, s in enumerate(events):
-        lines.append(s + "," + ",".join(f"{corr[i, j]:.4f}" for j in range(len(events))))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+def write_grid_csv(path, corner: str, events: tuple[str, ...], values: np.ndarray) -> None:
+    """`values[i, j]` in row `events[i]`, column `events[j]`, to 4 decimal
+    places, under a header whose first cell, `corner`, names the axes."""
+    lines = [corner + "," + ",".join(events)]
+    for event, row in zip(events, values):
+        lines.append(event + "," + ",".join(f"{v:.4f}" for v in row))
+    write_lines(path, lines)
 
 
 def write_matrix_provenance(path, matrix: AdaptationMatrix) -> None:
-    doc = {
+    write_json(path, {
         "events": list(matrix.events),
         "diagonal_mode": matrix.diagonal_mode,
         "complete": matrix.complete,
         "cells": matrix.provenance,
-    }
-    write_atomic(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    })
 
 
 def loo_table(results: dict[str, EvalReport]) -> dict:

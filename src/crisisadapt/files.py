@@ -1,8 +1,10 @@
 """Atomic file writes: a reader of the target sees the old file or the new
-one, never a partial write."""
+one, never a partial write. Every text artifact is written by `write_lines`
+or `write_json`; only the binary checkpoint calls `write_atomic` itself."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -29,3 +31,13 @@ def write_atomic(path, *chunks) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def write_lines(path, lines) -> None:
+    """Write each line followed by LF, as UTF-8, atomically."""
+    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as JSON, indented by 2 with sorted keys, atomically."""
+    write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import VocabError
-from .files import write_atomic
+from .files import write_lines
 from .prompt import AugmentedInput
 
 PAD, EOS, UNK = 0, 1, 2
@@ -102,10 +103,10 @@ def build_vocab(
 ) -> Vocabulary:
     """Build a vocabulary from raw texts.
 
-    Tokens are ranked by (frequency desc, token asc); tokens below
-    min_freq are dropped unless they are template tokens
-    (`TEMPLATE_FORCED_TOKENS`); the ranking is truncated to max_size with
-    the template tokens always retained.
+    Tokens are ranked by (frequency desc, token asc). The vocabulary keeps
+    every template token (`TEMPLATE_FORCED_TOKENS`), then the best-ranked
+    other tokens of at least min_freq occurrences that fit in max_size,
+    all in rank order after the specials.
     """
     if not corpus:
         raise VocabError("cannot build a vocabulary from an empty corpus")
@@ -120,33 +121,13 @@ def build_vocab(
             f"plus {len(TEMPLATE_FORCED_TOKENS)} forced tokens"
         )
 
-    freq: dict[str, int] = {}
-    for text in corpus:
-        for tok in tokenize(text):
-            freq[tok] = freq.get(tok, 0) + 1
+    freq = Counter(tok for text in corpus for tok in tokenize(text))
+    ranked = sorted(freq.keys() | TEMPLATE_FORCED_TOKENS, key=lambda t: (-freq[t], t))
+    others = [t for t in ranked if t not in TEMPLATE_FORCED_TOKENS
+              and t not in SPECIAL_TOKENS and freq[t] >= min_freq]
+    kept = TEMPLATE_FORCED_TOKENS.union(others[: capacity - len(TEMPLATE_FORCED_TOKENS)])
 
-    candidates = [
-        tok
-        for tok in freq
-        if (freq[tok] >= min_freq or tok in TEMPLATE_FORCED_TOKENS) and tok not in SPECIAL_TOKENS
-    ]
-    for tok in sorted(TEMPLATE_FORCED_TOKENS):
-        if tok not in freq and tok not in SPECIAL_TOKENS:
-            candidates.append(tok)
-    candidates.sort(key=lambda t: (-freq.get(t, 0), t))
-
-    if len(candidates) > capacity:
-        budget = capacity - sum(1 for t in candidates if t in TEMPLATE_FORCED_TOKENS)
-        kept = []
-        for tok in candidates:
-            if tok in TEMPLATE_FORCED_TOKENS:
-                kept.append(tok)
-            elif budget > 0:
-                kept.append(tok)
-                budget -= 1
-        candidates = kept
-
-    id_to_token = tuple(SPECIAL_TOKENS) + tuple(candidates)
+    id_to_token = SPECIAL_TOKENS + tuple(t for t in ranked if t in kept)
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
     return Vocabulary(
         id_to_token=id_to_token,
@@ -204,13 +185,12 @@ def decode(ids, vocab: Vocabulary) -> str:
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
-    lines = [
+    write_lines(path, [
         f"# min_freq={vocab.min_freq}",
         f"# max_size={vocab.max_size}",
         f"# content_hash={vocab.content_hash}",
-    ]
-    lines.extend(vocab.id_to_token)
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        *vocab.id_to_token,
+    ])
 
 
 def _header_int(path, header: dict[str, str], key: str) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError, check_field_types
-from .files import write_atomic
+from .files import write_lines
 from .model import ModelConfig, ParameterStore, example_loss
 from .rng import mix_seed, shuffle
 from .tensor import Tape, backward, mapped_empty, scale
@@ -330,5 +330,4 @@ def train(
 
 
 def write_history(path, records: list[StepRecord]) -> None:
-    lines = ["step,lr,loss", *(f"{r.step},{r.lr!r},{r.loss!r}" for r in records)]
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_lines(path, ["step,lr,loss", *(f"{r.step},{r.lr!r},{r.loss!r}" for r in records)])

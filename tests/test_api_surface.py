@@ -14,6 +14,10 @@ by some call in `src/` outside its own definition, by keyword or by a
 position before any `*` unpacking. Unpacking, `*` or `**`, sets nothing
 the walk can name, so it counts for no parameter. Calls are matched to
 definitions as names are above.
+
+Every text artifact is written through `files.write_lines` or
+`files.write_json`, so no module but `files` and `checkpoint`, whose
+format is binary, calls `files.write_atomic`.
 """
 
 import ast
@@ -22,6 +26,9 @@ from functools import cache
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "crisisadapt"
+
+# the modules that may call files.write_atomic
+WRITE_ATOMIC_CALLERS = {"files", "checkpoint"}
 
 # name -> why it stays without a caller in src/
 ALLOWED = {
@@ -192,3 +199,12 @@ def test_every_defaulted_parameter_is_set_somewhere_in_src():
 def test_every_allowed_knob_is_still_unset():
     """An entry whose parameter gained a setter, or went, leaves the list."""
     assert set(ALLOWED_KNOBS) <= set(unset_knobs())
+
+
+def test_only_files_and_checkpoint_call_write_atomic():
+    trees, _ = parsed()
+    calls = [f"{module}.py:{node.lineno}" for module, tree in trees.items()
+             if module not in WRITE_ATOMIC_CALLERS
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and callee(node) & {"write_atomic", ".write_atomic"}]
+    assert not calls, f"write text artifacts with files.write_lines or write_json: {calls}"

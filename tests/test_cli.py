@@ -1,7 +1,9 @@
 """Command-line interface: happy paths, exit codes, artifact layout."""
 
+import argparse
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -406,6 +408,45 @@ def test_data_dir_env_resolves_relative_inputs(ws, tmp_path, monkeypatch):
     assert load_vocab(out).size > 20
 
 
+@pytest.fixture
+def shared(ws, tmp_path, monkeypatch):
+    """A data directory under $CRISISADAPT_DATA_DIR holding every input of
+    `train` and `evaluate`, its test.tsv without beta_flood records, and an
+    empty working directory: each input resolves under the data directory."""
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    for src in (ws["data"] / "train.tsv", ws["data"] / "registry.json", ws["vocab"],
+                ws["config"], ws["run"] / "checkpoint.castckpt"):
+        shutil.copy(src, shared / src.name)
+    header, *rows = (ws["data"] / "test.tsv").read_text(encoding="utf-8").splitlines()
+    rows = [row for row in rows if not row.endswith("\tbeta_flood")]
+    (shared / "test.tsv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    monkeypatch.setenv(cli.ENV_DATA_DIR, str(shared))
+    return shared
+
+
+SHARED_INPUTS = ["--test-file", "test.tsv", "--registry", "registry.json",
+                 "--vocab", "vocab.txt", "--scenario", "postq"]
+
+
+def test_data_dir_split_error_names_the_resolved_data_files(shared, capsys):
+    assert cli.main(["train", *SHARED_INPUTS, "--train-file", "train.tsv",
+                     "--config", "config.json", "--target-event", "alpha_flood",
+                     "--source-events", "nosuch", "--out", "run"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {shared / 'train.tsv'}, {shared / 'test.tsv'}: "
+        f"no splits available for event 'nosuch'\n")
+
+
+def test_data_dir_evaluate_names_the_resolved_test_file(shared, capsys):
+    assert cli.main(["evaluate", *SHARED_INPUTS, "--checkpoint", "checkpoint.castckpt",
+                     "--target-event", "beta_flood", "--out", "eval"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {shared / 'test.tsv'}: no test records for event 'beta_flood'\n")
+
+
 def test_bad_train_config_exits_2(ws, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"train": {"peak_lr": -1.0}}), encoding="utf-8")
@@ -750,6 +791,49 @@ def test_checkpoint_with_unusable_config_exits_3(ws, tmp_path, capsys):
 def test_checkpoint_with_mistyped_config_exits_3(ws, tmp_path, capsys):
     assert evaluate_with_config_entry(ws, tmp_path, "d_model", 16.0) == 3
     assert "d_model must be an integer, got 16.0" in capsys.readouterr().err
+
+
+SCENARIO = (True, ["standard", "postq", "variant1", "variant2", "variant3"], None)
+LABEL_SCHEME = (False, ["relevance", "topic"], "relevance")
+REQUIRED, OPTIONAL = (True, None, None), (False, None, None)
+DATA_OPTIONS = {"--train-file": REQUIRED, "--test-file": REQUIRED, "--registry": REQUIRED,
+                "--label-scheme": LABEL_SCHEME}
+RUN_OPTIONS = {"--scenario": SCENARIO, "--vocab": REQUIRED, "--config": OPTIONAL,
+               "--seed": OPTIONAL, "--out": REQUIRED}
+GRID_OPTIONS = {"--events": OPTIONAL, "--jobs": (False, None, 1)}
+# subcommand -> option -> (required, choices, default), as each command
+# line took them before the flag table declared the shared flags once
+PARSER_OPTIONS = {
+    "synth": {"--out": REQUIRED, "--n-train": (False, None, 48),
+              "--n-test": (False, None, 24), "--seed": (False, None, 0)},
+    "build-vocab": {"--train-file": REQUIRED, "--registry": REQUIRED,
+                    "--label-scheme": LABEL_SCHEME, "--scenario": SCENARIO,
+                    "--min-freq": (False, None, 2), "--max-size": (False, None, 8192),
+                    "--out": REQUIRED},
+    "train": {**DATA_OPTIONS, **RUN_OPTIONS, "--target-event": REQUIRED,
+              "--source-events": OPTIONAL, "--resume": OPTIONAL},
+    "evaluate": {"--checkpoint": REQUIRED, "--vocab": REQUIRED, "--test-file": REQUIRED,
+                 "--registry": REQUIRED, "--label-scheme": LABEL_SCHEME, "--scenario": SCENARIO,
+                 "--target-event": REQUIRED, "--out": REQUIRED},
+    "matrix": {**DATA_OPTIONS, **RUN_OPTIONS, **GRID_OPTIONS,
+               "--diagonal": (False, ["five_fold_mean", "standard_split"], "standard_split"),
+               "--k": OPTIONAL, "--exclude-self": (False, None, False)},
+    "loo": {**DATA_OPTIONS, **RUN_OPTIONS, **GRID_OPTIONS},
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    got = {
+        name: {" ".join(action.option_strings): (
+                   action.required,
+                   None if action.choices is None else list(action.choices),
+                   action.default)
+               for action in parser._actions if action.dest != "help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert got == PARSER_OPTIONS
 
 
 def test_unknown_scenario_rejected_by_parser(ws, tmp_path):

@@ -19,8 +19,7 @@ from crisisadapt.evaluation import (
     pearson_row_correlation,
     predict_label,
     weighted_f1,
-    write_correlation_csv,
-    write_matrix_csv,
+    write_grid_csv,
     write_matrix_provenance,
 )
 from crisisadapt.experiment import plan_leave_one_out
@@ -506,7 +505,7 @@ def test_matrix_csv_golden(tmp_path):
     m.set_cell("b", "a", 0.25, {})
     m.set_cell("b", "b", 1.0, {})
     path = tmp_path / "matrix.csv"
-    write_matrix_csv(path, m)
+    write_grid_csv(path, "source\\target", m.events, m.to_array())
     assert path.read_text(encoding="utf-8") == (
         "source\\target,a,b\n"
         "a,0.9617,0.8000\n"
@@ -517,7 +516,7 @@ def test_matrix_csv_golden(tmp_path):
 def test_correlation_csv_golden(tmp_path):
     corr = np.array([[1.0, -0.5], [-0.5, 1.0]])
     path = tmp_path / "corr.csv"
-    write_correlation_csv(path, ("a", "b"), corr)
+    write_grid_csv(path, "row\\row", ("a", "b"), corr)
     assert path.read_text(encoding="utf-8") == (
         "row\\row,a,b\n"
         "a,1.0000,-0.5000\n"

@@ -9,12 +9,7 @@ import pytest
 
 from crisisadapt import files
 from crisisadapt.corpus import EventDescriptor, write_dataset, write_registry
-from crisisadapt.evaluation import (
-    AdaptationMatrix,
-    write_correlation_csv,
-    write_matrix_csv,
-    write_matrix_provenance,
-)
+from crisisadapt.evaluation import AdaptationMatrix, write_grid_csv, write_matrix_provenance
 from crisisadapt.tokenizer import build_vocab, save_vocab
 from crisisadapt.train import StepRecord, write_history
 
@@ -49,9 +44,10 @@ def matrix(version: int) -> AdaptationMatrix:
 # artifact -> writes version v of it to a path
 WRITERS = {
     "history": lambda path, v: write_history(path, [StepRecord(step=v, lr=1e-3, loss=0.5)]),
-    "matrix_csv": lambda path, v: write_matrix_csv(path, matrix(v)),
-    "correlation_csv": lambda path, v: write_correlation_csv(
-        path, ("a", "b"), np.full((2, 2), v / 10)),
+    "matrix_csv": lambda path, v: write_grid_csv(
+        path, "source\\target", ("a", "b"), matrix(v).to_array()),
+    "correlation_csv": lambda path, v: write_grid_csv(
+        path, "row\\row", ("a", "b"), np.full((2, 2), v / 10)),
     "provenance": lambda path, v: write_matrix_provenance(path, matrix(v)),
     "vocab": lambda path, v: save_vocab(build_vocab([f"alpha beta w{v}"], min_freq=1), path),
     "dataset": lambda path, v: write_dataset([make_record(v, "ev")], path),

@@ -29,6 +29,7 @@ from crisisadapt.tokenizer import (
     build_vocab,
     load_vocab,
     save_vocab,
+    tokenize,
 )
 
 # any text UTF-8 can hold (no lone surrogates)
@@ -107,6 +108,52 @@ def test_vocab_file_round_trip(corpus, min_freq, max_size):
         save_vocab(loaded, second)
         assert first.read_bytes() == second.read_bytes()
     assert loaded == vocab
+
+
+def loop_vocab_tokens(corpus, min_freq, max_size) -> tuple[str, ...]:
+    """Reference token selection: rank the tokens of at least min_freq
+    occurrences and the template tokens, then, if they overflow the
+    capacity, walk the ranking keeping every template token and as many
+    other tokens as the budget left by the template tokens allows."""
+    capacity = max_size - len(SPECIAL_TOKENS)
+    freq = {}
+    for text in corpus:
+        for tok in tokenize(text):
+            freq[tok] = freq.get(tok, 0) + 1
+    candidates = [tok for tok in freq
+                  if (freq[tok] >= min_freq or tok in TEMPLATE_FORCED_TOKENS)
+                  and tok not in SPECIAL_TOKENS]
+    for tok in sorted(TEMPLATE_FORCED_TOKENS):
+        if tok not in freq and tok not in SPECIAL_TOKENS:
+            candidates.append(tok)
+    candidates.sort(key=lambda t: (-freq.get(t, 0), t))
+    if len(candidates) > capacity:
+        budget = capacity - sum(1 for t in candidates if t in TEMPLATE_FORCED_TOKENS)
+        kept = []
+        for tok in candidates:
+            if tok in TEMPLATE_FORCED_TOKENS:
+                kept.append(tok)
+            elif budget > 0:
+                kept.append(tok)
+                budget -= 1
+        candidates = kept
+    return SPECIAL_TOKENS + tuple(candidates)
+
+
+# words that repeat across a corpus: template tokens, special strings and a
+# few others, so that frequencies tie and the capacity cuts into the ranking
+WORDS = st.sampled_from(sorted(TEMPLATE_FORCED_TOKENS) + list(SPECIAL_TOKENS)
+                        + [f"w{i}" for i in range(30)])
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.lists(WORDS, max_size=40).map(" ".join), TEXT),
+                min_size=1, max_size=8),
+       st.integers(1, 4),
+       st.integers(len(SPECIAL_TOKENS) + len(TEMPLATE_FORCED_TOKENS), 70))
+def test_build_vocab_selects_what_the_loop_selects(corpus, min_freq, max_size):
+    vocab = build_vocab(corpus, min_freq=min_freq, max_size=max_size)
+    assert vocab.id_to_token == loop_vocab_tokens(corpus, min_freq, max_size)
 
 
 # the 16-dim set-up of the CLI tests

@@ -5,9 +5,12 @@ models: `synth`, `build-vocab`, then, with dropout (config.json), an
 in-domain `train`, `train --resume`, a many-to-one `train` and `evaluate`.
 A second config (signal.json: no dropout, a higher learning rate, more
 epochs) trains models that tell the two labels apart, so that the
-per-input numerics of a second `train` and `evaluate`, `matrix`,
-`matrix --diagonal five_fold_mean --k 2 --jobs 2` and `loo` show in their
-reports; with config.json every test input gets the same label. A last
+per-input numerics of a second `train` and `evaluate` and of `loo` show
+in their reports; with config.json every test input gets the same label.
+`matrix` and `matrix --diagonal five_fold_mean --k 2 --jobs 2` train
+longer still (matrix.json), so that no matrix row is constant and
+correlation.csv holds real Pearson correlations, not the zero-variance
+fallback; both must print nothing to stderr. A last
 `train` (wide.json: 128-dim, 16 examples a step) runs each step as two
 chunks, on wide.tsv: data/train.tsv's gamma_quake records plus records
 whose text holds the label tokens `yes` and `no`, so that both the
@@ -55,6 +58,8 @@ SIGNAL = {
     "model": dict(CONFIG["model"], dropout=0.0),
     "train": dict(CONFIG["train"], peak_lr=0.025, epochs=15),
 }
+# long enough that every row of either matrix varies
+MATRIX = {"model": SIGNAL["model"], "train": dict(SIGNAL["train"], epochs=60)}
 # wide enough that each step's batch runs as two chunks, so that the
 # gradient arithmetic across the chunks of a step shows in the digests
 WIDE = {
@@ -92,8 +97,8 @@ RECIPE = [
     ["evaluate", "--checkpoint", "signal/checkpoint.castckpt", "--vocab", "vocab.txt",
      "--test-file", "data/test.tsv", "--registry", "data/registry.json",
      "--scenario", "postq", "--target-event", "alpha_flood", "--out", "signal_evaluate"],
-    ["matrix", *DATA, "--config", "signal.json", "--vocab", "vocab.txt", "--out", "matrix"],
-    ["matrix", *DATA, "--config", "signal.json", "--vocab", "vocab.txt",
+    ["matrix", *DATA, "--config", "matrix.json", "--vocab", "vocab.txt", "--out", "matrix"],
+    ["matrix", *DATA, "--config", "matrix.json", "--vocab", "vocab.txt",
      "--diagonal", "five_fold_mean", "--k", "2", "--jobs", "2", "--out", "folds"],
     ["loo", *DATA, "--config", "signal.json", "--vocab", "vocab.txt", "--out", "loo"],
     ["train", "--train-file", "wide.tsv", *DATA[2:], "--config", "wide.json",
@@ -138,18 +143,22 @@ def run_recipe(root: Path) -> dict[str, str]:
     longer = dict(CONFIG, train=dict(CONFIG["train"], epochs=CONFIG["train"]["epochs"] + 1))
     (root / "longer.json").write_text(json.dumps(longer), encoding="utf-8")
     (root / "signal.json").write_text(json.dumps(SIGNAL), encoding="utf-8")
+    (root / "matrix.json").write_text(json.dumps(MATRIX), encoding="utf-8")
     (root / "wide.json").write_text(json.dumps(WIDE), encoding="utf-8")
-    inputs = {"config.json", "longer.json", "signal.json", "wide.json", "wide.tsv"}
+    inputs = {"config.json", "longer.json", "signal.json", "matrix.json", "wide.json",
+              "wide.tsv"}
     cwd = os.getcwd()
     os.chdir(root)
     try:
         for argv in RECIPE:
             if "wide.tsv" in argv:  # made from synth's output, so only now
                 write_wide_train(root)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             assert code == 0, f"{argv[0]} exited {code}"
+            if argv[0] == "matrix":  # a zero-variance row would warn
+                assert not err.getvalue(), f"{argv[-1]}: {err.getvalue()}"
     finally:
         os.chdir(cwd)
     return {
