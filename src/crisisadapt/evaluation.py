@@ -3,7 +3,8 @@
 Prediction decodes greedily and falls back to comparing the scores of the
 two label sequences whenever the decoder produced anything that is not
 exactly a label word; the fallback is counted so drifting decoders are
-visible in reports. A test set is decoded and scored in batched chunks.
+visible in reports. A test set is decoded and scored in batched chunks,
+padded as training pads and packed within four times its token budget.
 Matrix cells hold test accuracies of source->target runs; row
 correlations compare transfer profiles between source events.
 """
@@ -20,14 +21,14 @@ from .files import write_json, write_lines
 from .model import ModelConfig, ParameterStore, generate_greedy, score_sequence
 from .prompt import LABELS, parse_label
 from .tokenizer import EOS, UNK, Vocabulary, decode
-from .train import chunk_by_length, pad_sources
+from .train import _ACTIVATION_BUDGET, chunk_by_length, pad_sources
 
 DIAGONAL_MODES = ("five_fold_mean", "standard_split")
 
 # Most padded source tokens x d_model in one batched evaluation pass: four
 # times training's budget, as evaluation keeps no tape for a backward
 # pass (see CHANGES.md for the sweep).
-_EVAL_BUDGET = 4 * 256 * 128
+_EVAL_BUDGET = 4 * _ACTIVATION_BUDGET
 
 
 def predict_label(generated, scores, vocab: Vocabulary) -> tuple[str, bool]:
@@ -135,7 +136,7 @@ def evaluate(
     labels.
 
     The inputs run in length-sorted chunks within _EVAL_BUDGET
-    (:func:`train.chunk_by_length`). Each chunk is padded and masked
+    (:func:`train.chunk_by_length`). Each chunk is padded
     (:func:`train.pad_sources`) and encoded once, then decoded greedily
     as one batch, which stops each row as soon as its output can no longer
     be a label word.
@@ -158,10 +159,9 @@ def evaluate(
     scores: list[np.ndarray | None] = [None] * len(encoded)
     for chunk in chunk_by_length(encoded, range(len(encoded)), config.d_model,
                                  _EVAL_BUDGET):
-        ids, mask = pad_sources(encoded, chunk)
         # looked up on the module, so that a wrapper installed there (a
         # profiler or a call counter) sees this call
-        mem = model.encode_source(params, ids, mask, config)
+        mem = model.encode_source(params, pad_sources(encoded, chunk), config)
         outs = generate_greedy(params, mem, config, accept)
         rows = [r for r, out in enumerate(outs) if parse_label(decode(out, vocab)) is None]
         if rows:

@@ -124,14 +124,13 @@ def run_plan(
     """
     tcfg = replace(train_config, seed=plan.seed)
     params = init_params(model_config, mix_seed(plan.seed, "init"))
-    start_step, optimizer = 0, None
+    optimizer = None
     if resume is not None:
-        start_step, optimizer = _resume(plan, model_config, train_config, resume, params)
+        optimizer = _resume(plan, model_config, train_config, resume, params)
     examples = encode_training_examples(
         plan.source_dataset, plan.scenario, registry, vocab, model_config
     )
-    result = train(params, examples, model_config, tcfg, start_step=start_step,
-                   optimizer=optimizer)
+    result = train(params, examples, model_config, tcfg, optimizer=optimizer)
     report = _score(params, plan, registry, vocab, model_config)
     return PlanOutcome(plan=plan, params=params, train_result=result, report=report)
 
@@ -146,9 +145,10 @@ def _score(params, plan: AdaptationPlan, registry, vocab, model_config) -> EvalR
 
 
 def _resume(plan, model_config, train_config, resume: CheckpointData, params):
-    """Load `resume` into `params` and return the step and Adam state that
-    continue it. Refuses a checkpoint of another model, dtype, task, seed or
-    training config; only `epochs` may differ."""
+    """Load `resume` into `params` and return the Adam state that continues
+    it. Refuses a checkpoint of another model, dtype, task, seed or training
+    config, or one whose step is not its optimizer's; only `epochs` may
+    differ."""
     if resume.config != model_config:
         raise CompatibilityError(
             f"checkpoint model config {resume.config} differs from requested {model_config}"
@@ -176,7 +176,10 @@ def _resume(plan, model_config, train_config, resume: CheckpointData, params):
     optimizer = resume.restore_optimizer(params)
     if optimizer is None:
         raise CompatibilityError("checkpoint has no optimizer state; cannot resume")
-    return resume.step, optimizer
+    if optimizer.t != resume.step:
+        raise CompatibilityError(f"checkpoint is at step {resume.step}, but its optimizer "
+                                 f"has taken {optimizer.t} steps")
+    return optimizer
 
 
 def _fold_plans(

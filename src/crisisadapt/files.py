@@ -13,7 +13,8 @@ def write_atomic(path, *chunks) -> None:
     """Write the chunks (bytes-like objects) in order to a temporary file
     beside `path`, flush it to disk, rename it over `path`, then flush the
     directory, which holds the rename. On failure before the rename the
-    temporary file is removed and `path` is left as it was."""
+    temporary file is removed (a killed process leaves it) and `path` is
+    left as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -6,9 +6,10 @@ is shared between encoder and decoder; the output projection is its own
 matrix. Decoding starts from the pad token (shift-right) and runs greedy
 argmax with lowest-id tie-break.
 
-Every entry point takes batches only: sources [B, S] with a mask that
-is 0.0 at padding, and targets [B, T]; a 1-D input raises a ValueError.
-Padded keys get a -1e9 score bias [B, 1, 1, S] and so are never
+Every entry point takes batches only: source ids [B, S], right-padded
+with PAD, and targets [B, T]; a 1-D input raises a ValueError. A source
+position is padding exactly when its id is PAD (no encoded token is
+PAD); padded keys get a -1e9 score bias [B, 1, 1, S] and so are never
 attended to. :func:`encode_source` returns the decoder's :class:`Memory`
 of a batch: each decoder layer's cross-attention keys and values,
 projected once from the encoder states, and the score bias that the
@@ -272,7 +273,7 @@ def _key_bias(src_mask: np.ndarray) -> np.ndarray:
 class Memory:
     """What every decoder layer's cross-attention reads of B encoded
     sources: each layer's projected keys and values [B, S, d_model], in
-    layer order, and the score bias [B, 1, 1, S] of the source mask.
+    layer order, and the score bias [B, 1, 1, S] of the source padding.
 
     :func:`encode_source` builds it. `rows` selects whole sources, each
     as often as it is named; its tensors are constants, for decoding and
@@ -290,16 +291,15 @@ class Memory:
 def encode_source(
     params: ParameterStore,
     src_ids,
-    src_mask,
     config: ModelConfig,
     rng: Sequence[np.random.Generator] | None = None,
 ) -> Memory:
     """Run the encoder stack over ids [B, S] and return the decoder's
     :class:`Memory` of its states [B, S, d_model].
 
-    `src_mask` is 1.0 at real positions, 0.0 at padding. Padded positions
-    are never attended to: their attention probabilities are exactly 0.0,
-    and attention's sums run in key order, so they add zeros at the end.
+    Positions whose id is PAD are padding and are never attended to:
+    their attention probabilities are exactly 0.0, and attention's sums
+    run in key order, so they add zeros at the end.
     Extending a source with extra padding therefore leaves the states at
     real positions, and so the memory's keys and values there, bitwise
     equal on the 16-dim test model, at every padded width up to
@@ -312,16 +312,14 @@ def encode_source(
     gradient of the states sums in a fixed order.
     """
     ids = np.asarray(src_ids, dtype=np.int64)
-    mask = np.asarray(src_mask, dtype=np.float32)
-    if ids.ndim != 2 or mask.shape != ids.shape:
-        raise ValueError(
-            "source ids/mask must be aligned [batch, length] arrays, "
-            f"got {ids.shape} / {mask.shape}"
-        )
+    if ids.ndim != 2 or ids.size == 0:
+        raise ValueError(f"source ids must be a non-empty [batch, length] array, got {ids.shape}")
     if ids.shape[1] > config.max_src_len:
         raise ValueError(f"source length {ids.shape[1]} exceeds limit {config.max_src_len}")
-    if mask.size == 0 or (mask.sum(axis=1) == 0).any():
-        raise ValueError("no attendable source positions: mask is all zero")
+    mask = (ids != PAD).astype(np.float32)
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if empty.size:
+        raise ValueError(f"source row {empty[0]} is all padding: no attendable position")
     # each example's length up to its last real position
     lengths = None if rng is None else mask.shape[1] - np.argmax(mask[:, ::-1] > 0, axis=1)
     bias = _key_bias(mask)
@@ -465,7 +463,6 @@ def score_sequence(params: ParameterStore, mem: Memory, target_ids,
 def example_loss(
     params: ParameterStore,
     src_ids,
-    src_mask,
     target_ids,
     config: ModelConfig,
     rng: Sequence[np.random.Generator] | None = None,
@@ -475,6 +472,6 @@ def example_loss(
     are [B, T], all of one length, so this is the mean over every target
     position of the batch."""
     tgt = np.asarray(target_ids, dtype=np.int64)
-    mem = encode_source(params, src_ids, src_mask, config, rng=rng)
+    mem = encode_source(params, src_ids, config, rng=rng)
     logits = decode_logits(params, mem, shift_right(tgt), config, rng=rng)
     return T.cross_entropy(T.reshape(logits, (tgt.size, config.vocab_size)), tgt.reshape(-1))

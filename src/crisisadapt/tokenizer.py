@@ -6,9 +6,10 @@ category P*) off into its own token, so "Flood!" becomes ["flood", "!"].
 No token holds a NUL, the separator of the vocabulary's content hash.
 
 An augmented input encodes to a 1-D id array ending in EOS, which
-:func:`train.pad_sources` pads and masks per batch. Truncation keeps the
-template: tokens are dropped from the end of the message content only, so
-the event description survives encoding.
+:func:`train.pad_sources` pads with PAD per batch; no token encodes to
+PAD, so :func:`model.encode_source` takes every PAD for padding.
+Truncation keeps the template: tokens are dropped from the end of the
+message content only, so the event description survives encoding.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The run is a pure function of (initial parameters, examples, seed): epoch
 order comes from the seeded shuffle stream, per-example dropout draws come
 from generators derived from (seed, epoch, slot), and each step's work is
 split into chunks in a fixed way. Re-running therefore reproduces the loss
-history bitwise, and a run resumed from step k continues it exactly.
+history bitwise. A run starts at the step its Adam state has reached,
+so a run given the state of one stopped at step k continues it exactly.
 
 Each optimizer step runs its examples as a few batched passes (chunks)
 rather than one pass per example. The step's slots are sorted by (source
@@ -151,11 +152,15 @@ class StepRecord:
 
 @dataclass
 class TrainResult:
+    optimizer: AdamState
+    steps_per_epoch: int
+    total_steps: int
     history: list[StepRecord] = field(default_factory=list)
-    steps_per_epoch: int = 0
-    total_steps: int = 0
-    final_step: int = 0
-    optimizer: AdamState | None = None
+
+    @property
+    def final_step(self) -> int:
+        """The step the run stopped at: the optimizer's step count."""
+        return self.optimizer.t
 
 
 def steps_per_epoch(n_examples: int, effective_batch: int) -> int:
@@ -183,17 +188,14 @@ def chunk_by_length(sources, items, d_model: int, budget: int,
     return chunks
 
 
-def pad_sources(sources, chunk) -> tuple[np.ndarray, np.ndarray]:
-    """Source ids and mask [B, S] of the id arrays `sources[i]` for each i
-    in `chunk`, right-padded to the longest; the mask is 1.0 over each
-    source's own length, 0.0 at padding."""
+def pad_sources(sources, chunk) -> np.ndarray:
+    """Source ids [B, S] of the id arrays `sources[i]` for each i in
+    `chunk`, right-padded with PAD to the longest."""
     width = max(len(sources[i]) for i in chunk)
     ids = np.full((len(chunk), width), PAD, dtype=np.int64)
-    mask = np.zeros((len(chunk), width), dtype=np.float32)
     for row, i in enumerate(chunk):
         ids[row, : len(sources[i])] = sources[i]
-        mask[row, : len(sources[i])] = 1.0
-    return ids, mask
+    return ids
 
 
 def chunk_slots(examples, slots, d_model: int) -> list[list[int]]:
@@ -225,14 +227,14 @@ def step_gradients(
     loss_sum = 0.0
     sources = [src for src, _ in examples]
     for chunk in chunk_slots(examples, slots, model_config.d_model):
-        src_ids, src_mask = pad_sources(sources, chunk)
+        src_ids = pad_sources(sources, chunk)
         tgt_ids = np.stack([examples[slot][1] for slot in chunk])
         rngs = None if model_config.dropout == 0 else [
             np.random.Generator(np.random.PCG64(mix_seed(seed, "dropout", epoch, slot)))
             for slot in chunk
         ]
         with tape:
-            loss = example_loss(params, src_ids, src_mask, tgt_ids, model_config, rng=rngs)
+            loss = example_loss(params, src_ids, tgt_ids, model_config, rng=rngs)
             weighted = scale(loss, len(chunk))
         chunk_loss = float(loss.data)
         if not math.isfinite(chunk_loss):
@@ -251,7 +253,6 @@ def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
     *,
-    start_step: int = 0,
     max_steps: int | None = None,
     optimizer: AdamState | None = None,
     on_epoch_end=None,
@@ -259,12 +260,13 @@ def train(
     """Run (or continue) a training loop over encoded examples.
 
     `examples` is a sequence of (src_ids, target_ids) pairs of 1-D id
-    arrays; :func:`pad_sources` pads and masks each chunk's sources.
-    `start_step` > 0 continues an earlier run and requires the matching
-    `optimizer` state. `on_epoch_end(epoch, params)`, if given, is called
-    after each completed epoch. Parameters are updated in place. A step whose
-    chunk loss or global gradient norm is not finite raises NonFiniteError
-    naming the step and epoch, before that step updates any parameter.
+    arrays; :func:`pad_sources` pads each chunk's sources. The run starts
+    at the step `optimizer` has taken, so an earlier run's state continues
+    that run; without one it starts at step 0. `on_epoch_end(epoch,
+    params)`, if given, is called after each completed epoch. Parameters
+    are updated in place. A step whose chunk loss or global gradient norm
+    is not finite raises NonFiniteError naming the step and epoch, before
+    that step updates any parameter.
     """
     n = len(examples)
     if n == 0:
@@ -273,22 +275,15 @@ def train(
     total = train_config.epochs * spe
     lr_at(0, total, train_config.warmup_ratio, train_config.peak_lr)  # fail fast
 
-    if not 0 <= start_step <= total:
-        raise ConfigError(f"start_step {start_step} outside [0, {total}]")
     if optimizer is None:
-        if start_step != 0:
-            raise ConfigError("resuming from a nonzero step requires the optimizer state")
         optimizer = AdamState(params)
-    if optimizer.t != start_step:
-        raise ConfigError(
-            f"optimizer has taken {optimizer.t} steps but start_step is {start_step}"
-        )
+    start = optimizer.t
+    if not 0 <= start <= total:
+        raise ConfigError(f"optimizer has taken {start} steps, outside [0, {total}]")
 
-    stop_step = total if max_steps is None else min(total, start_step + max_steps)
+    stop_step = total if max_steps is None else min(total, start + max_steps)
     seed = train_config.seed
-    result = TrainResult(
-        steps_per_epoch=spe, total_steps=total, final_step=start_step, optimizer=optimizer
-    )
+    result = TrainResult(optimizer, steps_per_epoch=spe, total_steps=total)
     order: list[int] = []
     order_epoch = -1
     batch = train_config.effective_batch
@@ -297,7 +292,7 @@ def train(
     # every chunk's forward arrays, for the whole run
     tape = Tape()
     try:
-        for s in range(start_step, stop_step):
+        for s in range(start, stop_step):
             epoch, b = divmod(s, spe)
             if epoch != order_epoch:
                 order = shuffle(range(n), mix_seed(seed, "epoch", epoch))
@@ -320,7 +315,6 @@ def train(
             lr = lr_at(s, total, train_config.warmup_ratio, train_config.peak_lr)
             optimizer.apply(params, grad, lr)
             result.history.append(StepRecord(step=s, lr=lr, loss=loss))
-            result.final_step = s + 1
 
             if b == spe - 1 and on_epoch_end is not None:
                 on_epoch_end(epoch, params)

@@ -93,7 +93,6 @@ GRAD_CFG = ModelConfig(vocab_size=50, d_model=16, n_heads=2, d_ff=32,
                        n_enc_layers=1, n_dec_layers=1, dropout=0.0,
                        max_src_len=16, max_tgt_len=8)
 GRAD_SRC = np.array([[4, 9, 17, 33, 2, 7, 41, 28, 13, 6]], dtype=np.int64)
-GRAD_MASK = np.ones((1, 10), dtype=np.float32)
 GRAD_TGT = np.array([[12, 7, 30, EOS]], dtype=np.int64)
 
 
@@ -112,7 +111,7 @@ def grad_loss_fn(params, name):
         saved = params._params[name]
         params._params[name] = t
         try:
-            return example_loss(params, GRAD_SRC, GRAD_MASK, GRAD_TGT, GRAD_CFG)
+            return example_loss(params, GRAD_SRC, GRAD_TGT, GRAD_CFG)
         finally:
             params._params[name] = saved
     return f
@@ -168,7 +167,7 @@ def test_acceptance_02_init_loss_near_log_vocab():
         params = init_params(mcfg, 11)
         examples = encode_training_examples(records[:16], "standard",
                                             registry, vocab, mcfg)
-        losses = [float(example_loss(params, *pad_sources([src], [0]), tgt[None], mcfg).data)
+        losses = [float(example_loss(params, pad_sources([src], [0]), tgt[None], mcfg).data)
                   for src, tgt in examples]
         mean = sum(losses) / len(losses)
         expected = math.log(vocab.size)
@@ -192,10 +191,9 @@ def test_acceptance_03_memorization_within_budget():
         # stop at the first probe that reads accuracy 1.0
         probes = {}
         block = 10 * steps_per_epoch(len(examples), tcfg.effective_batch)
-        step, optimizer = 0, None
+        optimizer = None
         while True:
-            result = train(params, examples, mcfg, tcfg, start_step=step, max_steps=block,
-                           optimizer=optimizer)
+            result = train(params, examples, mcfg, tcfg, max_steps=block, optimizer=optimizer)
             step, optimizer = result.final_step, result.optimizer
             accuracy = evaluate(params, encoded, gold, vocab, mcfg).accuracy
             probes[step // result.steps_per_epoch] = accuracy
@@ -333,8 +331,8 @@ def test_acceptance_07_determinism_and_persistence(tmp_path):
         resumed_params = init_params(RUN_CFG, 0)
         resumed_params.load_arrays(data.arrays)
         optimizer = data.restore_optimizer(resumed_params)
-        tail = train(resumed_params, examples, RUN_CFG, tcfg,
-                     start_step=data.step, optimizer=optimizer)
+        assert optimizer.t == data.step
+        tail = train(resumed_params, examples, RUN_CFG, tcfg, optimizer=optimizer)
         assert len(tail.history) == 10
         assert head.history + tail.history == full.history
         for name in params_a.names():

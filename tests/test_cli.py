@@ -219,6 +219,33 @@ def test_train_resume_refuses_a_checkpoint_whose_train_config_is_no_object(ws, t
     assert not [p for p in out.rglob("*") if p.is_file()]
 
 
+def test_train_resume_refuses_a_checkpoint_whose_step_is_not_its_optimizers(ws, tmp_path,
+                                                                            capsys):
+    """A resumed run starts at its Adam state's step count; a manifest step
+    that disagrees with it is refused, naming both counts."""
+    odd = tmp_path / "odd.castckpt"
+    odd.write_bytes((ws["run"] / "checkpoint.castckpt").read_bytes())
+
+    def edit(manifest):
+        assert (manifest["step"], manifest["adam_t"]) == (2, 2)
+        manifest["step"] = 1
+        return manifest
+
+    rewrite_manifest(odd, edit)
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps({**CONFIG, "train": dict(CONFIG["train"], epochs=4)}),
+                      encoding="utf-8")
+    out = tmp_path / "resumed"
+    args = base_args(ws, "train", vocab=ws["vocab"], target_event="alpha_flood", out=out,
+                     resume=odd)
+    args[args.index(str(ws["config"]))] = str(longer)
+    assert cli.main(args) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"error: {odd} cannot resume under {longer}: checkpoint is at step 1, "
+                    "but its optimizer has taken 2 steps")
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
 def test_train_cross_domain_sources(ws, tmp_path):
     out = tmp_path / "cross"
     assert cli.main(base_args(ws, "train", vocab=ws["vocab"],

@@ -242,17 +242,17 @@ def test_predict_label_fallback_encodes_source_once(monkeypatch):
     assert len(calls) == 1  # the three inputs fit one chunk
 
 
-def greedy_and_scores(params, ids, mask, cfg, accept, targets):
+def greedy_and_scores(params, ids, cfg, accept, targets):
     """Greedy output, joint label scores and each label scored alone, for
-    sources ids/mask [B, S]."""
-    mem = model.encode_source(params, ids, mask, cfg)
+    source ids [B, S]."""
+    mem = model.encode_source(params, ids, cfg)
     return (model.generate_greedy(params, mem, cfg, accept),
             model.score_sequence(params, mem, targets, cfg).tolist(),
             [model.score_sequence(params, mem, tgt[None], cfg).tolist() for tgt in targets])
 
 
 def test_right_padding_leaves_decode_score_and_label_unchanged():
-    """Extra padding (mask 0) after a [1, S] source changes no greedy
+    """Extra padding (PAD ids) after a [1, S] source changes no greedy
     token, no label score bit and no predicted label."""
     cfg = ModelConfig(vocab_size=VOCAB.size, d_model=8, n_heads=2, d_ff=16,
                       n_enc_layers=1, n_dec_layers=1, dropout=0.0,
@@ -265,14 +265,12 @@ def test_right_padding_leaves_decode_score_and_label_unchanged():
     accept = [[VOCAB.lookup(lab)] for lab in LABELS]
     for text in ("water rain", "storm flood go"):
         src = encode_query(text)
-        ids, mask = pad_sources([src], [0])
-        want = greedy_and_scores(params, ids, mask, cfg, accept, targets)
+        ids = pad_sources([src], [0])
+        want = greedy_and_scores(params, ids, cfg, accept, targets)
         label = predictions(params, [src], cfg)
         for k in (1, 3, 8):
             ids_k = np.concatenate([ids, np.full((1, k), PAD, dtype=np.int64)], axis=1)
-            mask_k = np.concatenate([mask, np.zeros((1, k), dtype=np.float32)], axis=1)
-            assert greedy_and_scores(params, ids_k, mask_k, cfg, accept, targets) == want, \
-                (text, k)
+            assert greedy_and_scores(params, ids_k, cfg, accept, targets) == want, (text, k)
             # the same source in a chunk padded to a longer one's width
             assert predictions(params, [src, np.full(len(src) + k, EOS)], cfg)[:1] == label, \
                 (text, k)
@@ -282,8 +280,7 @@ def reference_predict(params, src, vocab, cfg):
     """predict_label without early stop or one-pass scoring: greedy decode
     to the end token or max_tgt_len, decode and parse the whole output,
     else score each label sequence in a pass of its own."""
-    ids, mask = pad_sources([src], [0])
-    mem = model.encode_source(params, ids, mask, cfg)
+    mem = model.encode_source(params, pad_sources([src], [0]), cfg)
     out, dec_input = [], [PAD]
     for _ in range(cfg.max_tgt_len):
         logits = model.decode_logits(params, mem, [dec_input], cfg).data

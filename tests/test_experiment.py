@@ -1,15 +1,21 @@
 """End-to-end harness: encoding pipelines, single plans, matrix, LOO."""
 
 import concurrent.futures
+import functools
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crisisadapt import experiment
+from crisisadapt.checkpoint import load_checkpoint, save_checkpoint
 from crisisadapt.corpus import (
     RELEVANCE_MAP,
     EventSplits,
@@ -27,11 +33,11 @@ from crisisadapt.experiment import (
     run_plan,
 )
 from crisisadapt.model import ModelConfig, init_params
-from crisisadapt.prompt import construct
+from crisisadapt.prompt import LABELS, construct
 from crisisadapt.rng import mix_seed
 from crisisadapt.synth import SynthEventSpec, generate_corpus
 from crisisadapt.tokenizer import EOS, PAD, build_vocab, decode
-from crisisadapt.train import train
+from crisisadapt.train import chunk_slots, train
 
 from conftest import bare_vocab, make_record
 
@@ -167,6 +173,67 @@ def test_run_plan_seed_comes_from_plan():
     # the externally supplied train seed is overridden by each plan's seed
     assert [h.loss for h in a.train_result.history] != \
            [h.loss for h in b.train_result.history]
+
+
+# A run stopped at step k, saved as `crisisadapt train` saves it and resumed
+# through run_plan: a 16-dim model with dropout, steps of several chunks
+# each, and messages that hold the label words, as real crisis text does
+RESUME_MCFG = replace(MCFG, dropout=0.1)
+RESUME_TCFG = tiny_train_config(effective_batch=4, epochs=4, seed=6)  # 8 steps
+RESUME_PLAN = compose_plan(
+    {"east_flood"}, "east_flood", "postq",
+    {"east_flood": EventSplits(
+        train=[replace(r, text=f"{r.text} {('no power', 'yes we are safe')[i % 2]}")
+               for i, r in enumerate(SPLITS["east_flood"].train)],
+        test=SPLITS["east_flood"].test)},
+    RESUME_TCFG.seed)
+RESUME_BUDGET = 64 * RESUME_MCFG.d_model  # at most 64 padded source tokens per chunk
+
+
+def save_like_train(path, params, result):
+    save_checkpoint(path, params, RESUME_MCFG, VOCAB.content_hash, step=result.final_step,
+                    seed=RESUME_PLAN.seed, optimizer=result.optimizer,
+                    extra={"train": asdict(RESUME_TCFG), "task_id": RESUME_PLAN.task_id,
+                           "total_steps": result.total_steps})
+
+
+@functools.cache
+def straight_run():
+    return run_plan(RESUME_PLAN, REGISTRY, VOCAB, RESUME_MCFG, RESUME_TCFG)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 8))
+def test_a_run_resumed_at_any_step_is_the_straight_run(k):
+    """Head history plus resumed history, the final weights, Adam state
+    and report, and the final checkpoint bytes equal a straight run's."""
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr("crisisadapt.train._ACTIVATION_BUDGET", RESUME_BUDGET)
+        straight = straight_run()
+        params = init_params(RESUME_MCFG, mix_seed(RESUME_PLAN.seed, "init"))
+        examples = encode_training_examples(RESUME_PLAN.source_dataset, "postq", REGISTRY,
+                                            VOCAB, RESUME_MCFG)
+        label_ids = {VOCAB.lookup(label) for label in LABELS}
+        assert all(label_ids & set(src.tolist()) for src, _ in examples)
+        assert len(chunk_slots(examples, range(4), RESUME_MCFG.d_model)) > 1
+        head = train(params, examples, RESUME_MCFG, RESUME_TCFG, max_steps=k)
+        assert head.final_step == k
+        path = Path(tmp) / "head.castckpt"
+        save_like_train(path, params, head)
+        resumed = run_plan(RESUME_PLAN, REGISTRY, VOCAB, RESUME_MCFG, RESUME_TCFG,
+                           resume=load_checkpoint(path))
+        done, want = resumed.train_result, straight.train_result
+        assert head.history + done.history == want.history
+        assert done.optimizer.t == want.optimizer.t == want.total_steps == 8
+        for got, ref in ((resumed.params.flat, straight.params.flat),
+                         (done.optimizer.m_flat, want.optimizer.m_flat),
+                         (done.optimizer.v_flat, want.optimizer.v_flat)):
+            assert got.tobytes() == ref.tobytes()
+        assert resumed.report == straight.report
+        save_like_train(Path(tmp) / "resumed.castckpt", resumed.params, done)
+        save_like_train(Path(tmp) / "straight.castckpt", straight.params, want)
+        assert ((Path(tmp) / "resumed.castckpt").read_bytes()
+                == (Path(tmp) / "straight.castckpt").read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 import errno
 import os
+import signal
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,3 +97,41 @@ def test_write_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
     assert events == [("fsync", "file"), ("replace", os.fspath(path)),
                       ("fsync", tmp_path.stat().st_ino)]
     assert path.read_bytes() == b"data"
+
+
+# Writes its new bytes atomically to argv[1], but on reaching the rename
+# says so on stdout and blocks on stdin until it is killed.
+KILLED_BEFORE_RENAME = """
+import os, sys
+from crisisadapt import files
+
+def hold(src, dst):
+    print("renaming", flush=True)
+    sys.stdin.read()
+
+os.replace = hold
+files.write_atomic(sys.argv[1], b"new bytes\\n" * 1000)
+"""
+
+
+def test_a_write_killed_before_its_rename_leaves_the_previous_file(tmp_path):
+    """SIGKILL between the temporary file's sync and the rename: the target
+    keeps its previous bytes, and the killed writer's complete temporary
+    file `.<name>.<pid>.tmp` stays beside it, since no `except` clause runs
+    in a killed process."""
+    path = tmp_path / "report.json"
+    path.write_bytes(b"previous\n")
+    src = Path(files.__file__).resolve().parents[1]
+    child = subprocess.Popen([sys.executable, "-c", KILLED_BEFORE_RENAME, str(path)],
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+    try:
+        assert child.stdout.readline() == b"renaming\n"
+    finally:
+        child.kill()
+        child.communicate()
+    assert child.returncode == -signal.SIGKILL
+    assert path.read_bytes() == b"previous\n"
+    left = tmp_path / f".report.json.{child.pid}.tmp"
+    assert left.read_bytes() == b"new bytes\n" * 1000
+    assert sorted(p.name for p in tmp_path.iterdir()) == [left.name, path.name]

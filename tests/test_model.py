@@ -37,7 +37,6 @@ def small_config(**overrides):
 
 
 SRC = np.array([4, 9, 17, 33, 2, 7, 41, 28, 13, 6], dtype=np.int64)
-MASK = np.ones(len(SRC), dtype=np.float32)
 TGT = np.array([12, 7, 30, EOS], dtype=np.int64)
 
 
@@ -183,11 +182,10 @@ def test_pad_extension_leaves_logits_bitwise_identical():
     cfg = small_config()
     params = init_params(cfg, 7)
     dec_in = [[PAD, 12, 7]]
-    base = decode_logits(params, encode_source(params, SRC[None, :5], MASK[None, :5], cfg),
+    base = decode_logits(params, encode_source(params, SRC[None, :5], cfg),
                          dec_in, cfg).data
     src2 = np.concatenate([SRC[:5], [PAD, PAD, PAD]])[None]
-    mask2 = np.concatenate([MASK[:5], np.zeros(3, dtype=np.float32)])[None]
-    ext = decode_logits(params, encode_source(params, src2, mask2, cfg), dec_in, cfg).data
+    ext = decode_logits(params, encode_source(params, src2, cfg), dec_in, cfg).data
     assert np.array_equal(base, ext)
 
 
@@ -206,13 +204,11 @@ def test_padding_leaves_states_and_logits_bitwise_identical(layers):
             if name.endswith(".weight"):  # large enough that states depend on the source
                 params[name].data *= 50.0
         for n in range(1, len(SRC) + 1):
-            ids, mask = SRC[None, :n], MASK[None, :n]
-            mem = encode_source(params, ids, mask, cfg)
+            mem = encode_source(params, SRC[None, :n], cfg)
             logits = decode_logits(params, mem, dec_in, cfg).data
             for width in range(n + 1, cfg.max_src_len + 1):
                 ids_w = np.concatenate([SRC[:n], np.full(width - n, PAD)])[None]
-                mask_w = np.concatenate([MASK[:n], np.zeros(width - n, dtype=np.float32)])[None]
-                mem_w = encode_source(params, ids_w, mask_w, cfg)
+                mem_w = encode_source(params, ids_w, cfg)
                 for kv, kv_w in zip(mem.kv, mem_w.kv, strict=True):
                     for a, a_w in zip(kv, kv_w):
                         assert np.array_equal(a_w.data[:, :n], a.data), (seed, n, width)
@@ -232,7 +228,7 @@ def test_positions_slice_one_table_per_width_with_the_bits_of_each_length(d):
     params = init_params(config, 0)
     for width in (5, 9, 14):
         ids = np.full((2, width), 7, dtype=np.int64)
-        mem = encode_source(params, ids, np.ones((2, width), np.float32), config)
+        mem = encode_source(params, ids, config)
         decode_logits(params, mem, ids[:, :3], config)
     assert _sinusoid_table.cache_info().currsize == 1
 
@@ -240,7 +236,7 @@ def test_positions_slice_one_table_per_width_with_the_bits_of_each_length(d):
 def test_causal_mask_is_bitwise():
     cfg = small_config()
     params = init_params(cfg, 7)
-    mem = encode_source(params, SRC[None], MASK[None], cfg)
+    mem = encode_source(params, SRC[None], cfg)
     a = decode_logits(params, mem, [[PAD, 12, 7]], cfg).data[0]
     b = decode_logits(params, mem, [[PAD, 12, 40]], cfg).data[0]
     assert np.array_equal(a[:2], b[:2])
@@ -250,19 +246,20 @@ def test_causal_mask_is_bitwise():
 def test_source_input_validation():
     cfg = small_config()
     params = init_params(cfg, 0)
-    with pytest.raises(ValueError, match="no attendable source positions"):
-        encode_source(params, SRC[None], np.zeros_like(MASK)[None], cfg)
-    with pytest.raises(ValueError, match="aligned"):
-        encode_source(params, SRC[None], MASK[None, :4], cfg)
+    padding_only = np.stack([SRC, np.full_like(SRC, PAD), np.full_like(SRC, PAD)])
+    with pytest.raises(ValueError, match="source row 1 is all padding"):
+        encode_source(params, padding_only, cfg)
+    with pytest.raises(ValueError, match=r"non-empty .* got \(0, 4\)"):
+        encode_source(params, np.zeros((0, 4), np.int64), cfg)
     with pytest.raises(ValueError, match="exceeds limit"):
         long_src = np.arange(3, 3 + cfg.max_src_len + 1, dtype=np.int64)[None]
-        encode_source(params, long_src, np.ones(long_src.shape, np.float32), cfg)
+        encode_source(params, long_src, cfg)
 
 
 def test_decoder_input_validation():
     cfg = small_config()
     params = init_params(cfg, 0)
-    mem = encode_source(params, SRC[None], MASK[None], cfg)
+    mem = encode_source(params, SRC[None], cfg)
     with pytest.raises(ValueError, match="non-empty"):
         decode_logits(params, mem, [[]], cfg)
     with pytest.raises(ValueError, match="exceeds limit"):
@@ -274,13 +271,13 @@ def test_decoder_input_validation():
 def test_entry_points_reject_1d_inputs():
     cfg = small_config()
     params = init_params(cfg, 0)
-    mem = encode_source(params, SRC[None], MASK[None], cfg)
-    with pytest.raises(ValueError, match=r"got \(10,\) / \(10,\)"):
-        encode_source(params, SRC, MASK, cfg)
+    mem = encode_source(params, SRC[None], cfg)
+    with pytest.raises(ValueError, match=r"\[batch, length\] array, got \(10,\)"):
+        encode_source(params, SRC, cfg)
     with pytest.raises(ValueError, match=r"decoder input .* got shape \(2,\)"):
         decode_logits(params, mem, [PAD, 12], cfg)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
-        example_loss(params, SRC[None], MASK[None], TGT, cfg)
+        example_loss(params, SRC[None], TGT, cfg)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
         shift_right(TGT)
     with pytest.raises(ValueError, match=r"targets .* got shape \(4,\)"):
@@ -290,7 +287,7 @@ def test_entry_points_reject_1d_inputs():
 def test_logits_shape_and_finiteness():
     cfg = small_config()
     params = init_params(cfg, 5)
-    mem = encode_source(params, SRC[None], MASK[None], cfg)
+    mem = encode_source(params, SRC[None], cfg)
     logits = decode_logits(params, mem, [[PAD, 12, 7]], cfg).data
     assert logits.shape == (1, 3, cfg.vocab_size)
     assert np.isfinite(logits).all()
@@ -328,7 +325,7 @@ def rigged_params(cfg, favored: dict[int, float]):
 def test_greedy_stops_at_eos():
     cfg = small_config()
     params = rigged_params(cfg, {EOS: 10.0})
-    out = generate_greedy(params, encode_source(params, SRC[None], MASK[None], cfg), cfg, [[12]])
+    out = generate_greedy(params, encode_source(params, SRC[None], cfg), cfg, [[12]])
     assert out == [[EOS]]
 
 
@@ -336,7 +333,7 @@ def test_greedy_stops_at_max_tgt_len():
     for limit in (3, 8):
         cfg = small_config(max_tgt_len=limit)
         params = rigged_params(cfg, {7: 10.0})
-        mem = encode_source(params, SRC[None], MASK[None], cfg)
+        mem = encode_source(params, SRC[None], cfg)
         assert generate_greedy(params, mem, cfg, [[7] * 9]) == [[7] * limit]
 
 
@@ -344,14 +341,14 @@ def test_greedy_tie_breaks_to_lowest_id():
     cfg = small_config(max_tgt_len=2)
     params = rigged_params(cfg, {6: 10.0, 5: 10.0})
     # identical weights and biases make the two logits bitwise equal
-    out = generate_greedy(params, encode_source(params, SRC[None], MASK[None], cfg), cfg, [[5, 5]])
+    out = generate_greedy(params, encode_source(params, SRC[None], cfg), cfg, [[5, 5]])
     assert out == [[5, 5]]
 
 
 def test_greedy_stops_once_output_cannot_be_accepted():
     cfg = small_config()
     params = rigged_params(cfg, {7: 10.0})
-    mem = encode_source(params, SRC[None], MASK[None], cfg)
+    mem = encode_source(params, SRC[None], cfg)
     # the first token already leaves every accepted sequence
     assert generate_greedy(params, mem, cfg, [[12], [5, 7]]) == [[7]]
     # the second token does: [7, 7] is no prefix of [7, 12]
@@ -364,14 +361,14 @@ def test_greedy_drops_pads_before_matching_accepted_sequences():
     # to the length limit even when only [12] is accepted
     cfg = small_config(max_tgt_len=5)
     params = rigged_params(cfg, {PAD: 10.0})
-    mem = encode_source(params, SRC[None], MASK[None], cfg)
+    mem = encode_source(params, SRC[None], cfg)
     assert generate_greedy(params, mem, cfg, [[12]]) == [[PAD] * 5]
 
 
 def test_score_sequence_matches_log_softmax_sum():
     cfg = small_config()
     params = init_params(cfg, 13)
-    mem = encode_source(params, SRC[None], MASK[None], cfg)
+    mem = encode_source(params, SRC[None], cfg)
     [[got]] = score_sequence(params, mem, TGT[None], cfg).tolist()
     logits = decode_logits(params, mem, shift_right(TGT[None]), cfg).data[0]
     logz = np.logaddexp.reduce(logits.astype(np.float64), axis=1)
@@ -391,7 +388,7 @@ def test_score_sequence_rows_match_scoring_each_target_alone():
         for name in params.names():
             if name.endswith(".weight"):  # spread the logits, as a trained model does
                 params[name].data *= 20.0
-        mem = encode_source(params, np.roll(SRC, seed)[None], MASK[None], cfg)
+        mem = encode_source(params, np.roll(SRC, seed)[None], cfg)
         alone = [score_sequence(params, mem, tgt[None], cfg)[0, 0] for tgt in targets]
         together = score_sequence(params, mem, targets, cfg)
         assert together.dtype == np.float64 and together.shape == (1, 3)
@@ -414,14 +411,14 @@ MIXED = [np.roll(SRC, i)[:n] for i, n in enumerate((3, 7, 5, 1, 4, 6, 2, 7))]
 
 def alone(params, cfg, src):
     """The memory of `src` encoded on its own, unpadded."""
-    return encode_source(params, src[None], np.ones((1, len(src)), dtype=np.float32), cfg)
+    return encode_source(params, src[None], cfg)
 
 
 def test_batched_greedy_rows_match_each_row_decoded_alone():
     """Each row of a batched greedy decode stops on its own rule and gets
     the tokens it gets when decoded alone, unpadded."""
     cfg = small_config()
-    ids, mask = pad_sources(MIXED, range(len(MIXED)))
+    ids = pad_sources(MIXED, range(len(MIXED)))
     lengths = set()
     for seed in range(4):
         params = scaled_params(cfg, seed, 50.0)
@@ -431,7 +428,7 @@ def test_batched_greedy_rows_match_each_row_decoded_alone():
         accept = [[tok, 12] for tok in firsts[::2] if tok != PAD]
         want = [generate_greedy(params, alone(params, cfg, src), cfg, accept)[0]
                 for src in MIXED]
-        mem = encode_source(params, ids, mask, cfg)
+        mem = encode_source(params, ids, cfg)
         assert generate_greedy(params, mem, cfg, accept) == want, seed
         lengths.update(len(out) for out in want)
     # rows stopped after one token, after two, and at the length limit
@@ -443,13 +440,13 @@ def test_batched_scores_match_each_source_scored_alone():
     alone, also for any subset of the batch's rows."""
     cfg = small_config()
     targets = np.array([[12, 7, EOS], [30, 30, EOS], [EOS, 5, EOS]], dtype=np.int64)
-    ids, mask = pad_sources(MIXED, range(len(MIXED)))
+    ids = pad_sources(MIXED, range(len(MIXED)))
     rows = [1, 4, 6]
     for seed in range(4):
         params = scaled_params(cfg, seed, 20.0)
         want = [score_sequence(params, alone(params, cfg, src), targets, cfg)[0].tolist()
                 for src in MIXED]
-        mem = encode_source(params, ids, mask, cfg)
+        mem = encode_source(params, ids, cfg)
         got = score_sequence(params, mem, targets, cfg)
         assert got.dtype == np.float64 and got.shape == (len(MIXED), len(targets))
         assert got.tolist() == want, seed
@@ -463,8 +460,8 @@ def test_one_source_decodes_with_the_bits_of_its_row_in_a_batch():
     have the bits of that source decoded with others."""
     cfg = named_config("tiny", vocab_size=50)
     params = init_params(cfg, 0)
-    ids, mask = pad_sources(MIXED[:3], range(3))
-    mem = encode_source(params, ids, mask, cfg)
+    ids = pad_sources(MIXED[:3], range(3))
+    mem = encode_source(params, ids, cfg)
     dec_input = np.full((3, 1), PAD, dtype=np.int64)
     whole = decode_logits(params, mem, dec_input, cfg).data
     for i in range(3):
@@ -475,7 +472,7 @@ def test_one_source_decodes_with_the_bits_of_its_row_in_a_batch():
 def test_score_sequence_requires_eos():
     cfg = small_config()
     params = init_params(cfg, 13)
-    mem = encode_source(params, SRC[None], MASK[None], cfg)
+    mem = encode_source(params, SRC[None], cfg)
     with pytest.raises(ValueError, match="end token"):
         score_sequence(params, mem, [[12, 7]], cfg)
     with pytest.raises(ValueError, match="end token"):
@@ -498,7 +495,6 @@ MICRO = ModelConfig(vocab_size=8, d_model=4, n_heads=1, d_ff=8,
                     n_enc_layers=1, n_dec_layers=1, dropout=0.0,
                     max_src_len=8, max_tgt_len=4)
 MICRO_SRC = np.array([[3, 5, 7, 2, 6]], dtype=np.int64)
-MICRO_MASK = np.ones((1, 5), dtype=np.float32)
 MICRO_TGT = np.array([[4, EOS]], dtype=np.int64)
 MICRO_SEED, MICRO_SCALE = 116, 24.0
 # Two heads (same parameter shapes) on a padded batch of two: the second
@@ -506,7 +502,6 @@ MICRO_SEED, MICRO_SCALE = 116, 24.0
 MICRO_2H = replace(MICRO, n_heads=2)
 MICRO_BATCH = (
     np.array([[3, 5, 7, 2, 6], [6, 2, 4, PAD, PAD]], dtype=np.int64),
-    np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=np.float32),
     np.array([[4, EOS], [5, EOS]], dtype=np.int64),
 )
 
@@ -521,7 +516,7 @@ def micro_params(dtype):
     return params
 
 
-def micro_loss_fn(params, name, config=MICRO, inputs=(MICRO_SRC, MICRO_MASK, MICRO_TGT)):
+def micro_loss_fn(params, name, config=MICRO, inputs=(MICRO_SRC, MICRO_TGT)):
     def f(t):
         saved = params._params[name]
         params._params[name] = t
@@ -551,7 +546,7 @@ def numeric_gradient(params, name, eps):
 def test_full_model_gradient_fp64():
     params = micro_params(np.float64)
     cases = {
-        "one head, one example": (MICRO, (MICRO_SRC, MICRO_MASK, MICRO_TGT)),
+        "one head, one example": (MICRO, (MICRO_SRC, MICRO_TGT)),
         "two heads, padded batch": (MICRO_2H, MICRO_BATCH),
     }
     for case, (config, inputs) in cases.items():
@@ -566,7 +561,7 @@ def test_full_model_gradient_fp32():
     p32 = micro_params(np.float32)
     p64 = micro_params(np.float64)
     with T.Tape() as tape:
-        loss = example_loss(p32, MICRO_SRC, MICRO_MASK, MICRO_TGT, MICRO)
+        loss = example_loss(p32, MICRO_SRC, MICRO_TGT, MICRO)
     names = p32.names()
     grads = leaf_grads(tape, loss, [p32[name] for name in names])
     worst = 0.0
@@ -582,6 +577,6 @@ def test_full_model_gradient_fp32():
 def test_example_loss_positive_scalar():
     cfg = small_config()
     params = init_params(cfg, 2)
-    loss = example_loss(params, SRC[None], MASK[None], TGT[None], cfg)
+    loss = example_loss(params, SRC[None], TGT[None], cfg)
     assert loss.data.shape == ()
     assert float(loss.data) > 0.0
